@@ -109,10 +109,14 @@ class FGAbGroup:
         factors.reverse()  # ascending divisibility chain
         return cls(rank, tuple(factors))
 
+    def orders(self) -> list[int]:
+        """Cyclic orders of the summands, 0 meaning Z."""
+        return [0] * self.free_rank + list(self.torsion)
+
     def direct_sum(self, *others: "FGAbGroup") -> "FGAbGroup":
-        orders = [0] * self.free_rank + list(self.torsion)
+        orders = self.orders()
         for g in others:
-            orders += [0] * g.free_rank + list(g.torsion)
+            orders += g.orders()
         return FGAbGroup.from_orders(orders)
 
     def elementary_divisors(self) -> list[int]:

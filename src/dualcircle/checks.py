@@ -216,17 +216,62 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
 # Hochschild oracle suite
 
 
+def _lookup(obj, *path: str, source: str):
+    """``obj[path[0]][path[1]]...``, or a usage error naming the first key
+    that ``source`` lacks."""
+    for depth, key in enumerate(path):
+        if not isinstance(obj, dict) or key not in obj:
+            raise UsageError(f"{source} lacks key {'.'.join(path[:depth + 1])}")
+        obj = obj[key]
+    return obj
+
+
 def _load_hh_fixture(path: str | None) -> dict:
-    if path is not None:
+    if path is None:
+        text = resources.files("dualcircle").joinpath(
+            "fixtures/hh_fixtures.json").read_text()
+        return json.loads(text)
+    try:
         with open(path) as fh:
             return json.load(fh)
-    text = resources.files("dualcircle").joinpath(
-        "fixtures/hh_fixtures.json").read_text()
-    return json.loads(text)
+    except OSError as exc:
+        raise UsageError(f"cannot read fixture file: {exc}") from exc
 
 
 def _group_from_orders(orders) -> FGAbGroup:
     return FGAbGroup.from_orders(orders)
+
+
+def _hh_module(fx: dict, name: str) -> GradedModule:
+    gens = _lookup(fx, "modules", name, source="fixture file")
+    try:
+        return GradedModule(tuple((int(d), int(o)) for d, o in gens))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"fixture file modules.{name} is not a list of "
+                         "[degree, order] pairs") from exc
+
+
+def _hh_expected(fx: dict, name: str, w: int) -> dict[int, FGAbGroup]:
+    path = ("expected_weight_homology", name, str(w))
+    frozen = _lookup(fx, *path, source="fixture file")
+    try:
+        return {int(t): _group_from_orders(orders) for t, orders in frozen.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"fixture file {'.'.join(path)} does not map degrees "
+                         "to lists of orders") from exc
+
+
+def _hh_disagreeing_route(m: GradedModule, w: int, lo: int, hi: int,
+                          oracle: dict[int, FGAbGroup],
+                          expected: dict[int, FGAbGroup]) -> str | None:
+    """The first of the weight, oracle and cell routes whose weight-w
+    homology in [lo, hi] differs from ``expected``, or None."""
+    routes = {"weight": weight_homology_fg(w, m), "oracle": oracle,
+              "cell": cell_weight_homology_fg(w, m)}
+    for route, groups in routes.items():
+        if {t: g for t, g in groups.items() if lo <= t <= hi} != expected:
+            return route
+    return None
 
 
 def run_hh_verify(config: RunConfig) -> Report:
@@ -236,42 +281,33 @@ def run_hh_verify(config: RunConfig) -> Report:
     shadow row."""
     config.validate()
     report = Report("hh verify", config)
-    try:
-        fx = _load_hh_fixture(config.fixture_path)
-    except OSError as exc:
-        raise UsageError(f"cannot read fixture file: {exc}") from exc
-    lo, hi = fx["degree_window"]
+    fx = _load_hh_fixture(config.fixture_path)
+
+    def need(*path):
+        return _lookup(fx, *path, source="fixture file")
+
+    lo, hi = need("degree_window")
     lo = max(lo, -config.max_degree)
     hi = min(hi, config.max_degree)
-    max_weight = min(config.max_weight, fx["max_weight"])
+    max_weight = min(config.max_weight, need("max_weight"))
 
-    for name, gens in fx["modules"].items():
-        m = GradedModule(tuple((d, o) for d, o in gens))
+    for name in need("modules"):
+        m = _hh_module(fx, name)
         brute = brute_hochschild_weights(m, max_weight, lo, hi)
         for w in range(1, max_weight + 1):
-            expected = {
-                int(t): _group_from_orders(orders)
-                for t, orders in fx["expected_weight_homology"][name][str(w)].items()
-                if lo <= int(t) <= hi}
-            got_weight = {t: g for t, g in weight_homology_fg(w, m).items()
-                          if lo <= t <= hi}
-            got_cell = {t: g for t, g in cell_weight_homology_fg(w, m).items()
+            expected = {t: g for t, g in _hh_expected(fx, name, w).items()
                         if lo <= t <= hi}
-            got_brute = brute[w]
+            route = _hh_disagreeing_route(m, w, lo, hi, brute[w], expected)
             payload = {"check": "hh-weight", "inputs": {"module": name, "weight": w}}
-            if got_weight != expected:
-                report.add_fail(f"weight[{name},{w}] vs frozen", payload)
-            elif got_brute != expected:
-                report.add_fail(f"oracle[{name},{w}] vs frozen", payload)
-            elif got_cell != expected:
-                report.add_fail(f"cell[{name},{w}] vs frozen", payload)
-            else:
+            if route is None:
                 report.add_pass(f"three-route[{name},{w}]")
+            else:
+                report.add_fail(f"{route}[{name},{w}] vs frozen", payload)
 
     # dual numbers: full assembled homology in low degrees
     dual = brute_hochschild(GradedModule.single(0, 0), 2)
-    hh0 = GroupExpr.from_fg(_group_from_orders(fx["dual_numbers"]["HH0"]))
-    hh1 = GroupExpr.from_fg(_group_from_orders(fx["dual_numbers"]["HH1"]))
+    hh0 = GroupExpr.from_fg(_group_from_orders(need("dual_numbers", "HH0")))
+    hh1 = GroupExpr.from_fg(_group_from_orders(need("dual_numbers", "HH1")))
     if dual.at(0) == hh0 and dual.at(1) == hh1:
         report.add_pass("dual-numbers HH0, HH1")
     else:
@@ -290,8 +326,8 @@ def run_hh_verify(config: RunConfig) -> Report:
     # the circle-dual shadow
     shadow = thh_homology_square_zero(GradedModule.single(-1, 0), -1, 0)
     expected_shadow = {
-        int(d): GroupExpr._make([tuple(a) for a in atoms])
-        for d, atoms in fx["thh_dual_circle_shadow"].items()}
+        d: GroupExpr._make([tuple(a) for a in need("thh_dual_circle_shadow", str(d))])
+        for d in (-1, 0)}
     if all(shadow.at(d) == expected_shadow[d] for d in (-1, 0)):
         report.add_pass("circle-dual-shadow")
     else:
@@ -464,17 +500,27 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     """Re-run one minimal failing input from a failure payload file."""
     with open(payload_path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise UsageError("replay payload is not a JSON object")
     check = payload.get("check")
-    inputs = payload.get("inputs", {})
     report = Report(f"replay {check}", config)
 
-    def parse_point(coords) -> OperadPoint:
-        return OperadPoint(tuple(Fraction(c) for c in coords))
+    def need(key):
+        return _lookup(payload, "inputs", key, source="replay payload")
+
+    def parse_points(key, single=False) -> list[OperadPoint]:
+        value = need(key)
+        try:
+            return [OperadPoint(tuple(Fraction(c) for c in coords))
+                    for coords in ([value] if single else value)]
+        except TypeError as exc:
+            raise UsageError(
+                f"replay payload inputs.{key} is not made of coordinate lists") from exc
 
     if check == "associativity":
-        a = parse_point(inputs["outer"])
-        bs = [parse_point(c) for c in inputs["inners"]]
-        cs = [parse_point(c) for c in inputs["deepest"]]
+        a, = parse_points("outer", single=True)
+        bs = parse_points("inners")
+        cs = parse_points("deepest")
         left = compose(compose(a, bs), cs)
         pos = 0
         rights = []
@@ -485,14 +531,14 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
         (report.add_pass if left == right else report.add_fail)(
             "associativity replay", payload)
     elif check == "coalgebra-compatibility":
-        a = parse_point(inputs["outer"])
-        bs = [parse_point(c) for c in inputs["inners"]]
+        a, = parse_points("outer", single=True)
+        bs = parse_points("inners")
         lhs = action_map(compose(a, bs))
         rhs = compose_action_maps(action_map(a), [action_map(b) for b in bs])
         (report.add_pass if lhs == rhs else report.add_fail)(
             "coalgebra replay", payload)
     elif check in ("zero-action", "zero-action-witness"):
-        point = parse_point(inputs["point"])
+        point, = parse_points("point", single=True)
         verdict = is_zero_map(action_map(point))
         if verdict.is_zero:
             ok = eval_action(action_map(point), Fraction(1, 2)).is_basepoint
@@ -500,16 +546,18 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
             ok = not eval_action(action_map(point), verdict.witness).is_basepoint
         (report.add_pass if ok else report.add_fail)("zero-action replay", payload)
     elif check == "hh-weight":
-        name = inputs["module"]
-        w = int(inputs["weight"])
+        name = need("module")
+        w = int(need("weight"))
         fx = _load_hh_fixture(config.fixture_path)
-        m = GradedModule(tuple((d, o) for d, o in fx["modules"][name]))
-        lo, hi = fx["degree_window"]
-        expected = {int(t): _group_from_orders(o)
-                    for t, o in fx["expected_weight_homology"][name][str(w)].items()}
-        got = {t: g for t, g in weight_homology_fg(w, m).items() if lo <= t <= hi}
-        (report.add_pass if got == expected else report.add_fail)(
-            f"hh replay [{name}, {w}]", payload)
+        m = _hh_module(fx, name)
+        lo, hi = _lookup(fx, "degree_window", source="fixture file")
+        oracle = brute_hochschild_weights(m, w, lo, hi)[w]
+        route = _hh_disagreeing_route(m, w, lo, hi, oracle,
+                                      _hh_expected(fx, name, w))
+        if route is None:
+            report.add_pass(f"hh replay [{name}, {w}]")
+        else:
+            report.add_fail(f"hh replay [{name}, {w}] {route} vs frozen", payload)
     elif check in ("table1", "table2"):
         sub = run_tc_table1(config) if check == "table1" else run_tc_table2(config)
         report.checks.extend(sub.checks)

@@ -11,12 +11,23 @@ factors and carries the sign
 
     (simplicial cyclic sign (-1)^(n-1)) * (Koszul sign of the rotation).
 
-That sign table is a falsifiable convention: the module also provides a
-brute-force normalized Hochschild complex built purely from the simplicial
-face maps of the ring, and an equivariant cell model of the weight-n
-attaching space (a simplex cross a circle, boundary collapsed) tensored
-over the cyclic group.  All three must compute the same homology; the test
-suite enforces this on a fixture zoo.
+Since tau_n permutes the tensor basis up to sign, the complex splits into
+one block per rotation orbit, of length L dividing n.  Three routes compute
+its homology, each from its own source:
+
+* the weight route reads each orbit's groups off a closed form in the
+  orbit's total sign tau_n^L = +-1 and its order (``weight_homology_fg``);
+* the cell route takes an equivariant cell model of the weight-n attaching
+  space (a simplex cross a circle, boundary collapsed) tensored over the
+  cyclic group, whose sign comes from the cell orientations, builds each
+  orbit's sparse L x L block and runs generic homology on it
+  (``cell_weight_homology_fg``);
+* the oracle is a brute-force normalized Hochschild complex built purely
+  from the simplicial face maps of the ring, with dense matrices and a
+  generic Smith normal form (``NormalizedHochschild``).
+
+All three must compute the same homology; the test suite enforces this on
+a fixture zoo and on generated modules.
 """
 
 from __future__ import annotations
@@ -106,22 +117,60 @@ def _tensor_degree(m: GradedModule, t: tuple[int, ...]) -> int:
     return sum(m.generators[i][0] for i in t)
 
 
-def rotation_matrix(n: int, m: GradedModule, include_simplicial_sign: bool) -> IntMatrix:
-    """Matrix of the cyclic rotation on M^(x)n: the last tensor factor moves
-    to the front with its Koszul sign, optionally multiplied by the
-    simplicial sign (-1)^(n-1)."""
-    basis = _tensor_basis(m, n)
-    index = {t: i for i, t in enumerate(basis)}
-    size = len(basis)
-    rows = [[0] * size for _ in range(size)]
-    simplicial = -1 if (include_simplicial_sign and n % 2 == 0) else 1
-    for j, t in enumerate(basis):
-        last = t[-1]
-        rotated = (last,) + t[:-1]
+def signed_rotation(n: int, m: GradedModule) -> tuple[list[int], list[int]]:
+    """The Koszul-signed cyclic rotation of M^(x)n as a signed permutation
+    of the lexicographic basis: basis element j goes to ``sign[j]`` times
+    basis element ``target[j]``.  The last tensor factor moves to the front
+    and passes the others, so the sign is -1 exactly when the moved factor
+    and the rest both have odd degree.
+
+    >>> signed_rotation(2, GradedModule(((0, 0), (1, 0))))
+    ([0, 2, 1, 3], [1, 1, 1, -1])
+    """
+    g = len(m.generators)
+    front = g ** (n - 1)
+    target, sign = [], []
+    for j, t in enumerate(_tensor_basis(m, n)):
+        last = j % g
+        target.append(last * front + j // g)
         deg_last = m.generators[last][0]
-        deg_rest = sum(m.generators[i][0] for i in t[:-1])
-        koszul = -1 if (deg_last % 2) and (deg_rest % 2) else 1
-        rows[index[rotated]][j] = simplicial * koszul
+        deg_rest = _tensor_degree(m, t) - deg_last
+        sign.append(-1 if (deg_last % 2) and (deg_rest % 2) else 1)
+    return target, sign
+
+
+def rotation_orbits(n: int, m: GradedModule,
+                    ) -> list[tuple[list[int], list[int], int, int]]:
+    """The orbits of the rotation on the tensor basis of M^(x)n.  Each is
+    (basis indices from the least, in the order the rotation visits them;
+    their Koszul signs; internal degree; order).  The elements of an orbit
+    share degree and order, since they permute the same factors."""
+    target, sign = signed_rotation(n, m)
+    seen = [False] * len(target)
+    orbits = []
+    for start, t in enumerate(_tensor_basis(m, n)):
+        if seen[start]:
+            continue
+        orbit, j = [], start
+        while not seen[j]:
+            seen[j] = True
+            orbit.append(j)
+            j = target[j]
+        orbits.append((orbit, [sign[j] for j in orbit],
+                       _tensor_degree(m, t), _tensor_order(m, t)))
+    return orbits
+
+
+def rotation_matrix(n: int, m: GradedModule, include_simplicial_sign: bool) -> IntMatrix:
+    """Dense matrix of the cyclic rotation on M^(x)n: the last tensor factor
+    moves to the front with its Koszul sign, optionally multiplied by the
+    simplicial sign (-1)^(n-1)."""
+    target, sign = signed_rotation(n, m)
+    size = len(target)
+    simplicial = -1 if (include_simplicial_sign and n % 2 == 0) else 1
+    rows = [[0] * size for _ in range(size)]
+    for j, (i, s) in enumerate(zip(target, sign)):
+        rows[i][j] = simplicial * s
     return IntMatrix.from_rows(rows)
 
 
@@ -147,7 +196,8 @@ class WeightComplex:
 
 
 def weight_complex(n: int, m: GradedModule) -> WeightComplex:
-    """Build the weight-n two-term complex for the square-zero module m.
+    """Build the weight-n two-term complex for the square-zero module m,
+    with a dense differential.
 
     >>> wc = weight_complex(2, GradedModule.single(0, 0))
     >>> wc.differential.entries
@@ -171,34 +221,41 @@ def weight_complex(n: int, m: GradedModule) -> WeightComplex:
     )
 
 
-def _split_by_internal_degree(wc: WeightComplex) -> dict[int, list[int]]:
-    blocks: dict[int, list[int]] = {}
-    for i, d in enumerate(wc.internal_degrees):
-        blocks.setdefault(d, []).append(i)
-    return blocks
-
-
-def _submatrix(m: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:
-    if not rows:
-        return IntMatrix.zero(0, len(cols))
-    return IntMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows])
+def _collect(n: int, parts) -> dict[int, FGAbGroup]:
+    """Sum (internal degree, top orders, bottom orders) parts into groups
+    keyed by total degree: the top level n, the bottom level n - 1."""
+    orders: dict[int, list[int]] = {}
+    for d, top, bottom in parts:
+        orders.setdefault(d + n, []).extend(top)
+        orders.setdefault(d + n - 1, []).extend(bottom)
+    groups = {t: FGAbGroup.from_orders(o) for t, o in orders.items()}
+    return {t: g for t, g in groups.items() if not g.is_trivial()}
 
 
 def weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
-    """Exact homology of the weight-n complex, keyed by total degree."""
-    wc = weight_complex(n, m)
-    result: dict[int, FGAbGroup] = {}
-    for d, idx in _split_by_internal_degree(wc).items():
-        block = _submatrix(wc.differential, idx, idx)
-        orders = [wc.orders[i] for i in idx]
-        top = homology_with_orders(d_out=block, d_in=None,
-                                   orders_here=orders, orders_below=orders)
-        bottom = homology_with_orders(d_out=None, d_in=block,
-                                      orders_here=orders, orders_below=[])
-        for total, group in ((d + n, top), (d + n - 1, bottom)):
-            if not group.is_trivial():
-                result[total] = result.get(total, FGAbGroup.zero()).direct_sum(group)
-    return result
+    """Exact homology of the weight-n complex, keyed by total degree.
+
+    On an orbit of length L with order o, tau_n^L is multiplication by
+    eps = ((-1)^(n-1))^L * (product of the Koszul signs along the orbit),
+    and 1 - tau_n on the orbit's L generators has kernel and cokernel:
+    Z/o and Z/o when eps = +1; 0 and Z/2 when eps = -1 and o = 0; and
+    Z/gcd(2, o) twice when eps = -1 and o != 0.
+    """
+    if n < 1:
+        raise ValueError("weight must be at least 1")
+    simplicial = -1 if n % 2 == 0 else 1
+    parts = []
+    for orbit, signs, d, o in rotation_orbits(n, m):
+        eps = simplicial ** len(orbit)
+        for s in signs:
+            eps *= s
+        if eps == 1:
+            parts.append((d, [o], [o]))
+        elif o == 0:
+            parts.append((d, [], [2]))
+        else:
+            parts.append((d, [gcd(2, o)], [gcd(2, o)]))
+    return _collect(n, parts)
 
 
 def weight_homology(n: int, m: GradedModule) -> GradedGroup:
@@ -481,46 +538,31 @@ def cell_weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
     The module action of the group generator is the Koszul-signed rotation;
     the simplex-orientation sign lives in the cell action matrices, so this
     computation derives the weight-complex sign table from the cell data
-    rather than postulating it.
+    rather than postulating it.  The attaching boundary, written as
+    sum_a c_a g^a over the free orbit, acts on M^(x)n as sum_a c_a rot^-a.
+    That operator keeps each rotation orbit, so each orbit's L x L block
+    goes through generic homology on its own.
     """
     cx = lambda_cell_model(n)
-    rot = rotation_matrix(n, m, include_simplicial_sign=False)
-    # inverse rotation: rot has order n
-    rot_inv = IntMatrix.identity(rot.rows)
-    for _ in range(n - 1):
-        rot_inv = rot.mul(rot_inv)
-    boundary = cx.boundaries[n]
-    coeffs = _decompose_in_orbit(boundary.column(cx.orbit_reps[n][0]),
+    coeffs = _decompose_in_orbit(cx.boundaries[n].column(cx.orbit_reps[n][0]),
                                  cx.actions[n - 1], cx.orbit_reps[n - 1][0], n)
-    size = rot.rows
-    diff = IntMatrix.zero(size, size)
-    acc = [[0] * size for _ in range(size)]
-    power = IntMatrix.identity(size)
-    for a in range(n):
-        c = coeffs[a]
-        if c:
-            for i in range(size):
-                for j in range(size):
-                    acc[i][j] += c * power.entries[i][j]
-        power = rot_inv.mul(power)
-    diff = IntMatrix.from_rows(acc)
-
-    basis = _tensor_basis(m, n)
-    orders = [_tensor_order(m, t) for t in basis]
-    degrees = [_tensor_degree(m, t) for t in basis]
-    blocks: dict[int, list[int]] = {}
-    for i, d in enumerate(degrees):
-        blocks.setdefault(d, []).append(i)
-    result: dict[int, FGAbGroup] = {}
-    for d, idx in blocks.items():
-        block = _submatrix(diff, idx, idx)
-        block_orders = [orders[i] for i in idx]
-        top = homology_with_orders(block, None, block_orders, block_orders)
-        bottom = homology_with_orders(None, block, block_orders, [])
-        for total, group in ((d + n, top), (d + n - 1, bottom)):
-            if not group.is_trivial():
-                result[total] = result.get(total, FGAbGroup.zero()).direct_sum(group)
-    return result
+    parts = []
+    for orbit, signs, d, o in rotation_orbits(n, m):
+        size = len(orbit)
+        rows = [[0] * size for _ in range(size)]
+        for col in range(size):
+            # rot e_orbit[k] = signs[k] e_orbit[k+1], so rot^-1 steps back
+            pos, sign = col, 1
+            for c in coeffs:
+                rows[pos][col] += c * sign
+                pos = (pos - 1) % size
+                sign *= signs[pos]
+        block = IntMatrix.from_rows(rows)
+        orders = [o] * size
+        top = homology_with_orders(block, None, orders, orders)
+        bottom = homology_with_orders(None, block, orders, [])
+        parts.append((d, top.orders(), bottom.orders()))
+    return _collect(n, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ class RunConfig:
             raise UsageError(f"empty degree range [{self.min_deg}, {self.max_deg}]")
         if self.fmt not in ("markdown", "json", "csv"):
             raise UsageError(f"unknown output format {self.fmt!r}")
+        # a count below one would make a suite compare nothing and pass
+        for name in ("trials", "max_weight"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_degree < 0:
+            raise UsageError(f"max_degree must be at least 0, got {self.max_degree}")
         if need_prime and not is_prime(self.p):
             raise UsageError(f"p = {self.p} is not prime")
 

@@ -1,7 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
 
+from dualcircle.abgroups import FGAbGroup
 from dualcircle.cli import main
 from dualcircle.report import RunConfig, UsageError
 
@@ -32,6 +34,12 @@ class TestOperadVerb:
         assoc = next(c for c in payloads["checks"] if c["name"] == "associativity")
         assert assoc["payload"]["trials"] == 50
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_rejected(self, capsys, trials):
+        code, out = run(capsys, "operad", "check", "--trials", trials)
+        assert code == 2
+        assert "PASS" not in out
+
 
 class TestHHVerb:
     def test_verify_passes(self, capsys):
@@ -56,6 +64,33 @@ class TestHHVerb:
     def test_missing_fixture_file(self, capsys):
         code = main(["hh", "verify", "--fixtures", "/nonexistent.json"])
         assert code == 2
+
+    def test_zero_max_weight_rejected(self, capsys):
+        code, out = run(capsys, "hh", "verify", "--max-weight", "0")
+        assert code == 2
+        assert "ok" not in out
+
+    @staticmethod
+    def _broken_fixture(tmp_path, breakage):
+        fx = json.loads(resources.files("dualcircle").joinpath(
+            "fixtures/hh_fixtures.json").read_text())
+        breakage(fx)
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(fx))
+        return str(path)
+
+    def test_fixture_file_without_degree_window(self, tmp_path, capsys):
+        path = self._broken_fixture(tmp_path, lambda fx: fx.pop("degree_window"))
+        assert main(["hh", "verify", "--fixtures", path]) == 2
+        assert "degree_window" in capsys.readouterr().err
+
+    def test_fixture_file_with_malformed_orders(self, tmp_path, capsys):
+        def nest(fx):
+            fx["expected_weight_homology"]["Z"]["1"]["0"] = [[0]]
+
+        path = self._broken_fixture(tmp_path, nest)
+        assert main(["hh", "verify", "--fixtures", path]) == 2
+        assert "expected_weight_homology.Z.1" in capsys.readouterr().err
 
 
 class TestTCVerbs:
@@ -147,6 +182,11 @@ class TestConfigFile:
         with pytest.raises(UsageError):
             RunConfig.from_key_value_file(str(cfg))
 
+    @pytest.mark.parametrize("field", ["trials", "max_weight"])
+    def test_nonpositive_counts_rejected(self, field):
+        with pytest.raises(UsageError):
+            RunConfig(**{field: 0}).validate()
+
     def test_empty_degree_range_rejected(self):
         cfg = RunConfig(min_deg=3, max_deg=1)
         with pytest.raises(UsageError):
@@ -173,6 +213,33 @@ class TestReplay:
         code, out = run(capsys, "hh", "verify", "--replay", str(path))
         assert code == 0
         assert "hh replay [Z^2, 4]" in out
+
+    def test_replay_hh_names_the_disagreeing_route(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from dualcircle import checks
+
+        real = checks.cell_weight_homology_fg
+
+        def wrong_cell(n, m):
+            got = dict(real(n, m))
+            got[n] = got.get(n, FGAbGroup.zero()).direct_sum(FGAbGroup.cyclic(2))
+            return got
+
+        monkeypatch.setattr(checks, "cell_weight_homology_fg", wrong_cell)
+        payload = {"check": "hh-weight", "inputs": {"module": "Z^2", "weight": 4}}
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, "hh", "verify", "--replay", str(path))
+        assert code == 1
+        assert "FAIL hh replay [Z^2, 4] cell vs frozen" in out
+
+    def test_replay_payload_without_outer(self, tmp_path, capsys):
+        payload = {"check": "associativity",
+                   "inputs": {"inners": [["2"]], "deepest": [[]]}}
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        assert main(["operad", "check", "--replay", str(path)]) == 2
+        assert "inputs.outer" in capsys.readouterr().err
 
     def test_replay_unknown_check(self, tmp_path):
         path = tmp_path / "payload.json"

@@ -1,5 +1,10 @@
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualcircle import cyclic
 from dualcircle.abgroups import FGAbGroup, GroupExpr
 from dualcircle.cyclic import (
     EquivariantCellComplex,
@@ -11,6 +16,7 @@ from dualcircle.cyclic import (
     cell_weight_homology_fg,
     lambda_cell_model,
     rotation_matrix,
+    rotation_orbits,
     thh_homology_square_zero,
     weight_complex,
     weight_homology,
@@ -151,6 +157,56 @@ class TestCellModel:
         )
         with pytest.raises(Exception):
             broken.validate()
+
+
+generated_modules = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from((0, 2, 3, 4, 6))),
+    min_size=1, max_size=3)
+
+
+class TestOrbitKernel:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(gens=generated_modules, n=st.integers(1, 4))
+    def test_three_routes_agree_on_generated_modules(self, gens, n):
+        m = GradedModule(tuple(gens))
+        degrees = [d for d, _ in gens]
+        # every total degree weight n can reach: internal degree + level
+        lo, hi = n * min(degrees) + n - 1, n * max(degrees) + n
+        oracle = brute_hochschild_weights(m, n, lo, hi)[n]
+        assert weight_homology_fg(n, m) == oracle
+        assert cell_weight_homology_fg(n, m) == oracle
+
+    def test_weight_and_cell_routes_agree_at_high_weight(self):
+        m = GradedModule(((0, 0), (1, 0), (2, 3)))
+        for n in (6, 7):
+            assert weight_homology_fg(n, m) == cell_weight_homology_fg(n, m), n
+
+    def test_orbit_count_is_the_necklace_count(self):
+        def phi(d):
+            return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+        for g in (1, 2, 3):
+            m = GradedModule(((0, 0),) * g)
+            for n in range(1, 8):
+                necklaces = sum(phi(d) * g ** (n // d)
+                                for d in range(1, n + 1) if n % d == 0) // n
+                assert len(rotation_orbits(n, m)) == necklaces, (g, n)
+
+    def test_weight_route_uses_no_generic_homology(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generic homology called")
+
+        monkeypatch.setattr(cyclic, "homology_with_orders", refuse)
+        m = GradedModule(((0, 0), (1, 2), (2, 0)))
+        assert weight_homology_fg(4, m)
+
+    def test_cell_route_does_not_use_the_weight_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("weight route called")
+
+        expected = weight_homology_fg(4, FIXTURES["Z^2"])
+        monkeypatch.setattr(cyclic, "weight_homology_fg", refuse)
+        assert cell_weight_homology_fg(4, FIXTURES["Z^2"]) == expected
 
 
 class TestThhAssembly:
