@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import checks
 from .report import Report, RunConfig, UsageError
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     hv = hh_sub.add_parser("verify", help="three-route oracle equivalence")
     hv.add_argument("--max-weight", type=int, default=None)
     hv.add_argument("--max-degree", type=int, default=None)
-    hv.add_argument("--fixtures", default=None)
+    hv.add_argument("--fixtures", dest="fixture_path", default=None)
     hv.add_argument("--replay", default=None)
     _add_common(hv)
 
@@ -96,31 +97,15 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig.from_key_value_file(args.config_file)
     else:
         cfg = RunConfig()
-    if getattr(args, "p", None) is not None:
-        cfg.p = args.p
-    if getattr(args, "min_deg", None) is not None:
-        cfg.min_deg = args.min_deg
-    if getattr(args, "max_deg", None) is not None:
-        cfg.max_deg = args.max_deg
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "fmt", None) is not None:
-        cfg.fmt = args.fmt
-    if getattr(args, "fixtures", None) is not None:
-        cfg.fixture_path = args.fixtures
-    if getattr(args, "max_weight", None) is not None:
-        cfg.max_weight = args.max_weight
-    if getattr(args, "max_degree", None) is not None:
-        cfg.max_degree = args.max_degree
-    if getattr(args, "assume_regular", False):
-        cfg.assume_regular = True
-    if getattr(args, "check_regularity", False):
-        cfg.check_regularity = True
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        # an absent option reads None, an absent switch False; compare by
+        # identity, since --seed 0 and --min-deg 0 are equal to False
+        if value is not None and value is not False:
+            setattr(cfg, f.name, value)
     # the table command marks out-of-window columns unless asked not to
     if getattr(args, "verb", None) == "table2":
-        cfg.truncate_out_of_range = not getattr(args, "no_truncate", False)
+        cfg.truncate_out_of_range = not args.no_truncate
     return cfg
 
 

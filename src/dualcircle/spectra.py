@@ -1,25 +1,23 @@
-"""Formal spectrum and map expressions with exact homology evaluation.
+"""Formal spectrum expressions with exact homology evaluation.
 
-Expressions are trees over a small alphabet of atoms (sphere, suspension
-spectra of circle orbits and cyclic classifying spaces, a shifted stunted
-projective space) and constructors (shift, finite wedge, lazy countable
-wedge, homotopy orbits, product, fiber).  Countable wedges are indexed
-families evaluated degreewise, so a homology query only ever touches the
-finitely many summand shapes that can contribute.
+Expressions are trees over a small alphabet of atoms (the sphere, the
+suspension spectrum of the circle, the stunted projective spectrum and its
+suspension) and constructors (shift, finite wedge, lazy countable wedge).
+Countable wedges are indexed families evaluated degreewise, so a homology
+query only ever touches the finitely many summand shapes that can
+contribute.  The one map is the wedge of circle transfers whose fiber is the
+spectrum E; ``fiber_homology`` evaluates such a fiber by the long exact
+sequence.
 
 Homology rules stay inside the atom alphabet of ``GroupExpr``; a query
-whose true answer has no such normal form raises ``EvaluationUnsupported``
-instead of approximating.  Infinite products are never evaluated (their
-homology has no finite description here), which no table needs.
+with no rule raises ``EvaluationUnsupported`` instead of approximating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .abgroups import GradedGroup, GradedMapData, GroupExpr, les_fiber
-from .primes import padic_valuation
+from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
 
 
 class EvaluationUnsupported(Exception):
@@ -33,22 +31,6 @@ class EvaluationUnsupported(Exception):
 @dataclass(frozen=True)
 class Sphere:
     pass
-
-
-@dataclass(frozen=True)
-class SuspOrbit:
-    """Suspension spectrum of the circle modulo its order-n subgroup, with
-    disjoint basepoint."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class BCyc:
-    """Suspension spectrum of the classifying space of a cyclic group of
-    order m, with disjoint basepoint (m = 1 gives the sphere's homology)."""
-
-    m: int
 
 
 @dataclass(frozen=True)
@@ -82,77 +64,15 @@ class Wedge:
 @dataclass(frozen=True)
 class CountableWedge:
     """Lazily indexed countable wedge.  ``family`` is one of
-    ("bcyc_ppowers", p), ("orbit_ppowers", p), ("orbits_all",),
-    ("bcyc_all",), ("copies", expr)."""
+    ("bcyc_ppowers", p), the suspension spectra of the classifying spaces
+    of the cyclic groups of order p^k for k >= 0, or ("orbits_all",), the
+    suspension spectra of the circle orbits S^1/C_n for n >= 1."""
 
     family: tuple
-
-
-@dataclass(frozen=True)
-class HomOrbit:
-    """Homotopy orbits of the inner spectrum under a subgroup of the
-    circle: group = ("C", m) or ("S1",)."""
-
-    inner: object
-    group: tuple
-
-
-@dataclass(frozen=True)
-class Product:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class CountableProduct:
-    """Lazily indexed countable product; symbolic only (its homology has no
-    finite normal form in this atom alphabet, so it is never evaluated)."""
-
-    family: tuple
-
-
-@dataclass(frozen=True)
-class FiberExpr:
-    map: object
 
 
 # ---------------------------------------------------------------------------
-# map expressions
-
-
-@dataclass(frozen=True)
-class MapIdentity:
-    expr: object
-
-    @property
-    def domain(self):
-        return self.expr
-
-    @property
-    def codomain(self):
-        return self.expr
-
-
-@dataclass(frozen=True)
-class CircleTransfer:
-    """Dimension-shifting transfer of the circle bundle whose fiber
-    inclusion multiplies degree-zero homology by p**k.  The sign of the
-    degree is pinned to +p**k; only kernels and cokernels feed the tables,
-    so the choice is observationally irrelevant."""
-
-    p: int
-    k: int
-
-    @property
-    def domain(self):
-        return BCyc(self.p**self.k)
-
-    @property
-    def codomain(self):
-        return Shift(-1, SuspCircle())
-
-    def graded_data(self) -> GradedMapData:
-        from .abgroups import MapDescriptor
-        return GradedMapData.from_dict({0: MapDescriptor.mult(self.p**self.k)})
+# the map whose fiber is E
 
 
 @dataclass(frozen=True)
@@ -172,130 +92,17 @@ class WedgeCircleTransfer:
         return Shift(-1, SuspCircle())
 
     def graded_data(self) -> GradedMapData:
-        from .abgroups import MapDescriptor
         return GradedMapData.from_dict({0: MapDescriptor.row_powers(self.p)})
-
-
-@dataclass(frozen=True)
-class DeltaP:
-    """Label map sending the n-th circle-orbit summand to the (p n)-th."""
-
-    p: int
-    expr: object
-
-    @property
-    def domain(self):
-        return self.expr
-
-    @property
-    def codomain(self):
-        return self.expr
-
-
-@dataclass(frozen=True)
-class DifferenceMap:
-    f: object
-    g: object
-
-    @property
-    def domain(self):
-        return self.f.domain
-
-    @property
-    def codomain(self):
-        return self.f.codomain
-
-
-@dataclass(frozen=True)
-class NamedMap:
-    """A purely symbolic map used for displaying squares."""
-
-    name: str
-    domain: object
-    codomain: object
-
-
-# ---------------------------------------------------------------------------
-# simplification
-
-
-def simplify(expr):
-    """Structural rewrites: drop zero shifts, merge nested shifts, flatten
-    wedges, collapse trivial homotopy orbits, and identify circle-orbit
-    homotopy orbits under the full circle with cyclic classifying spaces."""
-    if isinstance(expr, Shift):
-        inner = simplify(expr.inner)
-        if isinstance(inner, Shift):
-            return simplify(Shift(expr.k + inner.k, inner.inner))
-        if expr.k == 0:
-            return inner
-        return Shift(expr.k, inner)
-    if isinstance(expr, Wedge):
-        flat = []
-        for part in expr.parts:
-            part = simplify(part)
-            if isinstance(part, Wedge):
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        if len(flat) == 1:
-            return flat[0]
-        return Wedge(tuple(flat))
-    if isinstance(expr, HomOrbit):
-        inner = simplify(expr.inner)
-        if expr.group == ("C", 1):
-            return inner
-        if expr.group == ("S1",):
-            if isinstance(inner, SuspOrbit):
-                return BCyc(inner.n)
-            if isinstance(inner, CountableWedge) and inner.family == ("orbits_all",):
-                return CountableWedge(("bcyc_all",))
-            if isinstance(inner, CountableWedge) and inner.family[0] == "orbit_ppowers":
-                return CountableWedge(("bcyc_ppowers", inner.family[1]))
-        return HomOrbit(inner, expr.group)
-    if isinstance(expr, Product):
-        return Product(tuple(simplify(p) for p in expr.parts))
-    return expr
-
-
-def plocal_reduce(expr, p: int):
-    """Replace each cyclic atom by its p-primary cover: an order-n atom
-    becomes the order-p^{v_p(n)} one.  Defined on finite expressions over
-    the BCyc / SuspOrbit atoms (countable families are split into
-    p-power classes upstream)."""
-    if isinstance(expr, BCyc):
-        return BCyc(p ** padic_valuation(expr.m, p) if expr.m != 0 else 0)
-    if isinstance(expr, SuspOrbit):
-        return SuspOrbit(p ** padic_valuation(expr.n, p))
-    if isinstance(expr, Shift):
-        return Shift(expr.k, plocal_reduce(expr.inner, p))
-    if isinstance(expr, Wedge):
-        return Wedge(tuple(plocal_reduce(e, p) for e in expr.parts))
-    if isinstance(expr, (Sphere, SuspCircle, CPInfShift)):
-        return expr
-    raise EvaluationUnsupported(f"p-local reduction undefined on {type(expr).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # homology evaluation
 
 
-def _bcyc_homology(m: int, d: int) -> GroupExpr:
-    if d == 0:
-        return GroupExpr.free(1)
-    if m >= 2 and d > 0 and d % 2 == 1:
-        return GroupExpr.cyclic(m)
-    return GroupExpr.zero()
-
-
 def homology(expr, d: int) -> GroupExpr:
     """Integral homology of the expression in one degree."""
     if isinstance(expr, Sphere):
         return GroupExpr.free(1) if d == 0 else GroupExpr.zero()
-    if isinstance(expr, SuspOrbit):
-        return GroupExpr.free(1) if d in (0, 1) else GroupExpr.zero()
-    if isinstance(expr, BCyc):
-        return _bcyc_homology(expr.m, d)
     if isinstance(expr, SuspCircle):
         return GroupExpr.free(1) if d in (0, 1) else GroupExpr.zero()
     if isinstance(expr, CPInf):
@@ -308,20 +115,6 @@ def homology(expr, d: int) -> GroupExpr:
         return GroupExpr.zero().plus(*(homology(e, d) for e in expr.parts))
     if isinstance(expr, CountableWedge):
         return _countable_wedge_homology(expr.family, d)
-    if isinstance(expr, HomOrbit):
-        return _hom_orbit_homology(expr, d)
-    if isinstance(expr, Product):
-        if len(expr.parts) == 0:
-            return GroupExpr.zero()
-        if len(expr.parts) == 1:
-            return homology(expr.parts[0], d)
-        raise EvaluationUnsupported(
-            "homology of a product is not evaluated here (no finite normal form)")
-    if isinstance(expr, CountableProduct):
-        raise EvaluationUnsupported(
-            "homology of a countable product is not evaluated here")
-    if isinstance(expr, FiberExpr):
-        return fiber_homology(expr.map, d, d).at(d)
     raise EvaluationUnsupported(f"no homology rule for {type(expr).__name__}")
 
 
@@ -334,39 +127,9 @@ def _countable_wedge_homology(family: tuple, d: int) -> GroupExpr:
         if d > 0 and d % 2 == 1:
             return GroupExpr.torsion_tower(p)
         return GroupExpr.zero()
-    if kind == "orbit_ppowers" or kind == "orbits_all":
+    if kind == "orbits_all":
         return GroupExpr.countable_free() if d in (0, 1) else GroupExpr.zero()
-    if kind == "bcyc_all":
-        if d == 0:
-            return GroupExpr.countable_free()
-        if d < 0 or d % 2 == 0:
-            return GroupExpr.zero()
-        raise EvaluationUnsupported(
-            "odd homology of the all-orders classifying wedge has no normal "
-            "form; reduce p-locally first")
-    if kind == "copies":
-        return homology(family[1], d).countable_sum()
     raise EvaluationUnsupported(f"unknown countable family {kind!r}")
-
-
-def _hom_orbit_homology(expr: HomOrbit, d: int) -> GroupExpr:
-    simplified = simplify(expr)
-    if not isinstance(simplified, HomOrbit):
-        return homology(simplified, d)
-    inner, group = simplified.inner, simplified.group
-    if isinstance(inner, SuspOrbit) and group[0] == "C":
-        # orbits of a rotation action on a circle: a circle times the
-        # classifying space of the ineffective kernel
-        g = gcd(inner.n, group[1])
-        if d == 0:
-            return GroupExpr.free(1)
-        if d == 1:
-            return GroupExpr.free(1).plus(GroupExpr.cyclic(g))
-        if d >= 2:
-            return GroupExpr.cyclic(g)
-        return GroupExpr.zero()
-    raise EvaluationUnsupported(
-        f"no homotopy-orbit homology rule for {type(inner).__name__}")
 
 
 def homology_graded(expr, lo: int, hi: int) -> GradedGroup:
@@ -376,12 +139,8 @@ def homology_graded(expr, lo: int, hi: int) -> GradedGroup:
 
 
 def fiber_homology(map_expr, lo: int, hi: int) -> GradedGroup:
-    """Homology of the fiber of a map expression that carries a degreewise
-    realization, via the long exact sequence."""
-    data = getattr(map_expr, "graded_data", None)
-    if data is None:
-        raise EvaluationUnsupported(
-            f"map {type(map_expr).__name__} carries no degreewise realization")
+    """Homology of the fiber of a map expression with a degreewise
+    realization (``graded_data``), via the long exact sequence."""
     w = homology_graded(map_expr.domain, lo - 1, hi + 1)
     b = homology_graded(map_expr.codomain, lo - 1, hi + 1)
-    return les_fiber(w, b, data(), lo, hi)
+    return les_fiber(w, b, map_expr.graded_data(), lo, hi)

@@ -1,13 +1,20 @@
-"""Fixed-point combinatorics, Frobenius/restriction algebra, the split-fiber
-pullback, and the homology / rational-homotopy tables of the dual circle.
+"""The Frobenius/restriction algebra, the spectrum E, and the homology /
+rational-homotopy tables of the dual circle.
 
-The underlying labelled family is X = the disjoint union over n >= 1 of
-circle orbits S^1/C_n.  Genuine fixed points of suspension spectra split
-into homotopy-orbit summands indexed by subgroups; the Frobenius map routes
-summands by finite transfers plus one fixed-point inclusion, while the
-restriction map deletes the deepest orbit summand and relabels.  Everything
-here is label-level symbolic algebra with exact homology evaluation at the
-leaves, ending in two tables and a verdict about rational coassembly.
+Genuine C_{p^n} fixed points of the suspension spectrum of the circle
+orbits split into n + 1 homotopy-orbit summands, one per subgroup.  The
+Frobenius map routes the summands by finite transfers plus one fixed-point
+inclusion, and the restriction map deletes the deepest orbit summand and
+relabels; ``LevelMap`` holds these routes in a normal form, so the two
+composites can be compared exactly.
+
+E is the fiber of the wedge of circle transfers out of the p-power cyclic
+classifying spaces (``spectra.WedgeCircleTransfer``), evaluated by the long
+exact sequence.  Table 1 is the integral homology of the sphere, the
+suspended stunted projective spectrum and E; table 2 reads rational
+homotopy of the p-completions off those homology rows; and
+``coassembly_conclusion`` assembles the rational square in degree 4i into
+a verdict.
 """
 
 from __future__ import annotations
@@ -16,36 +23,16 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .abgroups import (
-    GradedGroup,
-    GradedMapData,
-    GroupExpr,
-    MapDescriptor,
-    les_exactness_audit,
-    les_fiber,
-)
-from .primes import is_prime
+from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
+from .primes import is_prime, padic_valuation
 from .qspaces import SymbolicQSpace, bousfield_pi_q
 from .spectra import (
-    CountableProduct,
-    CountableWedge,
     CPInfShift,
-    DeltaP,
-    DifferenceMap,
-    FiberExpr,
-    HomOrbit,
-    MapIdentity,
-    NamedMap,
-    Product,
-    Shift,
     Sphere,
-    SuspCircle,
-    SuspOrbit,
     Wedge,
     WedgeCircleTransfer,
     fiber_homology,
     homology_graded,
-    simplify,
 )
 
 
@@ -58,100 +45,7 @@ class HurewiczRangeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# labels and fixed points
-
-
-@dataclass(frozen=True)
-class OrbitLabel:
-    """The n-th summand of X, the circle modulo its order-n subgroup."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("orbit labels are positive")
-
-
-def fixed_points_X(m: int, max_label: int) -> list[tuple[OrbitLabel, OrbitLabel]]:
-    """Fixed labels of the order-m cyclic action on X, with the standard
-    relabeling: the summand n is fixed exactly when m divides n, and is
-    identified with summand n/m.
-
-    Returns (original, relabeled) pairs for original labels <= max_label.
-
-    >>> [(a.n, b.n) for a, b in fixed_points_X(6, 12)]
-    [(6, 1), (12, 2)]
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    return [(OrbitLabel(n), OrbitLabel(n // m))
-            for n in range(m, max_label + 1, m)]
-
-
-def delta_p_on_labels(p: int, max_label: int) -> list[tuple[OrbitLabel, OrbitLabel]]:
-    """The p-fold power self-map on labels: summand n goes to summand p*n."""
-    return [(OrbitLabel(n), OrbitLabel(p * n)) for n in range(1, max_label + 1)]
-
-
-def class_partition(p: int, n_max: int) -> list[list[int]]:
-    """Partition of {1..n_max} where two labels are equivalent when their
-    ratio is a power of p; classes are indexed by integers prime to p.
-
-    >>> class_partition(2, 6)
-    [[1, 2, 4], [3, 6], [5]]
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    classes = []
-    for q in range(1, n_max + 1):
-        if q % p == 0:
-            continue
-        cls = []
-        t = q
-        while t <= n_max:
-            cls.append(t)
-            t *= p
-        classes.append(cls)
-    return classes
-
-
-# ---------------------------------------------------------------------------
-# tom Dieck decomposition and the Frobenius / restriction algebra
-
-
-@dataclass(frozen=True)
-class TomDieckSummand:
-    """The summand of the genuine C_{p^n} fixed points indexed by the
-    subgroup C_{p^fixed_exp}: the suspension spectrum of the fixed labels,
-    taken in homotopy orbits of the complementary quotient."""
-
-    p: int
-    fixed_exp: int
-    orbit_exp: int
-
-    def expr(self):
-        base = CountableWedge(("orbits_all",))  # fixed labels, relabeled
-        if self.orbit_exp == 0:
-            return base
-        return HomOrbit(base, ("C", self.p**self.orbit_exp))
-
-
-@dataclass(frozen=True)
-class TomDieckDecomposition:
-    p: int
-    n: int
-    summands: tuple[TomDieckSummand, ...]
-
-
-def tom_dieck(p: int, n: int) -> TomDieckDecomposition:
-    """The n+1 homotopy-orbit summands of the genuine C_{p^n} fixed points
-    of the suspension spectrum of X; the top summand (fixed exponent n)
-    carries trivial orbits."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return TomDieckDecomposition(
-        p, n,
-        tuple(TomDieckSummand(p, i, n - i) for i in range(n + 1)))
+# the Frobenius / restriction algebra on tom Dieck summands
 
 
 @dataclass(frozen=True)
@@ -317,154 +211,7 @@ def check_fr_commute(p: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the inverse-limit product and its self-maps
-
-
-def suspension_of_x():
-    return CountableWedge(("orbits_all",))
-
-
-def tr_expr(p: int, truncate_j: int | None = None):
-    """The inverse limit of the restriction maps: a desuspended product of
-    homotopy-orbit spectra of X, one factor per p-power subgroup.  Pass
-    ``truncate_j`` to materialize a finite prefix of the factors."""
-    if truncate_j is None:
-        return Shift(-1, CountableProduct(("hom_orbit_ppowers", p)))
-    return Shift(-1, Product(tuple(
-        simplify(HomOrbit(suspension_of_x(), ("C", p**j)))
-        for j in range(truncate_j + 1))))
-
-
-def tr_frobenius_routes(p: int, truncate_j: int) -> list[tuple[int, int, str]]:
-    """How the Frobenius self-map acts on the product factors: factor j
-    drops to factor j-1 by a finite transfer, and the zeroth factor maps to
-    itself by the p-fold power label map."""
-    routes = [(0, 0, "delta_p")]
-    routes += [(j, j - 1, f"tr^(C_{p}^{j})_(C_{p}^{j - 1})")
-               for j in range(1, truncate_j + 1)]
-    return routes
-
-
-@dataclass(frozen=True)
-class DeltaPColimit:
-    expr: object
-    tower: tuple
-    final_label: int
-
-
-def delta_p_colimit(p: int, truncate_at: int = 4) -> DeltaPColimit:
-    """The colimit of the p-fold power system on the desuspended circle
-    orbits: each step is a label bijection onto the next tower stage, so
-    the colimit is a single desuspended circle.
-
-    The truncated tower is returned so callers can check that homology is
-    unchanged along it."""
-    tower = tuple(Shift(-1, SuspOrbit(p**k)) for k in range(truncate_at + 1))
-    return DeltaPColimit(expr=Shift(-1, SuspCircle()), tower=tower,
-                         final_label=p**truncate_at)
-
-
-# ---------------------------------------------------------------------------
-# the split-fiber pullback lemma and the E square
-
-
-@dataclass(frozen=True)
-class UpperTriangularMap:
-    """A self-map of a product A x B -> A' x B' with components
-    [[f, h], [0, g]]."""
-
-    f: object
-    h: object
-    g: object
-
-
-@dataclass(frozen=True)
-class PullbackSquare:
-    top_left: object
-    top_right: object
-    bottom_left: object
-    bottom_right: object
-    top_map: object
-    left_map: object
-    right_map: object
-    bottom_map: object
-
-
-def pullback_split_fiber(a, b, a2, b2, f, g, h) -> PullbackSquare:
-    """The homotopy fiber of an upper-triangular map of split fiber
-    sequences sits in a pullback square over the first coordinate: the
-    fiber of the whole map, the fiber of the corner map g, and the map f,
-    glued by (minus) h restricted to the fiber of g.  Pass h = None for a
-    vanishing gluing component."""
-    phi = UpperTriangularMap(f, h, g)
-    right_name = "zero" if h is None else "-h o fiber inclusion"
-    return PullbackSquare(
-        top_left=FiberExpr(phi),
-        top_right=FiberExpr(g),
-        bottom_left=a,
-        bottom_right=a2,
-        top_map=NamedMap("induced projection", FiberExpr(phi), FiberExpr(g)),
-        left_map=NamedMap("induced projection", FiberExpr(phi), a),
-        right_map=NamedMap(right_name, FiberExpr(g), a2),
-        bottom_map=f,
-    )
-
-
-def simplify_degenerate_square(square: PullbackSquare):
-    """When the gluing map is zero and the bottom map is an identity, the
-    total fiber is the corner fiber; returns None otherwise."""
-    if isinstance(square.bottom_map, MapIdentity) \
-            and getattr(square.right_map, "name", None) == "zero":
-        return square.top_right
-    return None
-
-
-def tc_pullback_square(p: int) -> PullbackSquare:
-    """The pullback square computing the reduced p-typical cyclic object:
-    corner fiber rewritten (after p-completion) as the wedge of cyclic
-    classifying spaces, over the desuspended label family, with bottom map
-    (p-fold power minus identity) and right map a wedge of circle
-    transfers."""
-    x_shift = Shift(-1, suspension_of_x())
-    corner = CountableWedge(("bcyc_all",))
-    return PullbackSquare(
-        top_left=NamedMap("reduced TC", None, None),
-        top_right=corner,
-        bottom_left=x_shift,
-        bottom_right=x_shift,
-        top_map=NamedMap("induced projection", None, corner),
-        left_map=NamedMap("induced projection", None, x_shift),
-        right_map=NamedMap("wedge of circle transfers", corner, x_shift),
-        bottom_map=DifferenceMap(DeltaP(p, x_shift), MapIdentity(x_shift)),
-    )
-
-
-def tc_class_square(p: int) -> PullbackSquare:
-    """One p-power class of the square above: the summands whose labels are
-    p-powers.  Its pullback is the spectrum E."""
-    orbits = Shift(-1, CountableWedge(("orbit_ppowers", p)))
-    bcycs = CountableWedge(("bcyc_ppowers", p))
-    return PullbackSquare(
-        top_left=FiberExpr(WedgeCircleTransfer(p)),
-        top_right=bcycs,
-        bottom_left=orbits,
-        bottom_right=orbits,
-        top_map=NamedMap("induced projection", None, bcycs),
-        left_map=NamedMap("induced projection", None, orbits),
-        right_map=WedgeCircleTransfer(p),
-        bottom_map=DifferenceMap(DeltaP(p, orbits), MapIdentity(orbits)),
-    )
-
-
-def e_expr(p: int):
-    """E as the fiber of the wedge of circle transfers into the desuspended
-    circle (the cofiber of the bottom row collapses the p-power tower to a
-    single circle)."""
-    return FiberExpr(WedgeCircleTransfer(p))
-
-
-def e_transfer_data(p: int) -> GradedMapData:
-    return GradedMapData.from_dict({0: MapDescriptor.row_powers(p)})
+# the spectrum E
 
 
 def e_homology(p: int, lo: int, hi: int) -> GradedGroup:
@@ -481,16 +228,10 @@ def e_homology_with_descriptor(p: int, degree0: MapDescriptor,
                                lo: int, hi: int) -> GradedGroup:
     """Same fiber computation with the degree-zero transfer row replaced;
     used as a negative control (a zero row must change H_{-1})."""
-    w = homology_graded(CountableWedge(("bcyc_ppowers", p)), lo - 1, hi + 1)
-    b = homology_graded(Shift(-1, SuspCircle()), lo - 1, hi + 1)
+    transfer = WedgeCircleTransfer(p)
+    w = homology_graded(transfer.domain, lo - 1, hi + 1)
+    b = homology_graded(transfer.codomain, lo - 1, hi + 1)
     return les_fiber(w, b, GradedMapData.from_dict({0: degree0}), lo, hi)
-
-
-def e_exactness_audit(p: int, lo: int, hi: int) -> bool:
-    w = homology_graded(CountableWedge(("bcyc_ppowers", p)), lo - 1, hi + 1)
-    b = homology_graded(Shift(-1, SuspCircle()), lo - 1, hi + 1)
-    fiber = e_homology(p, lo, hi)
-    return les_exactness_audit(w, b, e_transfer_data(p), fiber, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +258,11 @@ def homotopy_from_homology(h: GradedGroup, p: int, lo: int, hi: int) -> GradedGr
     return GradedGroup.from_dict(values, known_range=(lo, top))
 
 
-def _vp(m: int, p: int) -> int:
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e
-
-
 def _atom_is_p_primary_or_free(kind: str, param, p: int) -> bool:
     if kind in ("Z", "CountableFree"):
         return True
     if kind == "Zmod":
-        return param == p ** _vp(param, p)
+        return param == p ** padic_valuation(param, p)
     if kind in ("TorsionTower", "CountableTowerSum"):
         return param == p
     return True
@@ -732,6 +465,12 @@ _TABLE2_VOCAB = {
     "B": SymbolicQSpace.ext_tower(1),
     "B_oo": SymbolicQSpace.ext_tower_countable(),
 }
+
+
+def table1_reference_degrees() -> tuple[int, int]:
+    """The degree window [lo, hi] that the table-1 reference covers."""
+    lo, hi = _load_fixture()["table1"]["degrees"]
+    return lo, hi
 
 
 def expected_table1(p: int) -> dict[str, dict[int, GroupExpr]]:

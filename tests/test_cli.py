@@ -92,12 +92,21 @@ class TestHHVerb:
         assert main(["hh", "verify", "--fixtures", path]) == 2
         assert "expected_weight_homology.Z.1" in capsys.readouterr().err
 
+    def test_fixture_file_with_unknown_shadow_atom(self, tmp_path, capsys):
+        def bogus(fx):
+            fx["thh_dual_circle_shadow"]["-1"] = [["Bogus", 1, 1]]
+
+        path = self._broken_fixture(tmp_path, bogus)
+        assert main(["hh", "verify", "--fixtures", path, "--max-weight", "1"]) == 2
+        assert "thh_dual_circle_shadow.-1" in capsys.readouterr().err
+
 
 class TestTCVerbs:
     def test_table1(self, capsys):
         code, out = run(capsys, "tc", "table1", "--p", "5")
         assert code == 0
         assert "PASS table1 vs reference" in out
+        assert "SKIP" not in out
         assert "| E | Z | 0 | (+)_k Z |" in out
 
     def test_table2_markdown(self, capsys):
@@ -123,6 +132,23 @@ class TestTCVerbs:
     def test_table2_strict_mode_errors(self, capsys):
         code = main(["tc", "table2", "--p", "3", "--no-truncate"])
         assert code == 2
+
+    def test_table1_window_outside_the_reference(self, capsys):
+        code = main(["tc", "table1", "--p", "5", "--min-deg", "5", "--max-deg", "40"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "PASS" not in out
+        assert "covers degrees -2..4" in err
+
+    def test_table1_window_partly_outside_the_reference(self, capsys):
+        code, out = run(capsys, "tc", "table1", "--p", "5",
+                        "--min-deg", "3", "--max-deg", "6", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks] == ["skip", "pass"]
+        # degrees 5 and 6 of three rows
+        assert checks[0]["payload"] == {"cells": "6"}
+        assert set(checks[1]["payload"]["cells"]["E"]) == {"3", "4", "5", "6"}
 
     def test_table1_composite_prime_usage_error(self, capsys):
         code = main(["tc", "table1", "--p", "6"])
@@ -175,6 +201,35 @@ class TestConfigFile:
         code, out = run(capsys, "tc", "table1", "--p", "5", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["config"]["p"] == "5"
+
+    @pytest.mark.parametrize("argv, overridden", [
+        (["operad", "check", "--seed", "0", "--trials", "3"],
+         {"seed": "0", "trials": "3"}),
+        (["tc", "table1", "--p", "5", "--min-deg", "0"], {"min_deg": "0"}),
+        (["tc", "coassembly", "--i", "1", "--p", "5", "--assume-regular"],
+         {"assume_regular": True}),
+        (["hh", "verify", "--max-weight", "1", "--fixtures", "{fixture}"],
+         {"fixture_path": "{fixture}"}),
+    ])
+    def test_flags_override_the_config_file(self, tmp_path, capsys, argv,
+                                            overridden):
+        fixture = tmp_path / "fixtures.json"
+        fixture.write_text(resources.files("dualcircle").joinpath(
+            "fixtures/hh_fixtures.json").read_text())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 5\nmin_deg = 2\ntrials = 7\n"
+                       f"fixture_path = {tmp_path / 'absent.json'}\n")
+        argv = [a.format(fixture=fixture) for a in argv]
+        from_file = {"seed": "5", "min_deg": "2", "trials": "7",
+                     "fixture_path": str(tmp_path / "absent.json"),
+                     "assume_regular": False}
+        expected = {**from_file, **{
+            k: v.format(fixture=fixture) if isinstance(v, str) else v
+            for k, v in overridden.items()}}
+        code, out = run(capsys, *argv, "--config", str(cfg), "--format", "json")
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert {k: echo[k] for k in expected} == expected
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -240,6 +295,30 @@ class TestReplay:
         path.write_text(json.dumps(payload))
         assert main(["operad", "check", "--replay", str(path)]) == 2
         assert "inputs.outer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"check": "associativity",
+          "inputs": {"outer": ["0"], "inners": [[]], "deepest": [[]]}},
+         "inputs.inners"),
+        ({"check": "coalgebra-compatibility",
+          "inputs": {"outer": ["1", "2"], "inners": [[]]}}, "inputs.inners"),
+        ({"check": "zero-action", "inputs": {"point": ["-5"]}}, "inputs.point"),
+        ({"check": "zero-action", "inputs": {"point": []}}, "inputs.point"),
+    ])
+    def test_replay_payload_with_invalid_points(self, tmp_path, capsys,
+                                                payload, key):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        assert main(["operad", "check", "--replay", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inputs", [{"module": "Z", "weight": 0},
+                                        {"module": ["Z"], "weight": 1}])
+    def test_replay_hh_payload_with_invalid_inputs(self, tmp_path, capsys, inputs):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "hh-weight", "inputs": inputs}))
+        assert main(["hh", "verify", "--replay", str(path)]) == 2
+        assert "weight of at least 1" in capsys.readouterr().err
 
     def test_replay_unknown_check(self, tmp_path):
         path = tmp_path / "payload.json"

@@ -1,116 +1,29 @@
 import pytest
 
-from dualcircle.abgroups import GroupExpr, MapDescriptor
+from dualcircle.abgroups import GroupExpr, MapDescriptor, les_exactness_audit
 from dualcircle.qspaces import SymbolicQSpace
-from dualcircle.spectra import (
-    BCyc,
-    CountableWedge,
-    DeltaP,
-    DifferenceMap,
-    FiberExpr,
-    HomOrbit,
-    MapIdentity,
-    Product,
-    Shift,
-    Sphere,
-    SuspCircle,
-    SuspOrbit,
-    WedgeCircleTransfer,
-    homology,
-    simplify,
-)
+from dualcircle.spectra import WedgeCircleTransfer, homology_graded
 from dualcircle.tc import (
     HurewiczRangeError,
     NormalMap,
-    OrbitLabel,
-    class_partition,
     check_fr_commute,
     coassembly_conclusion,
-    delta_p_colimit,
-    delta_p_on_labels,
     diff_table1,
     diff_table2,
     dual_tc_shift_sum_check,
-    e_exactness_audit,
     e_homology,
     e_homology_with_descriptor,
     expected_table1,
-    fixed_points_X,
     frobenius_general,
     frobenius_map,
     hurewicz_cap,
-    pullback_split_fiber,
     restriction_map,
     table1,
     table2,
     table2_wedge_check,
-    tc_class_square,
-    tc_pullback_square,
-    tom_dieck,
-    tr_expr,
-    tr_frobenius_routes,
 )
 
 Z = GroupExpr.free(1)
-
-
-class TestLabels:
-    def test_full_family_is_fixed_by_the_trivial_group(self):
-        pairs = fixed_points_X(1, 5)
-        assert [(a.n, b.n) for a, b in pairs] == [(n, n) for n in range(1, 6)]
-
-    def test_even_labels(self):
-        pairs = fixed_points_X(2, 8)
-        assert [(a.n, b.n) for a, b in pairs] == [(2, 1), (4, 2), (6, 3), (8, 4)]
-
-    def test_divisibility_filter(self):
-        pairs = fixed_points_X(6, 12)
-        assert [(a.n, b.n) for a, b in pairs] == [(6, 1), (12, 2)]
-
-    def test_relabelings_compose(self):
-        # fixed by 2 then fixed by 3 equals fixed by 6
-        once = dict((a.n, b.n) for a, b in fixed_points_X(2, 36))
-        twice = dict((a.n, b.n) for a, b in fixed_points_X(3, 18))
-        composite = {n: twice[once[n]] for n in once if once[n] in twice}
-        direct = dict((a.n, b.n) for a, b in fixed_points_X(6, 36))
-        assert composite == direct
-
-    def test_delta_p_is_injective_onto_multiples(self):
-        pairs = delta_p_on_labels(3, 10)
-        images = [b.n for _, b in pairs]
-        assert images == [3 * n for n in range(1, 11)]
-        assert len(set(images)) == len(images)
-
-    def test_label_positivity(self):
-        with pytest.raises(ValueError):
-            OrbitLabel(0)
-
-
-class TestClassPartition:
-    def test_examples(self):
-        assert class_partition(2, 6) == [[1, 2, 4], [3, 6], [5]]
-        assert class_partition(3, 3) == [[1, 3], [2]]
-        assert class_partition(2, 1) == [[1]]
-
-    def test_classes_biject_with_prime_to_p_integers(self):
-        for p in (2, 3, 5):
-            classes = class_partition(p, 40)
-            reps = [c[0] for c in classes]
-            assert reps == [q for q in range(1, 41) if q % p != 0]
-            assert sorted(n for c in classes for n in c) == list(range(1, 41))
-
-
-class TestTomDieck:
-    def test_levels(self):
-        assert [(s.fixed_exp, s.orbit_exp) for s in tom_dieck(5, 0).summands] == [(0, 0)]
-        assert [(s.fixed_exp, s.orbit_exp) for s in tom_dieck(2, 1).summands] == \
-            [(0, 1), (1, 0)]
-        assert [(s.fixed_exp, s.orbit_exp) for s in tom_dieck(3, 2).summands] == \
-            [(0, 2), (1, 1), (2, 0)]
-
-    def test_top_summand_has_trivial_orbits(self):
-        for n in range(4):
-            assert tom_dieck(7, n).summands[-1].orbit_exp == 0
 
 
 class TestFrobeniusRestriction:
@@ -167,76 +80,6 @@ class TestFrobeniusRestriction:
             a.then(b)
 
 
-class TestTrExpr:
-    def test_zeroth_factor_is_the_desuspended_family(self):
-        t = tr_expr(2, truncate_j=2)
-        inner = t.inner
-        assert isinstance(inner, Product)
-        assert inner.parts[0] == CountableWedge(("orbits_all",))
-
-    def test_lazy_form_is_a_desuspended_countable_product(self):
-        from dualcircle.spectra import CountableProduct
-        t = tr_expr(2)
-        assert t == Shift(-1, CountableProduct(("hom_orbit_ppowers", 2)))
-
-    def test_frobenius_routes_on_the_product(self):
-        routes = tr_frobenius_routes(3, 3)
-        assert routes[0] == (0, 0, "delta_p")
-        assert routes[1][0:2] == (1, 0)
-
-    def test_orbit_evaluation_used_downstream(self):
-        assert simplify(HomOrbit(SuspOrbit(7), ("S1",))) == BCyc(7)
-
-
-class TestDeltaPColimit:
-    def test_collapses_to_a_single_circle(self):
-        col = delta_p_colimit(2)
-        assert col.expr == Shift(-1, SuspCircle())
-        col3 = delta_p_colimit(3)
-        assert col3.expr == Shift(-1, SuspCircle())
-
-    def test_truncated_tower_has_constant_homology(self):
-        col = delta_p_colimit(5, truncate_at=4)
-        assert col.final_label == 5**4
-        for d in (-1, 0, 1):
-            values = {homology(stage, d) for stage in col.tower}
-            assert len(values) == 1
-            assert homology(col.expr, d) in values
-
-
-class TestPullbackSquare:
-    def test_degenerate_instance(self):
-        from dualcircle.tc import simplify_degenerate_square
-        s = Sphere()
-        sq = pullback_split_fiber(
-            s, BCyc(2), s, BCyc(2),
-            f=MapIdentity(s), g=MapIdentity(BCyc(2)), h=None)
-        assert isinstance(sq.top_right, FiberExpr)
-        assert sq.bottom_left == s
-        # vanishing gluing map and identity bottom: fiber is the corner fiber
-        assert simplify_degenerate_square(sq) == FiberExpr(MapIdentity(BCyc(2)))
-
-    def test_non_degenerate_square_is_not_simplified(self):
-        from dualcircle.tc import simplify_degenerate_square
-        sq = tc_class_square(5)
-        assert simplify_degenerate_square(sq) is None
-
-    def test_global_square_shape(self):
-        sq = tc_pullback_square(3)
-        assert sq.top_right == CountableWedge(("bcyc_all",))
-        assert isinstance(sq.bottom_map, DifferenceMap)
-        assert isinstance(sq.bottom_map.f, DeltaP)
-        assert isinstance(sq.bottom_map.g, MapIdentity)
-
-    def test_class_square_is_the_e_square(self):
-        sq = tc_class_square(3)
-        assert sq.top_left == FiberExpr(WedgeCircleTransfer(3))
-        assert sq.top_right == CountableWedge(("bcyc_ppowers", 3))
-        assert sq.right_map == WedgeCircleTransfer(3)
-        assert sq.bottom_left == Shift(-1, CountableWedge(("orbit_ppowers", 3)))
-        assert isinstance(sq.bottom_map, DifferenceMap)
-
-
 class TestEHomology:
     def test_printed_row(self):
         h = e_homology(2, -2, 4)
@@ -250,7 +93,11 @@ class TestEHomology:
 
     def test_exactness_audit(self):
         for p in (2, 3, 5):
-            assert e_exactness_audit(p, -2, 4)
+            transfer = WedgeCircleTransfer(p)
+            w = homology_graded(transfer.domain, -3, 5)
+            b = homology_graded(transfer.codomain, -3, 5)
+            assert les_exactness_audit(w, b, transfer.graded_data(),
+                                       e_homology(p, -2, 4), -2, 4)
 
     def test_negative_control_changes_h_minus_one(self):
         sabotaged = e_homology_with_descriptor(3, MapDescriptor.zero(), -2, 0)
