@@ -533,9 +533,13 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
         """The points at inputs.key; ``slots`` is how many of them the
         composite needs, if it is fixed."""
         value = need(key)
+        listed = [value] if single else value
+        if not (isinstance(value, list) and all(isinstance(c, list) for c in listed)):
+            raise UsageError(
+                f"replay payload inputs.{key} is not made of coordinate lists")
         try:
             points = [OperadPoint(tuple(Fraction(c) for c in coords))
-                      for coords in ([value] if single else value)]
+                      for coords in listed]
         except TypeError as exc:
             raise UsageError(
                 f"replay payload inputs.{key} is not made of coordinate lists") from exc

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--p", type=int, required=True)
     co.add_argument("--assume-regular", action="store_true")
     co.add_argument("--check-regularity", action="store_true",
-                    help="decide regularity from Bernoulli numerators (p < 10^4)")
+                    help="decide regularity from Bernoulli numerators (p < 10^5)")
     _add_common(co)
 
     ct = tc_sub.add_parser("controls", help="negative controls")

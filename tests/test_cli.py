@@ -183,6 +183,19 @@ class TestTCVerbs:
         assert code == 0
         assert "zero on pi_4^Q" in out
 
+    def test_coassembly_decides_regularity_above_10_4(self, capsys):
+        code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "10007",
+                        "--check-regularity")
+        assert code == 0
+        assert "PASS regularity of p = 10007 decided: True" in out
+
+    def test_coassembly_regularity_cap(self, capsys):
+        code = main(["tc", "coassembly", "--i", "1", "--p", "100003",
+                     "--check-regularity"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "below 10^5" in err
+
     def test_negative_controls(self, capsys):
         code, out = run(capsys, "tc", "controls", "--p", "3")
         assert code == 0
@@ -304,6 +317,12 @@ class TestReplay:
           "inputs": {"outer": ["1", "2"], "inners": [[]]}}, "inputs.inners"),
         ({"check": "zero-action", "inputs": {"point": ["-5"]}}, "inputs.point"),
         ({"check": "zero-action", "inputs": {"point": []}}, "inputs.point"),
+        ({"check": "associativity",
+          "inputs": {"outer": "12", "inners": [[], [], []],
+                     "deepest": [[], [], []]}}, "inputs.outer"),
+        ({"check": "associativity",
+          "inputs": {"outer": ["1", "2"], "inners": "123",
+                     "deepest": [[]] * 6}}, "inputs.inners"),
     ])
     def test_replay_payload_with_invalid_points(self, tmp_path, capsys,
                                                 payload, key):

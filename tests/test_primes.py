@@ -1,5 +1,6 @@
 import pytest
 
+from dualcircle import primes
 from dualcircle.primes import (
     bernoulli_exact,
     factorint,
@@ -8,6 +9,31 @@ from dualcircle.primes import (
     is_regular_prime,
     padic_valuation,
 )
+
+
+def power_sum_irregular_indices(p: int) -> list[int]:
+    """Reference route for ``irregular_indices``, about p^2 steps.
+
+    For even 2 <= k <= p-3 the power sum S_k(p) = sum_{a=1}^{p-1} a^k is
+    divisible by p and S_k(p)/p = B_k mod p, so p divides the numerator of
+    B_k exactly when S_k(p) = 0 mod p^2.
+    """
+    p2 = p * p
+    n_sums = (p - 3) // 2  # k = 2, 4, ..., p-3
+    sums = [0] * n_sums
+    for a in range(1, p):
+        a2 = a * a % p2
+        pw = a2
+        for i in range(n_sums):
+            sums[i] += pw
+            pw = pw * a2 % p2
+    bad = []
+    for i, s in enumerate(sums):
+        s %= p2
+        assert s % p == 0, (p, 2 * (i + 1))
+        if s == 0:
+            bad.append(2 * (i + 1))
+    return bad
 
 
 def test_is_prime():
@@ -61,3 +87,26 @@ def test_known_irregular_pairs():
     assert irregular_indices(59) == [44]
     assert irregular_indices(67) == [58]
     assert 12 in irregular_indices(691)
+
+
+def test_irregular_indices_match_power_sums():
+    for p in [q for q in range(2, 700) if is_prime(q)] + [1871, 3677]:
+        assert irregular_indices(p) == power_sum_irregular_indices(p), p
+
+
+def test_irregular_indices_rejects_non_primes():
+    with pytest.raises(ValueError, match="not prime"):
+        irregular_indices(10**4 + 1)
+
+
+def test_perturbed_series_inverse_fails_the_certificate(monkeypatch):
+    exact = primes._series_inverse
+
+    def perturbed(s, p):
+        b = exact(s, p)
+        b[len(b) // 2] = (b[len(b) // 2] + 1) % p
+        return b
+
+    monkeypatch.setattr(primes, "_series_inverse", perturbed)
+    with pytest.raises(ArithmeticError):
+        irregular_indices(691)
