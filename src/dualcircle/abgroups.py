@@ -14,15 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .matrices import (
-    IntMatrix,
-    NoIntegralSolution,
-    cokernel_invariants,
-    image_lattice_basis,
-    kernel_basis,
-    smith_normal_form,
-    solve_integral,
-)
+from .matrices import IntMatrix, cokernel_invariants, kernel_basis
 from .primes import factorint, gcd_many
 
 
@@ -118,13 +110,6 @@ class FGAbGroup:
         for g in others:
             orders += g.orders()
         return FGAbGroup.from_orders(orders)
-
-    def elementary_divisors(self) -> list[int]:
-        out = []
-        for d in self.torsion:
-            for p, e in factorint(d).items():
-                out.append(p**e)
-        return sorted(out)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -400,9 +385,6 @@ class GradedGroup:
         values = {d: self.at(d).countable_sum() for d in range(lo, hi + 1)}
         return GradedGroup.from_dict(values, known_range=(lo, hi))
 
-    def equal_on(self, other: "GradedGroup", lo: int, hi: int) -> bool:
-        return all(self.at(d) == other.at(d) for d in range(lo, hi + 1))
-
     def to_json_obj(self, lo: int | None = None, hi: int | None = None) -> dict:
         """Explicit degrees plus the periodic-tail rule; pass a window to
         additionally materialize evaluated values over [lo, hi]."""
@@ -486,33 +468,25 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
     ``orders_here``, C by ``orders_below``, and the maps are given by
     integer matrices on generators.
 
-    The kernel of B -> C is computed as a sublattice of the generator
-    lattice of B (pulling back the relation lattice of C), and the image
-    of A -> B together with B's own relations is divided out.
+    In the generator lattice Z^n of B, the kernel K of B -> C is spanned by
+    the columns of P (n x r), the B-rows of a kernel basis of
+    [d_out | -diag(orders_below)].  What must die, L, is spanned by the
+    columns of Q: those of d_in and B's relations.  Then H = K / L is
+    Z^r / {a : P a in L}, and that lattice is spanned by the top r rows of
+    a kernel basis of [P | -Q].
     """
     orders_here = list(orders_here)
     n_b = len(orders_here)
     if n_b == 0:
         return FGAbGroup.zero()
-
-    # kernel lattice of B -> C, as a sublattice of Z^{n_b}
-    if d_out is None or d_out.rows == 0 or d_out.is_zero():
-        kernel_lattice = IntMatrix.identity(n_b)
-    else:
+    if d_out is not None and (d_out.rows == 0 or d_out.is_zero()):
+        d_out = None
+    if d_out is not None:
         if d_out.cols != n_b:
             raise StructuralError("outgoing boundary has wrong width")
         orders_below = list(orders_below)
         if d_out.rows != len(orders_below):
             raise StructuralError("outgoing boundary has wrong height")
-        block_rows = []
-        for i in range(d_out.rows):
-            row = list(d_out.entries[i])
-            row += [-orders_below[i] if j == i else 0 for j in range(len(orders_below))]
-            block_rows.append(row)
-        big_kernel = kernel_basis(IntMatrix.from_rows(block_rows))
-        projected = IntMatrix.from_rows([big_kernel.entries[i] for i in range(n_b)]) \
-            if big_kernel.cols else IntMatrix.zero(n_b, 0)
-        kernel_lattice = image_lattice_basis(projected)
 
     # generators of what must die: the image of A, plus B's relations
     killed_cols: list[tuple[int, ...]] = []
@@ -524,25 +498,43 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
         if o != 0:
             killed_cols.append(tuple(o if k == i else 0 for k in range(n_b)))
 
-    k = kernel_lattice.cols
-    if k == 0:
-        return FGAbGroup.zero()
-    if not killed_cols:
-        return FGAbGroup.free(k)
-
-    snf = smith_normal_form(kernel_lattice)
-    coeff_cols = []
-    for col in killed_cols:
-        try:
-            x = solve_integral(kernel_lattice, col, snf)
-        except NoIntegralSolution as exc:
+    if d_out is None:
+        p_rows = IntMatrix.identity(n_b).entries
+    else:
+        if not _lands_in_relations(d_out, killed_cols, orders_below):
             raise StructuralError(
                 "relations or incoming image do not land in the kernel "
-                "(input is not a complex)") from exc
-        coeff_cols.append(x[:k])
-    coeff = IntMatrix(k, len(coeff_cols), tuple(zip(*coeff_cols)))
-    free, torsion = cokernel_invariants(coeff)
+                "(input is not a complex)")
+        n_c = d_out.rows
+        block = IntMatrix(n_c, n_b + n_c, tuple(
+            row + tuple(-c if j == i else 0 for j in range(n_c))
+            for i, (row, c) in enumerate(zip(d_out.entries, orders_below))))
+        p_rows = kernel_basis(block).entries[:n_b]
+    r = len(p_rows[0])
+    relations = kernel_basis(IntMatrix(n_b, r + len(killed_cols), tuple(
+        p_row + tuple(-col[i] for col in killed_cols)
+        for i, p_row in enumerate(p_rows))))
+    free, torsion = cokernel_invariants(
+        IntMatrix(r, relations.cols, relations.entries[:r]))
     return FGAbGroup(free, tuple(torsion))
+
+
+def _lands_in_relations(d_out: IntMatrix, cols, orders_below) -> bool:
+    """Whether d_out sends every column into the relations of C, that is
+    to a multiple of orders_below[i] in each row i (0 in rows of order 0).
+    Each column is applied through its nonzero entries only."""
+    nonzero = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*d_out.entries)]
+    for col in cols:
+        image: dict[int, int] = {}
+        for j, x in enumerate(col):
+            if x:
+                for i, y in nonzero[j]:
+                    image[i] = image.get(i, 0) + x * y
+        for i, v in image.items():
+            c = orders_below[i]
+            if (v % c if c else v) != 0:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

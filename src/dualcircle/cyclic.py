@@ -23,8 +23,9 @@ its homology, each from its own source:
   orbit's sparse L x L block and runs generic homology on it
   (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
-  from the simplicial face maps of the ring, with dense matrices and a
-  generic Smith normal form (``NormalizedHochschild``).
+  from the simplicial face maps of the ring; each (total degree, weight)
+  block of its face-sum differential goes through generic homology and
+  Smith normal form (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.
@@ -81,10 +82,6 @@ class GradedModule:
 
     def degrees(self) -> list[int]:
         return sorted({d for d, _ in self.generators})
-
-    def group_at(self, degree: int) -> FGAbGroup:
-        return FGAbGroup.from_orders(
-            [o for d, o in self.generators if d == degree])
 
     def __str__(self):
         if not self.generators:
@@ -296,6 +293,9 @@ class NormalizedHochschild:
         self.max_level = max_level
         g = len(m.generators)
         self.bases: list[list[_Chain]] = []
+        # chains by (total degree, weight); the level of a chain is its
+        # tail length, so a chain alone says where it lives
+        self._blocks: dict[tuple[int, int], list[_Chain]] = {}
         for k in range(max_level + 1):
             tails: list[tuple[int, ...]] = [()]
             for _ in range(k):
@@ -303,21 +303,14 @@ class NormalizedHochschild:
             level = [_Chain(None, t) for t in tails]
             level += [_Chain(r0, t) for r0 in range(g) for t in tails]
             self.bases.append(level)
-        self._indexes = [
-            {c: i for i, c in enumerate(level)} for level in self.bases]
-        self.diffs: list[IntMatrix | None] = [None]
-        for k in range(1, max_level + 1):
-            self.diffs.append(self._differential(k))
-
-    # chain bookkeeping -----------------------------------------------------
+            for c in level:
+                degree = k + sum(m.generators[i][0] for i in c.tail)
+                if c.r0 is not None:
+                    degree += m.generators[c.r0][0]
+                self._blocks.setdefault((degree, self.chain_weight(c)), []).append(c)
 
     def chain_weight(self, c: _Chain) -> int:
         return len(c.tail) + (0 if c.r0 is None else 1)
-
-    def chain_degree(self, c: _Chain) -> int:
-        gens = self.module.generators
-        d = 0 if c.r0 is None else gens[c.r0][0]
-        return d + sum(gens[i][0] for i in c.tail)
 
     def chain_order(self, c: _Chain) -> int:
         gens = self.module.generators
@@ -326,39 +319,25 @@ class NormalizedHochschild:
             o = gcd(o, gens[i][1])
         return o
 
-    def total_degree(self, level: int, c: _Chain) -> int:
-        return level + self.chain_degree(c)
-
-    # the face-sum differential ----------------------------------------------
-
-    def _differential(self, k: int) -> IntMatrix:
+    def _boundary(self, k: int, c: _Chain) -> list[tuple[_Chain, int]]:
+        """The nonzero faces of a level-k chain, with their signs.  Faces
+        1..k-1 multiply adjacent module slots, and so does every face of a
+        chain led by a module generator: all are zero.  A unit-led chain
+        keeps face 0 (unit * m_1) and face k (the last slot rotated to the
+        front, with its Koszul sign).  On a constant tail, as always at
+        k = 1, the two faces coincide and their signs add."""
+        if c.r0 is not None or k == 0:
+            return []
         gens = self.module.generators
-        src = self.bases[k]
-        dst_index = self._indexes[k - 1]
-        rows = [[0] * len(src) for _ in range(len(self.bases[k - 1]))]
-        for j, c in enumerate(src):
-            # face 0 multiplies slots 0 and 1: unit * m_1 survives
-            if c.r0 is None:
-                image = _Chain(c.tail[0], c.tail[1:])
-                rows[dst_index[image]][j] += 1
-            # faces 1..k-1 multiply adjacent module slots: always zero
-            # face k rotates the last slot to the front, then multiplies
-            last = c.tail[-1]
-            if c.r0 is None:
-                deg_last = gens[last][0]
-                deg_front = sum(gens[i][0] for i in c.tail[:-1])
-                koszul = -1 if (deg_last % 2) and (deg_front % 2) else 1
-                sign = (1 if k % 2 == 0 else -1) * koszul
-                image = _Chain(last, c.tail[:-1])
-                rows[dst_index[image]][j] += sign
-        return IntMatrix.from_rows(rows)
-
-    # homology ----------------------------------------------------------------
-
-    def _selected(self, level: int, total_degree: int, weight: int | None):
-        return [i for i, c in enumerate(self.bases[level])
-                if self.total_degree(level, c) == total_degree
-                and (weight is None or self.chain_weight(c) == weight)]
+        last = c.tail[-1]
+        front = _Chain(c.tail[0], c.tail[1:])
+        rotated = _Chain(last, c.tail[:-1])
+        deg_front = sum(gens[i][0] for i in c.tail[:-1])
+        koszul = -1 if (gens[last][0] % 2) and (deg_front % 2) else 1
+        sign = (1 if k % 2 == 0 else -1) * koszul
+        if rotated == front:
+            return [(front, 1 + sign)] if 1 + sign else []
+        return [(front, 1), (rotated, sign)]
 
     def homology(self, total_degree: int, weight: int | None = None) -> FGAbGroup:
         """Homology of the truncated complex at a total degree, optionally
@@ -380,35 +359,25 @@ class NormalizedHochschild:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
 
-        # assemble the three consecutive chain groups across levels
-        here: list[tuple[int, int]] = []
-        below: list[tuple[int, int]] = []
-        above: list[tuple[int, int]] = []
-        for k in range(self.max_level + 1):
-            here += [(k, i) for i in self._selected(k, total_degree, weight)]
-            below += [(k, i) for i in self._selected(k, total_degree - 1, weight)]
-            above += [(k, i) for i in self._selected(k, total_degree + 1, weight)]
+        def chains(t: int) -> list[_Chain]:
+            if weight is not None:
+                return self._blocks.get((t, weight), [])
+            return [c for (d, _), block in self._blocks.items() if d == t for c in block]
+
+        here = chains(total_degree)
+        below, above = chains(total_degree - 1), chains(total_degree + 1)
 
         def matrix_for(src, dst):
             dst_pos = {cell: r for r, cell in enumerate(dst)}
             rows = [[0] * len(src) for _ in range(len(dst))]
-            for col, (k, i) in enumerate(src):
-                if k == 0:
-                    continue
-                diff = self.diffs[k]
-                for r in range(diff.rows):
-                    x = diff.entries[r][i]
-                    if x:
-                        cell = (k - 1, r)
-                        if cell in dst_pos:
-                            rows[dst_pos[cell]][col] = x
+            for col, c in enumerate(src):
+                for face, sign in self._boundary(len(c.tail), c):
+                    rows[dst_pos[face]][col] = sign
             return IntMatrix.from_rows(rows) if dst else IntMatrix.zero(0, len(src))
 
-        d_out = matrix_for(here, below)
-        d_in = matrix_for(above, here)
-        orders_here = [self.chain_order(self.bases[k][i]) for k, i in here]
-        orders_below = [self.chain_order(self.bases[k][i]) for k, i in below]
-        return homology_with_orders(d_out, d_in, orders_here, orders_below)
+        return homology_with_orders(
+            matrix_for(here, below), matrix_for(above, here),
+            [self.chain_order(c) for c in here], [self.chain_order(c) for c in below])
 
 
 def brute_hochschild_weights(m: GradedModule, max_weight: int,

@@ -2,8 +2,8 @@
 
 All entries are Python ints, so torsion coefficients like p**37 cost
 nothing but digits.  The Smith routine tracks the unimodular change of
-basis on both sides together with its inverse, which is what the kernel,
-cokernel, image-lattice and integral-solve helpers below need.
+basis on both sides, which is what the kernel, cokernel, image-lattice and
+integral-solve helpers below need.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
 
@@ -99,8 +96,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class _Worker:
     """Mutable scratch state for the Smith reduction.
 
-    Maintains A = U M V with U, V unimodular, alongside Uinv and Vinv,
-    by mirroring every elementary operation.
+    Maintains A = U M V with U, V unimodular by mirroring every elementary
+    operation.
     """
 
     def __init__(self, m: IntMatrix):
@@ -108,17 +105,13 @@ class _Worker:
         self.c = m.cols
         self.a = [list(row) for row in m.entries]
         self.u = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
-        self.uinv = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
         self.v = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
-        self.vinv = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
 
     def swap_rows(self, i, j):
         if i == j:
             return
         self.a[i], self.a[j] = self.a[j], self.a[i]
         self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.uinv:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(self, i, j):
         if i == j:
@@ -127,7 +120,6 @@ class _Worker:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def add_row(self, dst, src, q):
         """row_dst += q * row_src"""
@@ -135,8 +127,6 @@ class _Worker:
             return
         self.a[dst] = [x + q * y for x, y in zip(self.a[dst], self.a[src])]
         self.u[dst] = [x + q * y for x, y in zip(self.u[dst], self.u[src])]
-        for row in self.uinv:
-            row[src] -= q * row[dst]
 
     def add_col(self, dst, src, q):
         """col_dst += q * col_src"""
@@ -146,13 +136,10 @@ class _Worker:
             row[dst] += q * row[src]
         for row in self.v:
             row[dst] += q * row[src]
-        self.vinv[src] = [x - q * y for x, y in zip(self.vinv[src], self.vinv[dst])]
 
     def negate_row(self, i):
         self.a[i] = [-x for x in self.a[i]]
         self.u[i] = [-x for x in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
 
     def combine_rows(self, i, j, x, y, s, t):
         """(row_i, row_j) <- (x*row_i + y*row_j, s*row_i + t*row_j), det must be +-1."""
@@ -162,12 +149,6 @@ class _Worker:
         ui, uj = self.u[i], self.u[j]
         self.u[i] = [x * p + y * q for p, q in zip(ui, uj)]
         self.u[j] = [s * p + t * q for p, q in zip(ui, uj)]
-        det = x * t - y * s
-        # inverse of [[x, y], [s, t]] is [[t, -y], [-s, x]] / det, det = +-1
-        for row in self.uinv:
-            p, q = row[i], row[j]
-            row[i] = (t * p - s * q) * det
-            row[j] = (-y * p + x * q) * det
 
     def combine_cols(self, i, j, x, y, s, t):
         """(col_i, col_j) <- (x*col_i + y*col_j, s*col_i + t*col_j), det +-1."""
@@ -179,10 +160,6 @@ class _Worker:
             p, q = row[i], row[j]
             row[i] = x * p + y * q
             row[j] = s * p + t * q
-        det = x * t - y * s
-        vi, vj = self.vinv[i], self.vinv[j]
-        self.vinv[i] = [(t * p - s * q) * det for p, q in zip(vi, vj)]
-        self.vinv[j] = [(-y * p + x * q) * det for p, q in zip(vi, vj)]
 
 
 @dataclass(frozen=True)
@@ -190,8 +167,6 @@ class SmithDecomposition:
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -291,12 +266,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 if w.a[i + 1][i + 1] < 0:
                     w.negate_row(i + 1)
 
+    # the entries are ints already, so skip from_rows' per-entry int()
     return SmithDecomposition(
-        d=IntMatrix.from_rows(w.a),
-        u=IntMatrix.from_rows(w.u),
-        v=IntMatrix.from_rows(w.v),
-        u_inv=IntMatrix.from_rows(w.uinv),
-        v_inv=IntMatrix.from_rows(w.vinv),
+        d=IntMatrix(r, c, tuple(map(tuple, w.a))),
+        u=IntMatrix(r, r, tuple(map(tuple, w.u))),
+        v=IntMatrix(c, c, tuple(map(tuple, w.v))),
     )
 
 
@@ -304,10 +278,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel lattice of m."""
     snf = smith_normal_form(m)
     rank = snf.rank
-    cols = [snf.v.column(j) for j in range(rank, m.cols)]
-    if not cols:
-        return IntMatrix.zero(m.cols, 0) if m.cols else IntMatrix(0, 0, ())
-    return IntMatrix(m.cols, len(cols), tuple(zip(*cols)))
+    return IntMatrix(m.cols, m.cols - rank, tuple(row[rank:] for row in snf.v.entries))
 
 
 def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
@@ -318,14 +289,11 @@ def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the column lattice of m (image of Z^cols)."""
+    """Columns form a basis of the column lattice of m (image of Z^cols):
+    the first rank columns of m V, which equal those of U^-1 D."""
     snf = smith_normal_form(m)
-    diag = snf.d.diagonal_entries()
-    cols = [tuple(d * x for x in snf.u_inv.column(j))
-            for j, d in enumerate(diag) if d != 0]
-    if not cols:
-        return IntMatrix.zero(m.rows, 0) if m.rows else IntMatrix(0, 0, ())
-    return IntMatrix(m.rows, len(cols), tuple(zip(*cols)))
+    rank = snf.rank
+    return IntMatrix(m.rows, rank, tuple(row[:rank] for row in m.mul(snf.v).entries))
 
 
 class NoIntegralSolution(Exception):

@@ -67,9 +67,6 @@ class OperadPoint:
         return "(" + ", ".join(str(t) for t in self.shifts) + ")"
 
 
-IDENTITY_POINT = OperadPoint(())
-
-
 def compose(outer: OperadPoint, inners: list[OperadPoint]) -> OperadPoint:
     """Operadic substitution: slot (i, j) of the result is t_i + s^i_j.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .primes import is_prime
 
@@ -61,10 +61,11 @@ class RunConfig:
 
     @classmethod
     def from_key_value_file(cls, path: str) -> "RunConfig":
-        """Plain key=value lines; '#' starts a comment."""
+        """Plain key=value lines; '#' starts a comment.  Booleans read
+        1/true/yes/on or 0/false/no/off; 'format' names the fmt field."""
         cfg = cls()
-        bool_fields = {"assume_regular", "check_regularity", "truncate_out_of_range"}
-        int_fields = {"p", "min_deg", "max_deg", "seed", "trials", "max_weight", "max_degree"}
+        # every field's default has the type its values take (None: text)
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         with open(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -73,17 +74,28 @@ class RunConfig:
                 if "=" not in line:
                     raise UsageError(f"malformed config line: {raw.rstrip()}")
                 key, value = (s.strip() for s in line.split("=", 1))
-                if key in bool_fields:
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes", "on"))
-                elif key in int_fields:
-                    setattr(cfg, key, int(value))
-                elif key in ("fmt", "format"):
-                    cfg.fmt = value
-                elif key == "fixture_path":
-                    cfg.fixture_path = value
-                else:
+                key = "fmt" if key == "format" else key
+                if key not in kinds:
                     raise UsageError(f"unknown config key {key!r}")
+                setattr(cfg, key, _parse_config_value(key, value, kinds[key]))
         return cfg
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_config_value(key: str, value: str, kind: type):
+    if kind is bool:
+        if value.lower() not in _BOOLEANS:
+            raise UsageError(f"config key {key!r}: expected a boolean, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"config key {key!r}: expected an integer, got {value!r}") from None
+    return value
 
 
 @dataclass

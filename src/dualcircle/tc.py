@@ -1,10 +1,5 @@
-"""Orbit labels, the Frobenius/restriction algebra, the spectrum E, and the
-homology / rational-homotopy tables of the dual circle.
-
-The labelled family X is the disjoint union over n >= 1 of the circle
-orbits S^1/C_n; ``fixed_points_X``, ``delta_p_on_labels`` and
-``class_partition`` give its fixed labels, the p-fold power map on labels
-and the split of the labels into p-power classes.
+"""The Frobenius/restriction algebra, the spectrum E, and the homology /
+rational-homotopy tables of the dual circle.
 
 Genuine C_{p^n} fixed points of the suspension spectrum of the circle
 orbits split into n + 1 homotopy-orbit summands, one per subgroup.  The
@@ -47,64 +42,6 @@ class HurewiczRangeError(Exception):
         self.cap = cap
         super().__init__(
             f"degree {degree} exceeds the homology-to-homotopy window (<= {cap})")
-
-
-# ---------------------------------------------------------------------------
-# labels and fixed points
-
-
-@dataclass(frozen=True)
-class OrbitLabel:
-    """The n-th summand of X, the circle modulo its order-n subgroup."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("orbit labels are positive")
-
-
-def fixed_points_X(m: int, max_label: int) -> list[tuple[OrbitLabel, OrbitLabel]]:
-    """Fixed labels of the order-m cyclic action on X, with the standard
-    relabeling: the summand n is fixed exactly when m divides n, and is
-    identified with summand n/m.
-
-    Returns (original, relabeled) pairs for original labels <= max_label.
-
-    >>> [(a.n, b.n) for a, b in fixed_points_X(6, 12)]
-    [(6, 1), (12, 2)]
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    return [(OrbitLabel(n), OrbitLabel(n // m))
-            for n in range(m, max_label + 1, m)]
-
-
-def delta_p_on_labels(p: int, max_label: int) -> list[tuple[OrbitLabel, OrbitLabel]]:
-    """The p-fold power self-map on labels: summand n goes to summand p*n."""
-    return [(OrbitLabel(n), OrbitLabel(p * n)) for n in range(1, max_label + 1)]
-
-
-def class_partition(p: int, n_max: int) -> list[list[int]]:
-    """Partition of {1..n_max} where two labels are equivalent when their
-    ratio is a power of p; classes are indexed by integers prime to p.
-
-    >>> class_partition(2, 6)
-    [[1, 2, 4], [3, 6], [5]]
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    classes = []
-    for q in range(1, n_max + 1):
-        if q % p == 0:
-            continue
-        cls = []
-        t = q
-        while t <= n_max:
-            cls.append(t)
-            t *= p
-        classes.append(cls)
-    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dualcircle.abgroups import (
     StructuralError,
     DegreeOutOfRange,
     homology_at,
+    homology_with_orders,
     les_exactness_audit,
     les_fiber,
 )
@@ -117,6 +118,17 @@ class TestChainHomology:
             ChainComplex(
                 {0: 1, 1: 1, 2: 1},
                 {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])})
+
+    def test_nonzero_composite_raises_when_the_kernel_is_zero(self):
+        # Z --1--> Z --1--> Z: the middle kernel is zero, the composite is not
+        with pytest.raises(StructuralError):
+            homology_with_orders(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
+                                 [0], [0])
+
+    def test_ill_defined_map_raises_when_the_kernel_is_zero(self):
+        # multiplication by 1 from Z/2 to Z is not well defined
+        with pytest.raises(StructuralError):
+            homology_with_orders(IntMatrix.from_rows([[1]]), None, [2], [0])
 
     def test_torus(self):
         # one 0-cell, two 1-cells, one 2-cell, all boundaries zero

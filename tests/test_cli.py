@@ -250,6 +250,22 @@ class TestConfigFile:
         with pytest.raises(UsageError):
             RunConfig.from_key_value_file(str(cfg))
 
+    @pytest.mark.parametrize("line", ["check_regularity = maybe", "trials = many"])
+    def test_unparsable_value_is_a_usage_error_naming_the_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["tc", "coassembly", "--i", "1", "--p", "7", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(line.split(" = ")[0]) in err and err.count("\n") == 1
+
+    def test_boolean_spellings(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for value, expected in (("On", True), ("yes", True), ("1", True),
+                                ("off", False), ("No", False), ("0", False)):
+            cfg.write_text(f"check_regularity = {value}\n")
+            assert RunConfig.from_key_value_file(str(cfg)).check_regularity is expected
+
     @pytest.mark.parametrize("field", ["trials", "max_weight"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(UsageError):

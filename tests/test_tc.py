@@ -6,18 +6,14 @@ from dualcircle.spectra import WedgeCircleTransfer, homology_graded
 from dualcircle.tc import (
     HurewiczRangeError,
     NormalMap,
-    OrbitLabel,
     check_fr_commute,
-    class_partition,
     coassembly_conclusion,
-    delta_p_on_labels,
     diff_table1,
     diff_table2,
     dual_tc_shift_sum_check,
     e_homology,
     e_homology_with_descriptor,
     expected_table1,
-    fixed_points_X,
     frobenius_general,
     frobenius_map,
     hurewicz_cap,
@@ -28,52 +24,6 @@ from dualcircle.tc import (
 )
 
 Z = GroupExpr.free(1)
-
-
-class TestLabels:
-    def test_full_family_is_fixed_by_the_trivial_group(self):
-        pairs = fixed_points_X(1, 5)
-        assert [(a.n, b.n) for a, b in pairs] == [(n, n) for n in range(1, 6)]
-
-    def test_even_labels(self):
-        pairs = fixed_points_X(2, 8)
-        assert [(a.n, b.n) for a, b in pairs] == [(2, 1), (4, 2), (6, 3), (8, 4)]
-
-    def test_divisibility_filter(self):
-        pairs = fixed_points_X(6, 12)
-        assert [(a.n, b.n) for a, b in pairs] == [(6, 1), (12, 2)]
-
-    def test_relabelings_compose(self):
-        # fixed by 2 then fixed by 3 equals fixed by 6
-        once = dict((a.n, b.n) for a, b in fixed_points_X(2, 36))
-        twice = dict((a.n, b.n) for a, b in fixed_points_X(3, 18))
-        composite = {n: twice[once[n]] for n in once if once[n] in twice}
-        direct = dict((a.n, b.n) for a, b in fixed_points_X(6, 36))
-        assert composite == direct
-
-    def test_delta_p_is_injective_onto_multiples(self):
-        pairs = delta_p_on_labels(3, 10)
-        images = [b.n for _, b in pairs]
-        assert images == [3 * n for n in range(1, 11)]
-        assert len(set(images)) == len(images)
-
-    def test_label_positivity(self):
-        with pytest.raises(ValueError):
-            OrbitLabel(0)
-
-
-class TestClassPartition:
-    def test_examples(self):
-        assert class_partition(2, 6) == [[1, 2, 4], [3, 6], [5]]
-        assert class_partition(3, 3) == [[1, 3], [2]]
-        assert class_partition(2, 1) == [[1]]
-
-    def test_classes_biject_with_prime_to_p_integers(self):
-        for p in (2, 3, 5):
-            classes = class_partition(p, 40)
-            reps = [c[0] for c in classes]
-            assert reps == [q for q in range(1, 41) if q % p != 0]
-            assert sorted(n for c in classes for n in c) == list(range(1, 41))
 
 
 class TestFrobeniusRestriction:
