@@ -55,23 +55,26 @@ from .tc import (
 # random generators for the operad suite
 
 
-def _random_rational(rng: random.Random, lo=0, hi=3) -> Fraction:
-    return Fraction(rng.randint(lo * 4, hi * 4), rng.choice((1, 2, 3, 4)))
+def _random_ratio(rng: random.Random) -> tuple[int, int]:
+    """A rational in [0, 3] with denominator 1..4, as a (numerator,
+    denominator) pair."""
+    return rng.randint(0, 12), rng.choice((1, 2, 3, 4))
 
 
 def _random_point(rng: random.Random, min_arity=1, max_arity=4) -> OperadPoint:
     arity = rng.randint(min_arity, max_arity)
-    return OperadPoint(tuple(_random_rational(rng) for _ in range(arity - 1)))
+    return OperadPoint.from_pairs([_random_ratio(rng) for _ in range(arity - 1)])
 
 
 def _random_a_point(rng: random.Random) -> OperadPoint:
     arity = rng.randint(1, 4)
-    return OperadPoint((Fraction(0),) * (arity - 1))
+    return OperadPoint.from_pairs([(0, 1)] * (arity - 1))
 
 
 def _random_oprime_point(rng: random.Random, min_arity=1) -> OperadPoint:
     arity = rng.randint(min_arity, 4)
-    return OperadPoint(tuple(1 + _random_rational(rng) for _ in range(arity - 1)))
+    pairs = [_random_ratio(rng) for _ in range(arity - 1)]
+    return OperadPoint.from_pairs([(n + d, d) for n, d in pairs])  # 1 + n/d
 
 
 def _point_payload(*points) -> list:
@@ -183,8 +186,8 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
     else:
         for _ in range(200):
             arity = rng.randint(2, 4)
-            point = OperadPoint(tuple(
-                Fraction(rng.randint(0, 99), 100) for _ in range(arity - 1)))
+            point = OperadPoint.from_pairs(
+                [(rng.randint(0, 99), 100) for _ in range(arity - 1)])
             verdict = is_zero_map(action_map(point))
             if verdict.is_zero or eval_action(action_map(point), verdict.witness).is_basepoint:
                 failure = {"check": "zero-action-witness",
@@ -508,8 +511,15 @@ def run_coassembly(config: RunConfig, i: int) -> Report:
     )
     if verdict.square:
         report.tables.append(block)
-    # an inconclusive verdict is a result, not a failure
-    report.add_pass(verdict.summary())
+    if verdict.status == "open":
+        corners = ("top_left", "top_right", "bottom_left", "bottom_right")
+        report.add_fail(verdict.summary(),
+                        {"check": "coassembly",
+                         "inputs": {"i": str(i), "p": str(config.p)},
+                         "square": {k: verdict.square[k] for k in corners}})
+    else:
+        # a hypothesis that fails is a result, not a failure
+        report.add_pass(verdict.summary())
     return report
 
 
@@ -537,12 +547,20 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
         if not (isinstance(value, list) and all(isinstance(c, list) for c in listed)):
             raise UsageError(
                 f"replay payload inputs.{key} is not made of coordinate lists")
+
+        def coordinate(c) -> Fraction:
+            # Fraction reads JSON true as 1 and raises on "1/0" or 1e400
+            try:
+                if not isinstance(c, bool):
+                    return Fraction(c)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                pass
+            raise UsageError(f"replay payload inputs.{key} holds {json.dumps(c)}, "
+                             "which is not a rational coordinate")
+
         try:
-            points = [OperadPoint(tuple(Fraction(c) for c in coords))
+            points = [OperadPoint(tuple(coordinate(c) for c in coords))
                       for coords in listed]
-        except TypeError as exc:
-            raise UsageError(
-                f"replay payload inputs.{key} is not made of coordinate lists") from exc
         except DomainError as exc:
             raise UsageError(f"replay payload inputs.{key}: {exc}") from exc
         if slots is not None and len(points) != slots:

@@ -9,8 +9,13 @@ Keeping the trailing zero implicit makes that pinning a property of the
 representation instead of a runtime check.  Each point set is convex; no
 claim about homotopy type is encoded here.
 
-Coordinates are ``fractions.Fraction`` throughout, so every axiom check in
-the test suite is a decidable equality of rationals.
+Points and action maps store their coordinates as integer numerators
+``nums`` over one positive denominator ``den`` in lowest terms,
+``gcd(den, *nums) == 1``, so equal rationals have equal ``(nums, den)`` and
+every axiom check in the test suite is a decidable equality of integers.
+Composition scales to the lcm of the denominators and adds integers; the
+sums need no reduction (see ``compose``).  ``shifts`` and ``shift_vector``
+read the coordinates back as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 
@@ -32,36 +38,78 @@ class DomainError(Exception):
     pass
 
 
-def _as_fraction(x) -> Fraction:
-    return Fraction(x)
+def _over_common_denominator(pairs) -> tuple[tuple[int, ...], int]:
+    """The rationals n/d of the integer pairs (n, d), d > 0, as numerators
+    over one denominator, in lowest terms."""
+    pairs = list(pairs)
+    if any(d < 1 for _, d in pairs):
+        raise DomainError("denominators must be positive")
+    den = lcm(*(d for _, d in pairs))
+    nums = [n * (den // d) for n, d in pairs]
+    g = gcd(den, *nums)
+    return tuple(n // g for n in nums), den // g
 
 
-@dataclass(frozen=True)
-class OperadPoint:
-    """A point of the arity-(len(shifts)+1) operad space."""
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class _Rationals:
+    """An immutable tuple of rationals held as ``nums`` over ``den``."""
 
-    shifts: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+    _field = ""  # the public name of the coordinates, for ``repr``
 
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(_as_fraction(t) for t in self.shifts))
-        for t in self.shifts:
-            if t < 0:
-                raise DomainError(f"negative shift coordinate {t}")
+    def __init__(self, values):
+        nums, den = _over_common_denominator(
+            (f.numerator, f.denominator) for f in map(Fraction, values))
+        self._validate(nums, den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _trusted(cls, nums: tuple[int, ...], den: int):
+        """An instance of coordinates already valid and in lowest terms."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        return self
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={self._fractions()!r})"
+
+
+class OperadPoint(_Rationals):
+    """A point of the arity-(len(shifts)+1) operad space; built from any
+    rationals (ints, strings, Fractions)."""
+
+    __slots__ = ()
+    _field = "shifts"
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "OperadPoint":
+        """The point whose shifts are n/d for the integer pairs (n, d)."""
+        nums, den = _over_common_denominator(pairs)
+        cls._validate(nums, den)
+        return cls._trusted(nums, den)
+
+    @staticmethod
+    def _validate(nums, den):
+        for n in nums:
+            if n < 0:
+                raise DomainError(f"negative shift coordinate {Fraction(n, den)}")
+
+    @property
+    def shifts(self) -> tuple[Fraction, ...]:
+        return self._fractions()
 
     @property
     def arity(self) -> int:
-        return len(self.shifts) + 1
-
-    def padded(self) -> tuple[Fraction, ...]:
-        """All arity coordinates, including the implicit trailing zero."""
-        return self.shifts + (Fraction(0),)
+        return len(self.nums) + 1
 
     def to_json(self) -> str:
         return json.dumps([str(t) for t in self.shifts])
-
-    @classmethod
-    def from_json(cls, text: str) -> "OperadPoint":
-        return cls(tuple(Fraction(s) for s in json.loads(text)))
 
     def __str__(self):
         return "(" + ", ".join(str(t) for t in self.shifts) + ")"
@@ -77,12 +125,21 @@ def compose(outer: OperadPoint, inners: list[OperadPoint]) -> OperadPoint:
     """
     if len(inners) != outer.arity:
         raise ArityMismatch(outer.arity, len(inners))
-    coords = []
-    for t, inner in zip(outer.padded(), inners):
-        coords.extend(t + s for s in inner.padded())
+    den = lcm(outer.den, *[p.den for p in inners])
+    scale = den // outer.den
+    nums = []
+    for t, inner in zip(outer.nums + (0,), inners):
+        t *= scale
+        k = den // inner.den
+        nums.extend([t + k * s for s in inner.nums])
+        nums.append(t)
     # the last slot is t_k + 0 with t_k = 0, so the convention is preserved
-    assert coords[-1] == 0
-    return OperadPoint(tuple(coords[:-1]))
+    nums.pop()
+    # No gcd is needed.  Let q^e exactly divide den.  Either some t_i has
+    # q-part q^e in its denominator, and t_i is itself a slot (t_i plus the
+    # trailing zero of inner i); or some s^i_j has it and t_i a smaller one,
+    # and then t_i + s^i_j has it.  That slot's numerator is prime to q.
+    return OperadPoint._trusted(tuple(nums), den)
 
 
 OPERAD_TAGS = ("O", "A", "Oprime", "Zop")
@@ -100,37 +157,41 @@ def is_member(operad: str, point: OperadPoint) -> bool:
     if operad == "O":
         return True
     if operad in ("A", "Zop"):
-        return all(t == 0 for t in point.shifts)
-    return point.arity == 1 or all(t >= 1 for t in point.shifts)
+        return not any(point.nums)
+    return all(n >= point.den for n in point.nums)
 
 
-@dataclass(frozen=True)
-class SuspensionActionMap:
+class SuspensionActionMap(_Rationals):
     """The map of suspension coordinates induced by an operad point: one
     circle coordinate s goes to (s + t_1, ..., s + t_{n-1}, s), and the
     label is duplicated n times."""
 
-    shift_vector: tuple[Fraction, ...]
+    __slots__ = ()
+    _field = "shift_vector"
 
-    def __post_init__(self):
-        object.__setattr__(self, "shift_vector",
-                           tuple(_as_fraction(t) for t in self.shift_vector))
-        if not self.shift_vector:
+    @staticmethod
+    def _validate(nums, den):
+        if not nums:
             raise DomainError("shift vector must be nonempty")
-        if self.shift_vector[-1] != 0:
+        if nums[-1] != 0:
             raise DomainError("last entry of a shift vector must be 0")
-        for t in self.shift_vector:
-            if t < 0:
-                raise DomainError(f"negative shift entry {t}")
+        for n in nums:
+            if n < 0:
+                raise DomainError(f"negative shift entry {Fraction(n, den)}")
+
+    @property
+    def shift_vector(self) -> tuple[Fraction, ...]:
+        return self._fractions()
 
     @property
     def arity(self) -> int:
-        return len(self.shift_vector)
+        return len(self.nums)
 
 
 def action_map(point: OperadPoint) -> SuspensionActionMap:
     """The suspension-coordinate action of an operad point."""
-    return SuspensionActionMap(point.shifts + (Fraction(0),))
+    # an appended zero keeps the denominator in lowest terms
+    return SuspensionActionMap._trusted(point.nums + (0,), point.den)
 
 
 @dataclass(frozen=True)
@@ -167,12 +228,14 @@ def eval_action(m: SuspensionActionMap, s) -> CubePoint:
     >>> eval_action(SuspensionActionMap((Fraction(1), Fraction(0))), Fraction(1, 3)).is_basepoint
     True
     """
-    s = _as_fraction(s)
-    if not (0 < s < 1):
+    if type(s) is not Fraction:
+        s = Fraction(s)
+    a, b = s.numerator, s.denominator
+    if not 0 < a < b:
         raise DomainError(f"s = {s} not in the open interval (0,1)")
-    coords = tuple(s + t for t in m.shift_vector)
-    if all(0 < c < 1 for c in coords):
-        return CubePoint(coords, m.arity)
+    # s + t > 0 for every shift t >= 0; s + max(t) < 1 decides the rest
+    if max(m.nums) * b < (b - a) * m.den:
+        return CubePoint(tuple(s + Fraction(n, m.den) for n in m.nums), m.arity)
     return CubePoint.basepoint()
 
 
@@ -181,20 +244,26 @@ def compose_action_maps(outer: SuspensionActionMap,
     """Composition of action maps; slot (i, j) shift is outer_i + inner^i_j.
 
     Agrees with ``action_map(compose(...))`` of the underlying operad
-    points, which is the coalgebra-compatibility identity the tests check.
+    points, which is the coalgebra-compatibility identity the tests check;
+    the two share no code, so the check compares independent sums.  The
+    result is in lowest terms for the reason given in ``compose``.
     """
     if len(inners) != outer.arity:
         raise ArityMismatch(outer.arity, len(inners))
-    shifts = []
-    for t, inner in zip(outer.shift_vector, inners):
-        shifts.extend(t + s for s in inner.shift_vector)
-    return SuspensionActionMap(tuple(shifts))
+    den = lcm(outer.den, *[m.den for m in inners])
+    scale = den // outer.den
+    nums = []
+    for t, inner in zip(outer.nums, inners):
+        t *= scale
+        k = den // inner.den
+        nums.extend([t + k * s for s in inner.nums])
+    return SuspensionActionMap._trusted(tuple(nums), den)
 
 
 def nullhomotopy_point(t) -> OperadPoint:
     """The binary point (t) interpolating the strict diagonal (t = 0) and
     the large-shift suboperad (t = 1)."""
-    t = _as_fraction(t)
+    t = Fraction(t)
     if not (0 <= t <= 1):
         raise DomainError(f"nullhomotopy parameter {t} not in [0,1]")
     return OperadPoint((t,))
@@ -214,7 +283,7 @@ def is_zero_map(m: SuspensionActionMap) -> ZeroMapVerdict:
     """
     if m.arity < 2:
         raise DomainError("zero-map criterion applies to arity >= 2 only")
-    top = max(m.shift_vector)
-    if top >= 1:
+    top = max(m.nums)
+    if top >= m.den:
         return ZeroMapVerdict(True, None)
-    return ZeroMapVerdict(False, (1 - top) / 2)
+    return ZeroMapVerdict(False, Fraction(m.den - top, 2 * m.den))

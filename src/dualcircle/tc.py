@@ -525,7 +525,9 @@ def diff_table2(t: Table2) -> list[str]:
 
 @dataclass(frozen=True)
 class CoassemblyVerdict:
-    status: str  # "zero" or "inconclusive"
+    # "zero"; "inconclusive" when a hypothesis fails; "open" when the
+    # hypotheses hold but the assembled square does not close
+    status: str
     degree: int
     failed_hypothesis: str | None
     square: dict[str, str]
@@ -533,6 +535,8 @@ class CoassemblyVerdict:
     def summary(self) -> str:
         if self.status == "zero":
             return f"coassembly is zero on pi_{self.degree}^Q"
+        if self.status == "open":
+            return f"assembled square in degree {self.degree} did not close"
         return f"inconclusive in degree {self.degree}: {self.failed_hypothesis}"
 
 
@@ -584,5 +588,4 @@ def coassembly_conclusion(i: int, p: int, p_regular: bool) -> CoassemblyVerdict:
     if top_right == SymbolicQSpace.rational(1) and bottom_left.is_zero() \
             and not bottom_right.is_zero():
         return CoassemblyVerdict("zero", degree, None, square)
-    return CoassemblyVerdict(
-        "inconclusive", degree, "assembled square did not close", square)
+    return CoassemblyVerdict("open", degree, None, square)

@@ -1,11 +1,18 @@
+import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from dualcircle.abgroups import FGAbGroup
 from dualcircle.cli import main
 from dualcircle.report import RunConfig, UsageError
+
+# sha256 of seeded operad-check output and the report of the bad_compose
+# negative control, frozen from the Fraction-based operad layer
+OPERAD_OUTPUTS = json.loads(
+    (Path(__file__).parent / "data" / "operad_outputs.json").read_text())
 
 
 def run(capsys, *argv):
@@ -25,6 +32,14 @@ class TestOperadVerb:
         _, first = run(capsys, "operad", "check", "--seed", "7", "--format", "json")
         _, second = run(capsys, "operad", "check", "--seed", "7", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("fmt", ["json", "markdown"])
+    def test_seeded_output_matches_the_frozen_digest(self, capsys, fmt):
+        argv = ["operad", "check", "--seed", "42", "--trials", "1000", "--format", fmt]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == OPERAD_OUTPUTS["sha256"][" ".join(argv)]
 
     def test_trials_flag(self, capsys):
         code, out = run(capsys, "operad", "check", "--seed", "1", "--trials", "50",
@@ -196,6 +211,21 @@ class TestTCVerbs:
         assert code == 2
         assert err.count("\n") == 1 and "below 10^5" in err
 
+    def test_coassembly_square_that_does_not_close_fails(self, capsys, monkeypatch):
+        from dualcircle import tc
+        from dualcircle.qspaces import SymbolicQSpace
+
+        monkeypatch.setattr(tc, "k_sphere_rational", lambda n: SymbolicQSpace.zero())
+        code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "5",
+                        "--assume-regular", "--format", "json")
+        assert code == 1
+        failed, = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert failed["name"] == "assembled square in degree 4 did not close"
+        assert failed["payload"]["inputs"] == {"i": "1", "p": "5"}
+        assert set(failed["payload"]["square"]) == {
+            "top_left", "top_right", "bottom_left", "bottom_right"}
+        assert failed["payload"]["square"]["top_right"] == "0"
+
     def test_negative_controls(self, capsys):
         code, out = run(capsys, "tc", "controls", "--p", "3")
         assert code == 0
@@ -347,6 +377,16 @@ class TestReplay:
         assert main(["operad", "check", "--replay", str(path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coordinate", ['"1/0"', "1e400", "true"])
+    def test_replay_coordinate_that_is_not_a_rational(self, tmp_path, capsys,
+                                                       coordinate):
+        path = tmp_path / "payload.json"
+        path.write_text('{"check": "zero-action", "inputs": {"point": [%s]}}'
+                        % coordinate)
+        assert main(["operad", "check", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "inputs.point" in err
+
     @pytest.mark.parametrize("inputs", [{"module": "Z", "weight": 0},
                                         {"module": ["Z"], "weight": 1}])
     def test_replay_hh_payload_with_invalid_inputs(self, tmp_path, capsys, inputs):
@@ -361,18 +401,29 @@ class TestReplay:
         assert main(["operad", "check", "--replay", str(path)]) == 2
 
 
+def bad_compose(outer, inners):
+    from dualcircle.operads import OperadPoint, compose
+
+    good = compose(outer, inners)
+    # wrong addition: doubles every shift
+    return OperadPoint(tuple(2 * t for t in good.shifts))
+
+
 class TestNegativeControlInjection:
     def test_corrupted_compose_fails_with_counterexample(self):
         from dualcircle.checks import run_operad_check
-        from dualcircle.operads import OperadPoint, compose
-
-        def bad_compose(outer, inners):
-            good = compose(outer, inners)
-            # wrong addition: doubles every shift
-            return OperadPoint(tuple(2 * t for t in good.shifts))
 
         report = run_operad_check(RunConfig(seed=42, trials=50), compose_fn=bad_compose)
         assert not report.ok
         failing = [c for c in report.checks if c.status == "fail"]
         assert failing
         assert "inputs" in failing[0].payload
+
+    def test_corrupted_compose_report_is_frozen(self):
+        from dualcircle.checks import run_operad_check
+
+        report = run_operad_check(RunConfig(seed=42, trials=50, fmt="json"),
+                                  compose_fn=bad_compose)
+        frozen = OPERAD_OUTPUTS["bad_compose_seed42_trials50"]
+        assert report.to_json() == json.dumps(
+            frozen, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,10 @@ class TestCompose:
     def test_negative_shift_rejected(self):
         with pytest.raises(DomainError):
             pt(-1)
+        with pytest.raises(DomainError, match="negative shift coordinate -1/2"):
+            OperadPoint.from_pairs([(1, 1), (-2, 4)])
+        with pytest.raises(DomainError, match="denominators must be positive"):
+            OperadPoint.from_pairs([(1, 0)])
 
     @given(points, st.data())
     @settings(max_examples=200, deadline=None)
@@ -178,4 +184,91 @@ class TestSerialization:
     def test_json_roundtrip(self):
         p = pt("3/2", 0, 7)
         assert p.to_json() == '["3/2", "0", "7"]'
-        assert OperadPoint.from_json(p.to_json()) == p
+        assert OperadPoint(tuple(Fraction(s) for s in json.loads(p.to_json()))) == p
+
+
+# Plain-Fraction reference versions of the operations, written from their
+# definitions; they share no code with the integer numerators of operads.py.
+
+def ref_compose(outer, inners):
+    coords = []
+    for t, inner in zip(list(outer) + [Fraction(0)], inners):
+        coords += [t + s for s in list(inner) + [Fraction(0)]]
+    return tuple(coords[:-1])
+
+
+def ref_compose_vectors(outer, inners):
+    return tuple(t + s for t, inner in zip(outer, inners) for s in inner)
+
+
+def ref_eval(vector, s):
+    coords = tuple(s + t for t in vector)
+    return coords if all(0 < c < 1 for c in coords) else None
+
+
+def ref_is_zero(vector):
+    top = max(vector)
+    return (True, None) if top >= 1 else (False, (1 - top) / 2)
+
+
+def assert_canonical(x):
+    assert x.den >= 1
+    assert gcd(x.den, *x.nums) == 1
+
+
+# built from integer pairs, since st.fractions costs most of a test's time
+ratios = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12))
+shift_lists = st.lists(ratios, min_size=0, max_size=3)
+open_unit = st.builds(lambda n, d: Fraction(n, n + d),
+                      st.integers(1, 12), st.integers(1, 12))
+
+
+class TestAgainstFractionReference:
+    @given(shift_lists, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_compose(self, outer, data):
+        inners = [data.draw(shift_lists) for _ in range(len(outer) + 1)]
+        got = compose(OperadPoint(outer), [OperadPoint(s) for s in inners])
+        assert_canonical(got)
+        assert got.shifts == ref_compose(outer, inners)
+
+    @given(shift_lists, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_compose_action_maps(self, outer, data):
+        inners = [data.draw(shift_lists) for _ in range(len(outer) + 1)]
+        vectors = [tuple(s) + (Fraction(0),) for s in [outer] + inners]
+        got = compose_action_maps(SuspensionActionMap(vectors[0]),
+                                  [SuspensionActionMap(v) for v in vectors[1:]])
+        assert_canonical(got)
+        assert got.shift_vector == ref_compose_vectors(vectors[0], vectors[1:])
+
+    @given(shift_lists, open_unit)
+    @settings(max_examples=300, deadline=None)
+    def test_eval_action(self, shifts, s):
+        vector = tuple(shifts) + (Fraction(0),)
+        out = eval_action(SuspensionActionMap(vector), s)
+        expected = ref_eval(vector, s)
+        if expected is None:
+            assert out.is_basepoint
+        else:
+            assert out.coords == expected and out.label_copies == len(vector)
+
+    @given(st.lists(ratios, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_is_zero_map(self, shifts):
+        vector = tuple(shifts) + (Fraction(0),)
+        assert tuple(is_zero_map(SuspensionActionMap(vector))) == ref_is_zero(vector)
+
+    @given(shift_lists, st.lists(st.integers(1, 6), min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_shifts_give_equal_points(self, shifts, scales):
+        p = OperadPoint(shifts)
+        assert_canonical(p)
+        assert p.shifts == tuple(shifts)
+        scaled = [(f.numerator * k, f.denominator * k)
+                  for f, k in zip(shifts, scales)]
+        for q in (OperadPoint([str(f) for f in shifts]),
+                  OperadPoint.from_pairs(scaled)):
+            assert_canonical(q)
+            assert q == p and hash(q) == hash(p)
+        assert_canonical(action_map(p))
