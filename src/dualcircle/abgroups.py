@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .matrices import IntMatrix, cokernel_invariants, kernel_basis
+from .matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
 from .primes import factorint, gcd_many
 
 
@@ -461,75 +461,72 @@ def homology_at(complex_: ChainComplex, degree: int) -> FGAbGroup:
     )
 
 
-def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
+def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
+                         d_in: IntMatrix | SparseMatrix | None,
                          orders_here, orders_below) -> FGAbGroup:
     """Homology at the middle of A -> B -> C where the groups are direct
     sums of cyclic groups (order 0 meaning Z), B is described by
     ``orders_here``, C by ``orders_below``, and the maps are given by
-    integer matrices on generators.
+    integer matrices on generators, dense or sparse.
 
     In the generator lattice Z^n of B, the kernel K of B -> C is spanned by
     the columns of P (n x r), the B-rows of a kernel basis of
-    [d_out | -diag(orders_below)].  What must die, L, is spanned by the
-    columns of Q: those of d_in and B's relations.  Then H = K / L is
-    Z^r / {a : P a in L}, and that lattice is spanned by the top r rows of
-    a kernel basis of [P | -Q].
+    [d_out | diag(orders_below)] (columns of order 0 add nothing, so they
+    are left out and P has no zero column).  What must die, L, is spanned
+    by the columns of Q: those of d_in and B's relations.  Then H = K / L
+    is Z^r / {a : P a in L}, and that lattice is spanned by the top r rows
+    of a kernel basis of [P | Q]; when K is all of B it is L itself.  The
+    signs of the appended columns do not change these projections.  Every
+    step stays on sparse columns.
     """
     orders_here = list(orders_here)
     n_b = len(orders_here)
     if n_b == 0:
         return FGAbGroup.zero()
-    if d_out is not None and (d_out.rows == 0 or d_out.is_zero()):
-        d_out = None
-    if d_out is not None:
-        if d_out.cols != n_b:
+    out = None if d_out is None else SparseMatrix.of(d_out)
+    if out is not None and (out.rows == 0 or out.is_zero()):
+        out = None
+    if out is not None:
+        if out.cols != n_b:
             raise StructuralError("outgoing boundary has wrong width")
         orders_below = list(orders_below)
-        if d_out.rows != len(orders_below):
+        if out.rows != len(orders_below):
             raise StructuralError("outgoing boundary has wrong height")
 
     # generators of what must die: the image of A, plus B's relations
-    killed_cols: list[tuple[int, ...]] = []
+    killed: list[dict[int, int]] = []
     if d_in is not None and d_in.cols:
         if d_in.rows != n_b:
             raise StructuralError("incoming boundary has wrong height")
-        killed_cols.extend(d_in.column(j) for j in range(d_in.cols))
-    for i, o in enumerate(orders_here):
-        if o != 0:
-            killed_cols.append(tuple(o if k == i else 0 for k in range(n_b)))
+        killed.extend(col for col in SparseMatrix.of(d_in).columns if col)
+    killed.extend({i: o} for i, o in enumerate(orders_here) if o)
 
-    if d_out is None:
-        p_rows = IntMatrix.identity(n_b).entries
+    if out is None:
+        r, relations = n_b, killed
     else:
-        if not _lands_in_relations(d_out, killed_cols, orders_below):
+        if not _lands_in_relations(out, killed, orders_below):
             raise StructuralError(
                 "relations or incoming image do not land in the kernel "
                 "(input is not a complex)")
-        n_c = d_out.rows
-        block = IntMatrix(n_c, n_b + n_c, tuple(
-            row + tuple(-c if j == i else 0 for j in range(n_c))
-            for i, (row, c) in enumerate(zip(d_out.entries, orders_below))))
-        p_rows = kernel_basis(block).entries[:n_b]
-    r = len(p_rows[0])
-    relations = kernel_basis(IntMatrix(n_b, r + len(killed_cols), tuple(
-        p_row + tuple(-col[i] for col in killed_cols)
-        for i, p_row in enumerate(p_rows))))
-    free, torsion = cokernel_invariants(
-        IntMatrix(r, relations.cols, relations.entries[:r]))
+        block = out.columns + tuple({i: o} for i, o in enumerate(orders_below) if o)
+        p = [{k: x for k, x in col.items() if k < n_b}
+             for col in kernel_basis(SparseMatrix(out.rows, block)).columns]
+        r = len(p)
+        relations = [{k: x for k, x in col.items() if k < r}
+                     for col in kernel_basis(SparseMatrix(n_b, tuple(p + killed))).columns]
+    free, torsion = cokernel_invariants(SparseMatrix(r, tuple(relations)))
     return FGAbGroup(free, tuple(torsion))
 
 
-def _lands_in_relations(d_out: IntMatrix, cols, orders_below) -> bool:
-    """Whether d_out sends every column into the relations of C, that is
-    to a multiple of orders_below[i] in each row i (0 in rows of order 0).
-    Each column is applied through its nonzero entries only."""
-    nonzero = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*d_out.entries)]
+def _lands_in_relations(d_out: SparseMatrix, cols, orders_below) -> bool:
+    """Whether d_out sends every sparse column into the relations of C,
+    that is to a multiple of orders_below[i] in each row i (0 in rows of
+    order 0)."""
     for col in cols:
         image: dict[int, int] = {}
-        for j, x in enumerate(col):
-            if x:
-                for i, y in nonzero[j]:
-                    image[i] = image.get(i, 0) + x * y
+        for j, x in col.items():
+            for i, y in d_out.columns[j].items():
+                image[i] = image.get(i, 0) + x * y
         for i, v in image.items():
             c = orders_below[i]
             if (v % c if c else v) != 0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -539,6 +540,17 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     def need(key):
         return _lookup(payload, "inputs", key, source="replay payload")
 
+    def need_int(key, as_text=False) -> int:
+        """inputs.key as a JSON integer, not a boolean; with ``as_text``
+        also as the decimal text that the tc payloads write."""
+        value = need(key)
+        if as_text and isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise UsageError(f"replay payload inputs.{key} holds {json.dumps(value)}, "
+                         "which is not an integer")
+
     def parse_points(key, single=False, slots=None) -> list[OperadPoint]:
         """The points at inputs.key; ``slots`` is how many of them the
         composite needs, if it is fixed."""
@@ -601,7 +613,7 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
         (report.add_pass if ok else report.add_fail)("zero-action replay", payload)
     elif check == "hh-weight":
         name = need("module")
-        w = int(need("weight"))
+        w = need_int("weight")
         if not isinstance(name, str) or w < 1:
             raise UsageError("replay payload inputs needs a module name and "
                              "a weight of at least 1")
@@ -618,6 +630,11 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     elif check in ("table1", "table2"):
         sub = run_tc_table1(config) if check == "table1" else run_tc_table2(config)
         report.checks.extend(sub.checks)
+    elif check == "coassembly":
+        # the payload's i and p; the regularity options come from the command
+        i = need_int("i", as_text=True)
+        config.p = need_int("p", as_text=True)
+        report.checks.extend(run_coassembly(config, i).checks)
     else:
         raise UsageError(f"replay does not understand check {check!r}")
     return report

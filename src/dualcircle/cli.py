@@ -8,6 +8,7 @@ Verbs:
     dualcircle tc table2      --p P [--no-truncate]
     dualcircle tc check-fr    --p P --n N
     dualcircle tc coassembly  --i I --p P [--assume-regular] [--check-regularity]
+                              [--replay FILE]
     dualcircle tc controls    --p P
 
 Global options on every verb: --format {markdown,json,csv}, --config FILE.
@@ -83,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--assume-regular", action="store_true")
     co.add_argument("--check-regularity", action="store_true",
                     help="decide regularity from Bernoulli numerators (p < 10^5)")
+    co.add_argument("--replay", default=None,
+                    help="JSON failure payload to re-run; its i and p replace --i and --p")
     _add_common(co)
 
     ct = tc_sub.add_parser("controls", help="negative controls")

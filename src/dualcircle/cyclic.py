@@ -44,7 +44,7 @@ from .abgroups import (
     graded_from_fg,
     homology_with_orders,
 )
-from .matrices import IntMatrix
+from .matrices import IntMatrix, SparseMatrix
 
 
 class UnsupportedModule(Exception):
@@ -369,11 +369,9 @@ class NormalizedHochschild:
 
         def matrix_for(src, dst):
             dst_pos = {cell: r for r, cell in enumerate(dst)}
-            rows = [[0] * len(src) for _ in range(len(dst))]
-            for col, c in enumerate(src):
-                for face, sign in self._boundary(len(c.tail), c):
-                    rows[dst_pos[face]][col] = sign
-            return IntMatrix.from_rows(rows) if dst else IntMatrix.zero(0, len(src))
+            return SparseMatrix(len(dst), tuple(
+                {dst_pos[face]: sign for face, sign in self._boundary(len(c.tail), c)}
+                for c in src))
 
         return homology_with_orders(
             matrix_for(here, below), matrix_for(above, here),

@@ -1,14 +1,21 @@
 """Exact integer matrices and Smith normal form.
 
 All entries are Python ints, so torsion coefficients like p**37 cost
-nothing but digits.  The Smith routine tracks the unimodular change of
-basis on both sides, which is what the kernel, cokernel, image-lattice and
-integral-solve helpers below need.
+nothing but digits.  One sparse elimination core (``_eliminate``) serves
+the kernel, cokernel and Smith routines: it row-reduces a list of sparse
+rows, optionally mirroring its operations on transform rows.  The kernel
+of m is read off the left transform of m's transpose, the cokernel
+tracks no transform, and the Smith routine tracks both sides.  A matrix
+may be given densely (``IntMatrix``) or by sparse columns
+(``SparseMatrix``); the kernel and cokernel helpers answer in the form
+they were given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,40 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A rows x len(columns) integer matrix kept by columns: ``columns[j]``
+    maps the row of each nonzero entry of column j to that entry.
+
+    Columns are the form elimination wants: the kernel of m is computed
+    on the rows of m's transpose, and a block [A | B] is the concatenation
+    of the column tuples.  The dicts are never mutated.
+    """
+
+    rows: int
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @classmethod
+    def of(cls, m: "IntMatrix | SparseMatrix") -> "SparseMatrix":
+        if isinstance(m, SparseMatrix):
+            return m
+        if m.rows == 0:  # no entries to read the columns from
+            return cls(0, ({},) * m.cols)
+        return cls(m.rows, tuple({i: x for i, x in enumerate(col) if x}
+                                 for col in zip(*m.entries)))
+
+    def dense(self) -> IntMatrix:
+        return IntMatrix(self.rows, self.cols, tuple(
+            tuple(col.get(i, 0) for col in self.columns) for i in range(self.rows)))
+
+    def is_zero(self) -> bool:
+        return not any(self.columns)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
     x, nx = 1, 0
@@ -93,73 +134,154 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class _Worker:
-    """Mutable scratch state for the Smith reduction.
+def _nearest_quotient(x: int, a: int) -> int:
+    """q with |x - q*a| <= |a|/2, so Euclid's steps shrink fast."""
+    q, r = divmod(x, a)
+    return q + 1 if 2 * abs(r) > abs(a) else q
 
-    Maintains A = U M V with U, V unimodular by mirroring every elementary
-    operation.
+
+def _subtract(dst: dict, src: dict, q: int) -> None:
+    """dst -= q * src on sparse vectors, dropping entries that cancel."""
+    if not q:
+        return
+    for c, v in src.items():
+        x = dst.get(c, 0) - q * v
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
+
+
+def _eliminate(rows: list[dict], left: list[dict] | None = None,
+               right: list[dict] | None = None,
+               split: bool = False) -> list[tuple[int, int]]:
+    """Reduce ``rows`` in place by unimodular row operations and return
+    the pivots (row, column) in the order they were fixed.  Each row is a
+    dict from column to nonzero entry; rows that are not pivot rows end
+    empty.  Every row operation is repeated on ``left`` when given.
+
+    Pivot order: the next pivot row is a shortest row among those holding
+    an entry of least absolute value (a unit whenever one is left), and
+    its pivot is such an entry in the column with fewest entries, so it
+    has the least Markowitz cost (r - 1)(c - 1) in its row.  Rows wait in
+    a heap keyed by (least absolute entry, length), and a column -> rows
+    index follows every fill-in and cancellation, so no step rescans the
+    matrix.  A pivot that does not divide its column is replaced by the
+    least remainder, as in Euclid's algorithm, until the column is clear.
+
+    Without ``split`` the result is an echelon form: a pivot's column is
+    empty in every row fixed after it, so the pivot rows are independent.
+    With ``split`` each pivot row is also cleared by column operations,
+    repeated on the rows of ``right`` (the transpose of the right
+    transform).  Those touch the pivot row alone, because its column has
+    just been cleared; a remainder that the pivot does not divide becomes
+    the next pivot of the same row.  Every pivot row then ends holding its
+    pivot alone, so the matrix is diagonal up to the order of rows and
+    columns.
     """
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c in where:
+                where[c].add(i)
+            else:
+                where[c] = {i}
+    key: list[tuple[int, int] | None] = [
+        (min(map(abs, row.values())), len(row)) if row else None for row in rows]
+    heap = [(k[0], k[1], i) for i, k in enumerate(key) if k is not None]
+    heapify(heap)
 
-    def __init__(self, m: IntMatrix):
-        self.r = m.rows
-        self.c = m.cols
-        self.a = [list(row) for row in m.entries]
-        self.u = [[1 if i == j else 0 for j in range(self.r)] for i in range(self.r)]
-        self.v = [[1 if i == j else 0 for j in range(self.c)] for i in range(self.c)]
+    def reduce_row(k: int, i: int, q: int) -> None:
+        """rows[k] -= q * rows[i], keeping the index and the heap current."""
+        dst = rows[k]
+        for c, v in rows[i].items():
+            x = dst.get(c)
+            if x is None:
+                dst[c] = -q * v
+                where[c].add(k)
+            else:
+                x -= q * v
+                if x:
+                    dst[c] = x
+                else:
+                    del dst[c]
+                    where[c].discard(k)
+        if left is not None:
+            _subtract(left[k], left[i], q)
+        if dst:
+            key[k] = new = (min(map(abs, dst.values())), len(dst))
+            heappush(heap, (new[0], new[1], k))
+        else:
+            key[k] = None
 
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
+    pivots = []
+    while heap:
+        least, length, i = heappop(heap)
+        if key[i] != (least, length):
+            continue  # a stale entry: the row changed or was fixed since
+        row = rows[i]
+        j, fewest = None, len(rows) + 1
+        for c, v in row.items():
+            if (v == least or v == -least) and len(where[c]) < fewest:
+                j, fewest = c, len(where[c])
+        while True:
+            # clear column j with pivot (i, j), Euclid-style
+            while True:
+                a = row[j]
+                others = [k for k in where[j] if k != i]
+                if not others:
+                    break
+                unit = a == 1 or a == -1
+                for k in others:
+                    x = rows[k][j]
+                    q = x * a if unit else _nearest_quotient(x, a)
+                    if q:
+                        reduce_row(k, i, q)
+                others = [k for k in where[j] if k != i]
+                if not others:
+                    break
+                i = min(others, key=lambda k: (abs(rows[k][j]), len(rows[k])))
+                row = rows[i]
+            if not split or len(row) == 1:
+                break
+            a = row[j]
+            for c in [c for c in row if c != j]:
+                q = _nearest_quotient(row[c], a)
+                if q:
+                    x = row[c] - q * a
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+                        where[c].discard(i)
+                    if right is not None:
+                        _subtract(right[c], right[j], q)
+            if len(row) == 1:
+                break
+            j = min((c for c in row if c != j), key=lambda c: abs(row[c]))
+        for c in row:
+            where[c].discard(i)
+        del where[j]
+        key[i] = None
+        pivots.append((i, j))
+    return pivots
 
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
 
-    def add_row(self, dst, src, q):
-        """row_dst += q * row_src"""
-        if q == 0:
-            return
-        self.a[dst] = [x + q * y for x, y in zip(self.a[dst], self.a[src])]
-        self.u[dst] = [x + q * y for x, y in zip(self.u[dst], self.u[src])]
-
-    def add_col(self, dst, src, q):
-        """col_dst += q * col_src"""
-        if q == 0:
-            return
-        for row in self.a:
-            row[dst] += q * row[src]
-        for row in self.v:
-            row[dst] += q * row[src]
-
-    def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-
-    def combine_rows(self, i, j, x, y, s, t):
-        """(row_i, row_j) <- (x*row_i + y*row_j, s*row_i + t*row_j), det must be +-1."""
-        ai, aj = self.a[i], self.a[j]
-        self.a[i] = [x * p + y * q for p, q in zip(ai, aj)]
-        self.a[j] = [s * p + t * q for p, q in zip(ai, aj)]
-        ui, uj = self.u[i], self.u[j]
-        self.u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-        self.u[j] = [s * p + t * q for p, q in zip(ui, uj)]
-
-    def combine_cols(self, i, j, x, y, s, t):
-        """(col_i, col_j) <- (x*col_i + y*col_j, s*col_i + t*col_j), det +-1."""
-        for row in self.a:
-            p, q = row[i], row[j]
-            row[i] = x * p + y * q
-            row[j] = s * p + t * q
-        for row in self.v:
-            p, q = row[i], row[j]
-            row[i] = x * p + y * q
-            row[j] = s * p + t * q
+def _divisibility_chain(diag: list[int], mix=None) -> list[int]:
+    """Make positive diagonal entries a chain d_1 | d_2 | ... in place by
+    replacing pairs (a, b) with (gcd, lcm); ``mix(s, t, a, b)`` is told of
+    each replacement so a caller can follow it in its transforms."""
+    if all(b % a == 0 for a, b in zip(diag, diag[1:])):
+        return diag
+    for s in range(len(diag)):
+        for t in range(s + 1, len(diag)):
+            a, b = diag[s], diag[t]
+            if b % a:
+                if mix is not None:
+                    mix(s, t, a, b)
+                g = gcd(a, b)
+                diag[s], diag[t] = g, a // g * b
+    return diag
 
 
 @dataclass(frozen=True)
@@ -180,112 +302,80 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """U m V = D with U, V unimodular, D diagonal, nonnegative,
     and d_i | d_{i+1}.
 
+    The split elimination leaves one pivot per nonzero row; moving those
+    rows and columns to the front in order of size and mixing pairs that
+    break the divisibility chain finishes D.
+
     >>> d = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).d
     >>> d.diagonal_entries()
     [2, 4]
     """
-    w = _Worker(m)
-    r, c = w.r, w.c
+    r, c = m.rows, m.cols
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    u = [{i: 1} for i in range(r)]
+    vt = [{j: 1} for j in range(c)]  # the rows of V transposed
+    pivots = sorted(_eliminate(rows, u, vt, split=True),
+                    key=lambda p: abs(rows[p[0]][p[1]]))
+    pivot_rows = {i for i, _ in pivots}
+    pivot_cols = {j for _, j in pivots}
+    u = [u[i] for i, _ in pivots] + [u[i] for i in range(r) if i not in pivot_rows]
+    vt = [vt[j] for _, j in pivots] + [vt[j] for j in range(c) if j not in pivot_cols]
+    diag = []
+    for t, (i, j) in enumerate(pivots):
+        d = rows[i][j]
+        if d < 0:
+            u[t] = {k: -x for k, x in u[t].items()}
+        diag.append(abs(d))
 
-    def find_pivot(t):
-        best = None
-        for i in range(t, r):
-            row = w.a[i]
-            for j in range(t, c):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if abs(x) == 1:
-                        return best
-        return best
+    def mix(s, t, a, b):
+        # diag(a, b) -> diag(g, lcm): col s += col t, a unimodular mix of
+        # rows s and t, then col t -= (y b / g) col s
+        g, x, y = _xgcd(a, b)
+        _subtract(vt[s], vt[t], -1)
+        us, ut = u[s], u[t]
+        u[s] = _combination(us, x, ut, y)
+        u[t] = _combination(us, -(b // g), ut, a // g)
+        _subtract(vt[t], vt[s], y * b // g)
 
-    t = 0
-    while True:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        w.swap_rows(t, pi)
-        w.swap_cols(t, pj)
-        # clear row and column t; gcd steps may refill, so loop
-        while True:
-            a_tt = w.a[t][t]
-            dirty = False
-            for i in range(t + 1, r):
-                x = w.a[i][t]
-                if x == 0:
-                    continue
-                if x % a_tt == 0:
-                    w.add_row(i, t, -(x // a_tt))
-                else:
-                    g, alpha, beta = _xgcd(a_tt, x)
-                    w.combine_rows(t, i, alpha, beta, -(x // g), a_tt // g)
-                    dirty = True
-                a_tt = w.a[t][t]
-            for j in range(t + 1, c):
-                x = w.a[t][j]
-                if x == 0:
-                    continue
-                if x % a_tt == 0:
-                    w.add_col(j, t, -(x // a_tt))
-                else:
-                    g, alpha, beta = _xgcd(a_tt, x)
-                    w.combine_cols(t, j, alpha, beta, -(x // g), a_tt // g)
-                    dirty = True
-                a_tt = w.a[t][t]
-            if not dirty and all(w.a[i][t] == 0 for i in range(t + 1, r)):
-                break
-        if w.a[t][t] < 0:
-            w.negate_row(t)
-        t += 1
-        if t >= min(r, c):
-            break
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    k = min(r, c)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = w.a[i][i], w.a[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                changed = True
-                # diag(a, b) ~ diag(gcd, lcm) via one column mix and a re-clear
-                w.add_col(i, i + 1, 1)
-                g, alpha, beta = _xgcd(a, b)
-                w.combine_rows(i, i + 1, alpha, beta, -(b // g), a // g)
-                # now row i+1 and column i need cleaning in the 2x2 block
-                x = w.a[i + 1][i]
-                if x != 0:
-                    w.add_row(i + 1, i, -(x // w.a[i][i]))
-                x = w.a[i][i + 1]
-                if x != 0:
-                    w.add_col(i + 1, i, -(x // w.a[i][i]))
-                if w.a[i][i] < 0:
-                    w.negate_row(i)
-                if w.a[i + 1][i + 1] < 0:
-                    w.negate_row(i + 1)
-
-    # the entries are ints already, so skip from_rows' per-entry int()
+    _divisibility_chain(diag, mix)
     return SmithDecomposition(
-        d=IntMatrix(r, c, tuple(map(tuple, w.a))),
-        u=IntMatrix(r, r, tuple(map(tuple, w.u))),
-        v=IntMatrix(c, c, tuple(map(tuple, w.v))),
+        d=IntMatrix.diagonal(diag, r, c),
+        u=IntMatrix(r, r, tuple(tuple(row.get(k, 0) for k in range(r)) for row in u)),
+        v=IntMatrix(c, c, tuple(tuple(col.get(k, 0) for col in vt) for k in range(c))),
     )
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice of m."""
-    snf = smith_normal_form(m)
-    rank = snf.rank
-    return IntMatrix(m.cols, m.cols - rank, tuple(row[rank:] for row in snf.v.entries))
+def _combination(p: dict, x: int, q: dict, y: int) -> dict:
+    """x * p + y * q on sparse vectors."""
+    out = {k: x * v for k, v in p.items()} if x else {}
+    _subtract(out, q, -y)
+    return out
 
 
-def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
+def kernel_basis(m: IntMatrix | SparseMatrix) -> IntMatrix | SparseMatrix:
+    """Columns form a basis of the integer kernel lattice of m, in the form
+    m was given.
+
+    The rows of m's transpose are brought to echelon form; a unimodular
+    left transform T has T m^T = E, and the rows of T whose rows of E
+    ended zero span exactly the vectors x with m x = 0.
+    """
+    cols = SparseMatrix.of(m).columns
+    rows = [dict(col) for col in cols]
+    left = [{t: 1} for t in range(len(rows))]
+    fixed = {i for i, _ in _eliminate(rows, left)}
+    kernel = SparseMatrix(len(rows), tuple(
+        left[t] for t in range(len(rows)) if t not in fixed))
+    return kernel if isinstance(m, SparseMatrix) else kernel.dense()
+
+
+def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:
     """(free rank, invariant factors >= 2) of Z^rows / im(m)."""
-    snf = smith_normal_form(m)
-    torsion = [d for d in snf.invariant_factors() if d >= 2]
-    return m.rows - snf.rank, torsion
+    sparse = SparseMatrix.of(m)
+    rows = [dict(col) for col in sparse.columns]  # m^T: same invariants
+    diag = [abs(rows[i][j]) for i, j in _eliminate(rows, split=True)]
+    chain = _divisibility_chain(sorted(d for d in diag if d != 1))
+    return sparse.rows - len(diag), [d for d in chain if d != 1]
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:

@@ -395,6 +395,53 @@ class TestReplay:
         assert main(["hh", "verify", "--replay", str(path)]) == 2
         assert "weight of at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["true", "1.9"])
+    def test_replay_hh_weight_that_is_not_an_integer(self, tmp_path, capsys, weight):
+        path = tmp_path / "payload.json"
+        path.write_text('{"check": "hh-weight", "inputs": {"module": "Z", "weight": %s}}'
+                        % weight)
+        assert main(["hh", "verify", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "inputs.weight" in err
+
+    def test_replay_coassembly_square_that_does_not_close(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from dualcircle import tc
+        from dualcircle.qspaces import SymbolicQSpace
+
+        monkeypatch.setattr(tc, "k_sphere_rational", lambda n: SymbolicQSpace.zero())
+        argv = ["tc", "coassembly", "--i", "1", "--p", "5", "--assume-regular",
+                "--format", "json"]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        failed, = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(failed["payload"]))
+        # the payload's i and p win over the command's
+        code, out = run(capsys, "tc", "coassembly", "--i", "2", "--p", "7",
+                        "--assume-regular", "--format", "json", "--replay", str(path))
+        assert code == 1
+        replayed, = json.loads(out)["checks"]
+        assert replayed["status"] == "fail"
+        assert replayed["name"] == "assembled square in degree 4 did not close"
+        assert replayed["payload"] == failed["payload"]
+
+    @pytest.mark.parametrize("inputs, message", [
+        ({"i": "1", "p": "4"}, "not prime"),
+        ({"i": "1", "p": 5.0}, "inputs.p"),
+        ({"i": True, "p": "5"}, "inputs.i"),
+        ({"i": "one", "p": "5"}, "inputs.i"),
+        ({"i": "0", "p": "5"}, "at least 1"),
+    ])
+    def test_replay_coassembly_with_invalid_inputs(self, tmp_path, capsys,
+                                                   inputs, message):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "coassembly", "inputs": inputs}))
+        assert main(["tc", "coassembly", "--i", "1", "--p", "5",
+                     "--assume-regular", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_replay_unknown_check(self, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps({"check": "nonsense"}))

@@ -192,6 +192,17 @@ class TestOrbitKernel:
             assert weight_homology_fg(int(w), m) == expected, w
             assert cell_weight_homology_fg(int(w), m) == expected, w
 
+    def test_oracle_reproduces_the_frozen_weight_six(self):
+        frozen = json.loads(ORACLE_WEIGHTS_6_7.read_text())
+        m = GradedModule(tuple(tuple(g) for g in frozen["module"]))
+        expected = {int(t): FGAbGroup(g["free_rank"], tuple(g["torsion"]))
+                    for t, g in frozen["weights"]["6"].items()}
+        degrees = [d for d, _ in m.generators]
+        oracle = NormalizedHochschild(m, max_level=6)
+        got = {t: oracle.homology(t, weight=6)
+               for t in range(6 * min(degrees) + 5, 6 * max(degrees) + 7)}
+        assert {t: h for t, h in got.items() if not h.is_trivial()} == expected
+
     def test_orbit_count_is_the_necklace_count(self):
         def phi(d):
             return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)

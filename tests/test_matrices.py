@@ -1,4 +1,5 @@
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from dualcircle.matrices import (
     IntMatrix,
     NoIntegralSolution,
+    SparseMatrix,
     cokernel_invariants,
     image_lattice_basis,
     kernel_basis,
@@ -20,6 +22,11 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
             min_size=r, max_size=r)))
 
+matrices_up_to_5 = st.integers(min_value=1, max_value=5).flatmap(
+    lambda r: st.integers(min_value=1, max_value=5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
 
 def det(m: IntMatrix) -> int:
     n = m.rows
@@ -152,3 +159,47 @@ class TestLatticeHelpers:
             k = kernel_basis(m)
             for j in range(k.cols):
                 assert m.apply(k.column(j)) == (0,) * r
+
+
+def laplace_det(rows) -> int:
+    """Determinant by cofactor expansion along the first row: no pivots,
+    no division, nothing shared with elimination."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def determinantal_divisors(rows) -> list[int]:
+    """D_k = gcd of all k x k minors, for k = 1 .. min(rows, cols)."""
+    r, c = len(rows), len(rows[0])
+    return [gcd(*(laplace_det([[rows[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(r), k) for cs in combinations(range(c), k)))
+            for k in range(1, min(r, c) + 1)]
+
+
+class TestAgainstDeterminantalDivisors:
+    """The invariant factors satisfy d_1 ... d_k = D_k, the gcd of the k x k
+    minors (Newman, Integral Matrices, 1972), so rank and factors are
+    checked against a characterisation that uses no elimination."""
+
+    @given(matrices_up_to_5)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_invariant_factors_rank_and_kernel(self, rows):
+        m = IntMatrix.from_rows(rows)
+        divisors = determinantal_divisors(rows)
+        rank = sum(1 for d in divisors if d)
+        snf_factors = smith_normal_form(m).invariant_factors()
+        for form in (m, SparseMatrix.of(m)):
+            free, torsion = cokernel_invariants(form)
+            assert free == m.rows - rank
+            coker_factors = [1] * (rank - len(torsion)) + torsion
+            for factors in (snf_factors, coker_factors):
+                assert len(factors) == rank
+                for k in range(1, rank + 1):
+                    assert prod(factors[:k]) == divisors[k - 1], (k, factors, divisors)
+        k = kernel_basis(m)
+        assert k.cols == m.cols - rank
+        assert m.mul(k).is_zero()
+        # saturated: Z^cols / (kernel lattice) has no torsion
+        assert cokernel_invariants(k) == (m.cols - k.cols, [])

@@ -25,7 +25,12 @@ def pt(*coords):
     return OperadPoint(tuple(Fraction(c) for c in coords))
 
 
-rationals = st.fractions(min_value=0, max_value=4, max_denominator=8)
+# n/d with d in 1..8 and n in 0..4d: the rationals in [0, 4] with
+# denominator at most 8, the set st.fractions(min_value=0, max_value=4,
+# max_denominator=8) covers.  Built from integers, since drawing
+# st.fractions took most of these tests' time.
+rationals = st.builds(lambda n, d: Fraction(n % (4 * d + 1), d),
+                      st.integers(0, 32), st.integers(1, 8))
 points = st.lists(rationals, min_size=0, max_size=3).map(lambda c: OperadPoint(tuple(c)))
 
 
