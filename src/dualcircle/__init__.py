@@ -3,7 +3,7 @@ cyclic homology, and the homology / rational-homotopy tables of the dual
 circle."""
 
 from .abgroups import FGAbGroup, GradedGroup, GroupExpr
-from .cyclic import GradedModule, thh_homology_square_zero, weight_homology
+from .cyclic import GradedModule, thh_homology_square_zero
 from .operads import OperadPoint, compose, is_member
 from .qspaces import SymbolicQSpace, bousfield_pi_q, ext_pinf_q
 from .tc import coassembly_conclusion, e_homology, table1, table2
@@ -24,7 +24,6 @@ __all__ = [
     "table1",
     "table2",
     "thh_homology_square_zero",
-    "weight_homology",
 ]
 
 __version__ = "0.1.0"

@@ -2,11 +2,18 @@
 and the long-exact-sequence fiber solver.
 
 Two value layers live here.  ``FGAbGroup`` is the exact invariant-factor
-form produced by Smith normal form.  ``GroupExpr`` is a formal finite
+form that homology computations return.  ``GroupExpr`` is a formal finite
 multiset over a fixed alphabet of atoms that also includes three countable
 shapes: a countable free sum, the tower ``(+)_{k>=0} Z/p^k``, and a
-countable sum of such towers.  Those three atoms are exactly what the
-homology tables downstream need; anything else is refused loudly.
+countable sum of such towers (reached as the ``countable_sum`` of a tower).
+Those three atoms are exactly what the homology tables downstream need;
+anything else is refused loudly.  ``from_fg`` turns a computed group into
+an expression; nothing converts back.
+
+A ``GradedGroup`` holds finitely many nonzero degrees and the range in
+which its values are certified.  ``les_fiber`` assembles the fiber of a
+map of graded groups from one ``MapDescriptor`` per degree, of which there
+are two kinds: the zero map and the transfer row ``row_powers``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
-from .primes import factorint, gcd_many
+from .primes import factorint
 
 
 class StructuralError(Exception):
@@ -147,9 +154,8 @@ class GroupExpr:
     Atoms are (kind, parameter, multiplicity) with cyclic parts split into
     prime powers, so on finitely generated expressions equality of normal
     forms is isomorphism.  Countable atoms are tracked formally: a finite
-    free part next to a countable free one stays distinct unless absorbed
-    explicitly (``absorb_free``), mirroring how the tables display their
-    entries.
+    free part next to a countable free one stays distinct, mirroring how
+    the tables display their entries.
     """
 
     atoms: tuple[tuple[str, int | None, int], ...] = ()
@@ -213,10 +219,6 @@ class GroupExpr:
         return cls._make([(_TORSION_TOWER, p, 1)])
 
     @classmethod
-    def countable_tower_sum(cls, p: int) -> "GroupExpr":
-        return cls._make([(_COUNTABLE_TOWER_SUM, p, 1)])
-
-    @classmethod
     def from_fg(cls, g: FGAbGroup) -> "GroupExpr":
         raw = [(_Z, None, g.free_rank)]
         raw += [(_ZMOD, d, 1) for d in g.torsion]
@@ -243,35 +245,8 @@ class GroupExpr:
                     f"countable sum of {kind} atoms has no representation here")
         return GroupExpr._make(raw)
 
-    def absorb_free(self) -> "GroupExpr":
-        """Fold finite Z-multiplicities into a countable free atom, if present."""
-        if not self.has_atom(_COUNTABLE_FREE):
-            return self
-        raw = [a for a in self.atoms if a[0] != _Z]
-        return GroupExpr._make(raw)
-
-    def has_atom(self, kind: str) -> bool:
-        return any(a[0] == kind for a in self.atoms)
-
-    def multiplicity(self, kind: str, param: int | None = None) -> int:
-        for k, q, mult in self.atoms:
-            if k == kind and q == param:
-                return mult
-        return 0
-
     def is_zero(self) -> bool:
         return not self.atoms
-
-    def is_finitely_generated(self) -> bool:
-        return all(a[0] in (_Z, _ZMOD) for a in self.atoms)
-
-    def to_fg(self) -> FGAbGroup:
-        if not self.is_finitely_generated():
-            raise StructuralError("expression contains countable atoms")
-        orders = []
-        for kind, param, mult in self.atoms:
-            orders += [0 if kind == _Z else param] * mult
-        return FGAbGroup.from_orders(orders)
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -304,26 +279,6 @@ class GroupExpr:
 # graded groups
 
 
-@dataclass(frozen=True)
-class PeriodicTail:
-    """Eventually periodic values: for degree d >= start, the value applies
-    when (d - offset) % period == 0, and the group is zero at the other
-    degrees beyond the explicit support."""
-
-    start: int
-    period: int
-    offset: int
-    value: GroupExpr
-
-    def applies(self, degree: int) -> bool:
-        return degree >= self.start
-
-    def at(self, degree: int) -> GroupExpr:
-        if (degree - self.offset) % self.period == 0:
-            return self.value
-        return GroupExpr.zero()
-
-
 class DegreeOutOfRange(Exception):
     def __init__(self, degree, known):
         self.degree = degree
@@ -332,24 +287,18 @@ class DegreeOutOfRange(Exception):
 
 @dataclass(frozen=True)
 class GradedGroup:
-    """Integer-graded GroupExpr values: finite explicit support plus an
-    optional periodic tail.  ``known_range`` bounds where values are
-    certified; queries outside it raise instead of silently returning 0."""
+    """Integer-graded GroupExpr values with finite support.  ``known_range``
+    bounds where values are certified; queries outside it raise instead of
+    silently returning 0."""
 
     explicit: tuple[tuple[int, GroupExpr], ...] = ()
-    tail: PeriodicTail | None = None
     known_range: tuple[int | None, int | None] = (None, None)
 
     @classmethod
-    def from_dict(cls, values: dict[int, GroupExpr], tail: PeriodicTail | None = None,
+    def from_dict(cls, values: dict[int, GroupExpr],
                   known_range=(None, None)) -> "GradedGroup":
         items = tuple(sorted((d, g) for d, g in values.items() if not g.is_zero()))
-        if tail is not None:
-            for d, _ in items:
-                if tail.applies(d):
-                    raise StructuralError(
-                        f"explicit degree {d} overlaps the periodic tail")
-        return cls(items, tail, tuple(known_range))
+        return cls(items, tuple(known_range))
 
     @classmethod
     def zero(cls) -> "GradedGroup":
@@ -362,20 +311,14 @@ class GradedGroup:
         for d, g in self.explicit:
             if d == degree:
                 return g
-        if self.tail is not None and self.tail.applies(degree):
-            return self.tail.at(degree)
         return GroupExpr.zero()
 
     def shift(self, k: int) -> "GradedGroup":
         """Degree shift: result at d equals self at d - k."""
         items = tuple((d + k, g) for d, g in self.explicit)
-        tail = None
-        if self.tail is not None:
-            tail = PeriodicTail(self.tail.start + k, self.tail.period,
-                                self.tail.offset + k, self.tail.value)
         lo, hi = self.known_range
         known = (None if lo is None else lo + k, None if hi is None else hi + k)
-        return GradedGroup(tuple(sorted(items)), tail, known)
+        return GradedGroup(items, known)
 
     def wedge(self, other: "GradedGroup", lo: int, hi: int) -> "GradedGroup":
         values = {d: self.at(d).plus(other.at(d)) for d in range(lo, hi + 1)}
@@ -384,25 +327,6 @@ class GradedGroup:
     def countable_sum(self, lo: int, hi: int) -> "GradedGroup":
         values = {d: self.at(d).countable_sum() for d in range(lo, hi + 1)}
         return GradedGroup.from_dict(values, known_range=(lo, hi))
-
-    def to_json_obj(self, lo: int | None = None, hi: int | None = None) -> dict:
-        """Explicit degrees plus the periodic-tail rule; pass a window to
-        additionally materialize evaluated values over [lo, hi]."""
-        obj: dict = {
-            "explicit": {str(d): g.to_json_obj() for d, g in self.explicit},
-        }
-        if self.tail is not None:
-            obj["tail"] = {
-                "start": str(self.tail.start),
-                "period": str(self.tail.period),
-                "offset": str(self.tail.offset),
-                "value": self.tail.value.to_json_obj(),
-            }
-        if lo is not None and hi is not None:
-            obj["values"] = {str(d): self.at(d).to_json_obj()
-                             for d in range(lo, hi + 1)}
-        return obj
-
 
 def graded_from_fg(values: dict[int, FGAbGroup], known_range=(None, None)) -> GradedGroup:
     return GradedGroup.from_dict(
@@ -544,11 +468,7 @@ class MapDescriptor:
 
     kind:
       "zero"            the zero map
-      "iso"             an isomorphism (domain and codomain must agree)
-      "mult"            multiplication by ``data`` on matching Z^r atoms
       "row_powers"      CountableFree -> Z, e_k |-> base**k (data = base)
-      "row_list"        CountableFree -> Z, finitely many coefficients
-      "matrix"          Z^cols -> Z^rows by an IntMatrix
     """
 
     kind: str
@@ -559,67 +479,20 @@ class MapDescriptor:
         return cls("zero")
 
     @classmethod
-    def iso(cls):
-        return cls("iso")
-
-    @classmethod
-    def mult(cls, n: int):
-        return cls("mult", n)
-
-    @classmethod
     def row_powers(cls, base: int):
         return cls("row_powers", base)
-
-    @classmethod
-    def row_list(cls, coeffs):
-        return cls("row_list", tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def matrix(cls, m: IntMatrix):
-        return cls("matrix", m)
 
 
 def descriptor_kernel_cokernel(desc: MapDescriptor, domain: GroupExpr,
                                codomain: GroupExpr) -> tuple[GroupExpr, GroupExpr]:
     if desc.kind == "zero":
         return domain, codomain
-    if desc.kind == "iso":
-        if domain != codomain:
-            raise StructuralError("iso descriptor between non-equal expressions")
-        return GroupExpr.zero(), GroupExpr.zero()
-    if desc.kind == "mult":
-        n = abs(int(desc.data))
-        r = domain.multiplicity(_Z)
-        if domain != GroupExpr.free(r) or codomain != GroupExpr.free(r):
-            raise StructuralError("mult descriptor needs matching Z^r atoms")
-        if n == 0:
-            return domain, codomain
-        if n == 1:
-            return GroupExpr.zero(), GroupExpr.zero()
-        return GroupExpr.zero(), GroupExpr.cyclic(n, r)
-    if desc.kind in ("row_powers", "row_list"):
+    if desc.kind == "row_powers":
         if domain != GroupExpr.countable_free() or codomain != GroupExpr.free(1):
             raise StructuralError("row descriptor needs CountableFree -> Z")
-        if desc.kind == "row_powers":
-            g = 1  # the k = 0 coefficient base**0 = 1 already generates
-        else:
-            g = gcd_many(desc.data)
-        # the kernel of any map from a countable free group to Z whose image
-        # is g*Z (or 0) is again free of countable rank
-        kernel = GroupExpr.countable_free()
-        if g == 0:
-            return kernel, codomain
-        if g == 1:
-            return kernel, GroupExpr.zero()
-        return kernel, GroupExpr.cyclic(g)
-    if desc.kind == "matrix":
-        m: IntMatrix = desc.data
-        if domain != GroupExpr.free(m.cols) or codomain != GroupExpr.free(m.rows):
-            raise StructuralError("matrix descriptor shape mismatch")
-        ker_rank = kernel_basis(m).cols
-        free, torsion = cokernel_invariants(m)
-        coker = GroupExpr.from_fg(FGAbGroup(free, tuple(torsion)))
-        return GroupExpr.free(ker_rank), coker
+        # the k = 0 coefficient base**0 = 1 generates Z, and the kernel of a
+        # map from a countable free group onto Z is again free of countable rank
+        return GroupExpr.countable_free(), GroupExpr.zero()
     raise StructuralError(f"unknown descriptor kind {desc.kind!r}")
 
 
@@ -677,17 +550,3 @@ def les_fiber(w: GradedGroup, b: GradedGroup, f: GradedMapData,
             raise IndeterminateExtension(n)
         values[n] = ker_n.plus(coker_up)
     return GradedGroup.from_dict(values, known_range=(lo, hi))
-
-
-def les_exactness_audit(w: GradedGroup, b: GradedGroup, f: GradedMapData,
-                        fiber: GradedGroup, lo: int, hi: int) -> bool:
-    """Recheck, descriptor by descriptor, that the assembled fiber makes the
-    long exact sequence exact in every requested degree."""
-    for n in range(lo, hi + 1):
-        ker_n, _ = _kernel_cokernel_at(w, b, f, n)
-        _, coker_up = _kernel_cokernel_at(w, b, f, n + 1)
-        if fiber.at(n) != ker_n.plus(coker_up):
-            return False
-        if not ker_n.is_zero() and not coker_up.is_zero():
-            return False
-    return True

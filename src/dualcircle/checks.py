@@ -628,6 +628,8 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
         else:
             report.add_fail(f"hh replay [{name}, {w}] {route} vs frozen", payload)
     elif check in ("table1", "table2"):
+        # the payload's p wins over the command's
+        config.p = need_int("p", as_text=True)
         sub = run_tc_table1(config) if check == "table1" else run_tc_table2(config)
         report.checks.extend(sub.checks)
     elif check == "coassembly":

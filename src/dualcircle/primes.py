@@ -1,20 +1,20 @@
 """Elementary number theory helpers: primality, factorization, p-adic
-valuations, Bernoulli numbers and the regular-prime test.
+valuations and the regular-prime test.
 
 Everything here is exact integer arithmetic.  The regularity test reads
 all of B_2, ..., B_{p-3} mod p off one power-series quotient (Newton
 inversion, Kronecker products on Python ints) and certifies the quotient
-with one more product, so it stays fast for primes below 10^5; the exact
-Bernoulli recurrence is only meant for small indices and serves as an
-independent cross-check of the modular method.
+with one more product, so it stays fast for primes below 10^5.  The
+package holds no second route to Bernoulli numbers: the exact recurrence
+and the power-sum congruence that cross-check the modular method live in
+the test suite.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -68,25 +68,6 @@ def padic_valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def bernoulli_exact(n_max: int) -> list[Fraction]:
-    """Bernoulli numbers B_0, ..., B_{n_max} (convention B_1 = -1/2).
-
-    Straight recurrence over exact rationals; quadratic in n_max, so keep
-    n_max modest (a few hundred).  Used as an oracle for the modular
-    regularity test.
-    """
-    bern = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j
-        acc = Fraction(0)
-        binom = 1  # C(m+1, 0)
-        for j in range(m):
-            acc += binom * bern[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        bern.append(-acc / (m + 1))
-    return bern
 
 
 def _mul(a: array, b: array, p: int, m: int) -> array:
@@ -161,12 +142,3 @@ def is_regular_prime(p: int) -> bool:
     (True, False, False)
     """
     return not irregular_indices(p)
-
-
-def gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g

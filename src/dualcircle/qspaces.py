@@ -194,19 +194,3 @@ def bousfield_pi_q(pi: GradedGroup, p: int, n: int) -> SymbolicQSpace:
     ``pi`` must be defined at degrees n and n-1 (its known_range enforces
     this)."""
     return ext_pinf_q(pi.at(n), p).plus(hom_pinf_q(pi.at(n - 1), p))
-
-
-def rationalize(g: GroupExpr) -> SymbolicQSpace:
-    """g tensor Q: Z becomes Q, finite and torsion-tower atoms vanish, a
-    countable free sum becomes a countable sum of rational lines."""
-    out = SymbolicQSpace.zero()
-    for kind, param, mult in g.atoms:
-        if kind == "Z":
-            out = out.plus(SymbolicQSpace.rational(mult))
-        elif kind == "CountableFree":
-            out = out.plus(SymbolicQSpace.rational_countable())
-        elif kind in ("Zmod", "TorsionTower", "CountableTowerSum"):
-            continue
-        else:
-            raise UnsupportedAtom(f"rationalization undefined for atom {kind!r}")
-    return out

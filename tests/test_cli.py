@@ -336,7 +336,7 @@ class TestReplay:
 
         def wrong_cell(n, m):
             got = dict(real(n, m))
-            got[n] = got.get(n, FGAbGroup.zero()).direct_sum(FGAbGroup.cyclic(2))
+            got[n] = FGAbGroup.from_orders(got.get(n, FGAbGroup.zero()).orders() + [2])
             return got
 
         monkeypatch.setattr(checks, "cell_weight_homology_fg", wrong_cell)
@@ -439,6 +439,28 @@ class TestReplay:
         path.write_text(json.dumps({"check": "coassembly", "inputs": inputs}))
         assert main(["tc", "coassembly", "--i", "1", "--p", "5",
                      "--assume-regular", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("check", ["table1", "table2"])
+    def test_replay_table_checks_the_payload_prime(self, tmp_path, capsys, check):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": check, "inputs": {"p": "5"}}))
+        code, out = run(capsys, "tc", check, "--p", "3", "--format", "json",
+                        "--replay", str(path))
+        assert code == 0
+        assert json.loads(out)["config"]["p"] == "5"
+
+    @pytest.mark.parametrize("check", ["table1", "table2"])
+    @pytest.mark.parametrize("p, message", [
+        ("banana", "inputs.p"), (True, "inputs.p"), (5.0, "inputs.p"),
+        ("4", "not prime"),
+    ])
+    def test_replay_table_with_invalid_prime(self, tmp_path, capsys, check,
+                                             p, message):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": check, "inputs": {"p": p}}))
+        assert main(["tc", check, "--p", "3", "--replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 

@@ -20,11 +20,9 @@ from dualcircle.cyclic import (
     rotation_matrix,
     rotation_orbits,
     thh_homology_square_zero,
-    weight_complex,
-    weight_homology,
     weight_homology_fg,
 )
-from dualcircle.matrices import IntMatrix
+from dualcircle.matrices import IntMatrix, cokernel_invariants
 
 # oracle homology of Z[0]+Z[1]+Z/3[2] at weights 6 and 7, frozen from
 # NormalizedHochschild after it agreed with the weight and cell routes
@@ -44,40 +42,10 @@ FIXTURES = {
 }
 
 
-class TestWeightComplex:
-    def test_weight_one_has_zero_differential(self):
-        wc = weight_complex(1, Z0)
-        assert wc.differential.is_zero()
-        assert (wc.level_bottom, wc.level_top) == (0, 1)
-
-    def test_weight_two_doubles(self):
-        wc = weight_complex(2, Z0)
-        assert wc.differential.entries == ((2,),)
-
-    def test_odd_degree_modules_cancel_signs(self):
-        for n in (1, 2, 3, 4, 5):
-            assert weight_complex(n, Zm1).differential.is_zero()
-
-    def test_two_adjacent_levels_only(self):
-        for n in (1, 2, 3, 4):
-            wc = weight_complex(n, Z0)
-            assert wc.level_top - wc.level_bottom == 1
-
-    def test_rotation_has_full_order(self):
-        for m in (Z0, Zm1, Z1, FIXTURES["Z^2"]):
-            for n in (1, 2, 3, 4):
-                rot = rotation_matrix(n, m, include_simplicial_sign=False)
-                power = IntMatrix.identity(rot.rows)
-                for _ in range(n):
-                    power = rot.mul(power)
-                assert power.entries == IntMatrix.identity(rot.rows).entries
-
-
 class TestWeightHomology:
     def test_weight_two_of_the_integers(self):
-        wh = weight_homology(2, Z0)
-        assert wh.at(1) == GroupExpr.cyclic(2)
-        assert wh.at(2).is_zero()
+        # 1 - tau_2 is multiplication by 2 on Z: Z/2 in degree 1 alone
+        assert weight_homology_fg(2, Z0) == {1: FGAbGroup.from_orders([2])}
 
     def test_desuspended_line_every_weight(self):
         # thh_homology_square_zero sums weight 1's pattern over all weights
@@ -214,6 +182,15 @@ class TestOrbitKernel:
                                 for d in range(1, n + 1) if n % d == 0) // n
                 assert len(rotation_orbits(n, m)) == necklaces, (g, n)
 
+    def test_rotation_has_full_order(self):
+        for m in (Z0, Zm1, Z1, FIXTURES["Z^2"]):
+            for n in (1, 2, 3, 4):
+                rot = rotation_matrix(n, m, include_simplicial_sign=False)
+                power = IntMatrix.identity(rot.rows)
+                for _ in range(n):
+                    power = rot.mul(power)
+                assert power.entries == IntMatrix.identity(rot.rows).entries
+
     def test_weight_route_uses_no_generic_homology(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("generic homology called")
@@ -221,6 +198,25 @@ class TestOrbitKernel:
         monkeypatch.setattr(cyclic, "homology_with_orders", refuse)
         m = GradedModule(((0, 0), (1, 2), (2, 0)))
         assert weight_homology_fg(4, m)
+
+    def test_cell_route_eliminates_each_orbit_block_once(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("homology_with_orders called")
+
+        calls = []
+
+        def counted(m):
+            calls.append((m.rows, m.cols))
+            return cokernel_invariants(m)
+
+        monkeypatch.setattr(cyclic, "homology_with_orders", refuse)
+        monkeypatch.setattr(cyclic, "cokernel_invariants", counted)
+        m = GradedModule(((0, 0), (1, 2), (2, 0)))
+        for n in (1, 4, 6):
+            calls.clear()
+            assert cell_weight_homology_fg(n, m) == weight_homology_fg(n, m)
+            sizes = [(len(orbit), len(orbit)) for orbit, *_ in rotation_orbits(n, m)]
+            assert calls == sizes, n
 
     def test_cell_route_does_not_use_the_weight_route(self, monkeypatch):
         def refuse(*args, **kwargs):

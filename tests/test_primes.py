@@ -1,14 +1,33 @@
+from fractions import Fraction
+
 import pytest
 
 from dualcircle import primes
 from dualcircle.primes import (
-    bernoulli_exact,
     factorint,
     irregular_indices,
     is_prime,
     is_regular_prime,
     padic_valuation,
 )
+
+
+def bernoulli_exact(n_max: int) -> list[Fraction]:
+    """Bernoulli numbers B_0, ..., B_{n_max} (convention B_1 = -1/2).
+
+    Straight recurrence over exact rationals, quadratic in n_max: the
+    exact reference route for ``irregular_indices`` at small indices.
+    """
+    bern = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        # B_m = -1/(m+1) * sum_{j<m} C(m+1, j) B_j
+        acc = Fraction(0)
+        binom = 1  # C(m+1, 0)
+        for j in range(m):
+            acc += binom * bern[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        bern.append(-acc / (m + 1))
+    return bern
 
 
 def power_sum_irregular_indices(p: int) -> list[int]:
@@ -59,7 +78,6 @@ def test_padic_valuation():
 
 def test_bernoulli_small_values():
     b = bernoulli_exact(12)
-    from fractions import Fraction
     assert b[0] == 1
     assert b[1] == Fraction(-1, 2)
     assert b[2] == Fraction(1, 6)

@@ -10,7 +10,6 @@ from dualcircle.qspaces import (
     bousfield_pi_q,
     ext_pinf_q,
     hom_pinf_q,
-    rationalize,
 )
 
 Z = GroupExpr.free(1)
@@ -70,7 +69,7 @@ class TestExt:
     def test_towers(self):
         assert ext_pinf_q(GroupExpr.torsion_tower(5), 5) == SymbolicQSpace.ext_tower(1)
         assert ext_pinf_q(GroupExpr.torsion_tower(3), 5).is_zero()
-        assert ext_pinf_q(GroupExpr.countable_tower_sum(5), 5) == \
+        assert ext_pinf_q(GroupExpr.torsion_tower(5).countable_sum(), 5) == \
             SymbolicQSpace.ext_tower_countable()
 
     def test_additive(self):
@@ -82,7 +81,7 @@ class TestExt:
     @given(st.lists(st.sampled_from([
         Z, GroupExpr.cyclic(4), GroupExpr.cyclic(25), CF,
         GroupExpr.torsion_tower(5), GroupExpr.torsion_tower(3),
-        GroupExpr.countable_tower_sum(5)]), max_size=6))
+        GroupExpr.torsion_tower(5).countable_sum()]), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_ext_and_hom_additive_on_random_sums(self, parts):
         total = GroupExpr.zero().plus(*parts)
@@ -99,7 +98,7 @@ class TestExt:
 class TestHom:
     def test_everything_in_scope_is_reduced(self):
         for g in (Z, GroupExpr.cyclic(8), CF,
-                  GroupExpr.torsion_tower(2), GroupExpr.countable_tower_sum(2)):
+                  GroupExpr.torsion_tower(2), GroupExpr.torsion_tower(2).countable_sum()):
             assert hom_pinf_q(g, 2).is_zero()
 
     def test_never_silently_zero(self):
@@ -123,7 +122,7 @@ class TestBousfield:
 
     def test_degenerates_to_ext_for_every_atom(self):
         for g in (Z, GroupExpr.cyclic(4), CF,
-                  GroupExpr.torsion_tower(2), GroupExpr.countable_tower_sum(2)):
+                  GroupExpr.torsion_tower(2), GroupExpr.torsion_tower(2).countable_sum()):
             pi = GradedGroup.from_dict({0: g}, known_range=(-1, 0))
             assert bousfield_pi_q(pi, 2, 0) == ext_pinf_q(g, 2)
 
@@ -132,14 +131,3 @@ class TestBousfield:
         pi = GradedGroup.from_dict({0: Z}, known_range=(0, 0))
         with pytest.raises(DegreeOutOfRange):
             bousfield_pi_q(pi, 5, 0)  # needs degree -1 as well
-
-
-class TestRationalize:
-    def test_examples(self):
-        assert rationalize(Z) == SymbolicQSpace.rational(1)
-        assert rationalize(GroupExpr.cyclic(6)).is_zero()
-        assert rationalize(Z.plus(GroupExpr.cyclic(125))) == SymbolicQSpace.rational(1)
-
-    def test_countable_free_tracked_separately(self):
-        assert rationalize(CF) == SymbolicQSpace.rational_countable()
-        assert rationalize(CF) != SymbolicQSpace.rational(1)

@@ -1,8 +1,7 @@
 import pytest
 
-from dualcircle.abgroups import GroupExpr, MapDescriptor, les_exactness_audit
+from dualcircle.abgroups import GroupExpr, MapDescriptor
 from dualcircle.qspaces import SymbolicQSpace
-from dualcircle.spectra import WedgeCircleTransfer, homology_graded
 from dualcircle.tc import (
     HurewiczRangeError,
     NormalMap,
@@ -90,14 +89,6 @@ class TestEHomology:
 
     def test_bottom_degree_alone(self):
         assert e_homology(7, -2, -2).at(-2) == Z
-
-    def test_exactness_audit(self):
-        for p in (2, 3, 5):
-            transfer = WedgeCircleTransfer(p)
-            w = homology_graded(transfer.domain, -3, 5)
-            b = homology_graded(transfer.codomain, -3, 5)
-            assert les_exactness_audit(w, b, transfer.graded_data(),
-                                       e_homology(p, -2, 4), -2, 4)
 
     def test_negative_control_changes_h_minus_one(self):
         sabotaged = e_homology_with_descriptor(3, MapDescriptor.zero(), -2, 0)
