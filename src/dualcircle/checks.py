@@ -528,8 +528,10 @@ def run_coassembly(config: RunConfig, i: int) -> Report:
 # replay
 
 
-def run_replay(config: RunConfig, payload_path: str) -> Report:
-    """Re-run one minimal failing input from a failure payload file."""
+def run_replay(config: RunConfig, payload_path: str, no_truncate: bool = False) -> Report:
+    """Re-run one minimal failing input from a failure payload file.  A
+    table-2 payload is re-run as ``tc table2`` runs it, with out-of-window
+    columns marked unless ``no_truncate`` (``tc table2 --no-truncate``)."""
     with open(payload_path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -630,7 +632,11 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     elif check in ("table1", "table2"):
         # the payload's p wins over the command's
         config.p = need_int("p", as_text=True)
-        sub = run_tc_table1(config) if check == "table1" else run_tc_table2(config)
+        if check == "table1":
+            sub = run_tc_table1(config)
+        else:
+            config.truncate_out_of_range = not no_truncate
+            sub = run_tc_table2(config)
         report.checks.extend(sub.checks)
     elif check == "coassembly":
         # the payload's i and p; the regularity options come from the command

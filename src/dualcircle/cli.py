@@ -4,8 +4,9 @@ Verbs:
 
     dualcircle operad check   [--seed N] [--trials N] [--replay FILE]
     dualcircle hh verify      [--max-weight W] [--max-degree D] [--fixtures FILE]
-    dualcircle tc table1      --p P [--min-deg A] [--max-deg B]
-    dualcircle tc table2      --p P [--no-truncate]
+                              [--replay FILE]
+    dualcircle tc table1      --p P [--min-deg A] [--max-deg B] [--replay FILE]
+    dualcircle tc table2      --p P [--no-truncate] [--replay FILE]
     dualcircle tc check-fr    --p P --n N
     dualcircle tc coassembly  --i I --p P [--assume-regular] [--check-regularity]
                               [--replay FILE]
@@ -25,73 +26,71 @@ from . import checks
 from .report import Report, RunConfig, UsageError
 from .tc import HurewiczRangeError
 
+_INT = {"type": int}
+_NEEDED = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", dest="fmt", default=None,
-                        choices=("markdown", "json", "csv"))
-    parser.add_argument("--config", dest="config_file", default=None,
-                        help="key=value config file mirroring the run options")
+# group -> (help, verb -> (help, option -> add_argument keywords)); every
+# verb also takes _COMMON
+COMMANDS = {
+    "operad": ("operad axiom suites", {
+        "check": ("run the seeded axiom suite", {
+            "--seed": _INT, "--trials": _INT,
+            "--replay": {"help": "JSON failure payload to re-run"}}),
+    }),
+    "hh": ("cyclic homology oracle suites", {
+        "verify": ("three-route oracle equivalence", {
+            "--max-weight": _INT, "--max-degree": _INT,
+            "--fixtures": {"dest": "fixture_path"}, "--replay": {}}),
+    }),
+    "tc": ("fixed-point pipeline and tables", {
+        "table1": ("integral homology table", {
+            "--p": _NEEDED, "--min-deg": _INT, "--max-deg": _INT, "--replay": {}}),
+        "table2": ("rational homotopy table", {
+            "--p": _NEEDED,
+            "--no-truncate": {**_SWITCH, "help": "error on degrees beyond the "
+                              "homotopy window instead of marking them"},
+            "--replay": {}}),
+        "check-fr": ("Frobenius/restriction algebra", {"--p": _NEEDED, "--n": _NEEDED}),
+        "coassembly": ("rational coassembly verdict", {
+            "--i": _NEEDED, "--p": _NEEDED, "--assume-regular": _SWITCH,
+            "--check-regularity": {**_SWITCH, "help": "decide regularity from "
+                                   "Bernoulli numerators (p < 10^5)"},
+            "--replay": {"help": "JSON failure payload to re-run; its i and p "
+                         "replace --i and --p"}}),
+        "controls": ("negative controls", {"--p": _NEEDED}),
+    }),
+}
+_COMMON = {
+    "--format": {"dest": "fmt", "choices": ("markdown", "json", "csv")},
+    "--config": {"dest": "config_file",
+                 "help": "key=value config file mirroring the run options"},
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  When it starts with a known group and verb,
+    only that branch is built, since building every command costs more
+    than most ``tc`` verbs compute; otherwise (and for ``argv=None``) the
+    whole tree, so that help and usage errors list every command."""
+    group, verb = (list(argv or ()) + [None, None])[:2]
+    pruned = verb in COMMANDS.get(group, ("", {}))[1]
     top = argparse.ArgumentParser(prog="dualcircle", description=__doc__.split("\n")[0])
-    sub = top.add_subparsers(dest="group", required=True)
-
-    operad = sub.add_parser("operad", help="operad axiom suites")
-    operad_sub = operad.add_subparsers(dest="verb", required=True)
-    oc = operad_sub.add_parser("check", help="run the seeded axiom suite")
-    oc.add_argument("--seed", type=int, default=None)
-    oc.add_argument("--trials", type=int, default=None)
-    oc.add_argument("--replay", default=None,
-                    help="JSON failure payload to re-run")
-    _add_common(oc)
-
-    hh = sub.add_parser("hh", help="cyclic homology oracle suites")
-    hh_sub = hh.add_subparsers(dest="verb", required=True)
-    hv = hh_sub.add_parser("verify", help="three-route oracle equivalence")
-    hv.add_argument("--max-weight", type=int, default=None)
-    hv.add_argument("--max-degree", type=int, default=None)
-    hv.add_argument("--fixtures", dest="fixture_path", default=None)
-    hv.add_argument("--replay", default=None)
-    _add_common(hv)
-
-    tc = sub.add_parser("tc", help="fixed-point pipeline and tables")
-    tc_sub = tc.add_subparsers(dest="verb", required=True)
-
-    t1 = tc_sub.add_parser("table1", help="integral homology table")
-    t1.add_argument("--p", type=int, required=True)
-    t1.add_argument("--min-deg", type=int, default=None)
-    t1.add_argument("--max-deg", type=int, default=None)
-    t1.add_argument("--replay", default=None)
-    _add_common(t1)
-
-    t2 = tc_sub.add_parser("table2", help="rational homotopy table")
-    t2.add_argument("--p", type=int, required=True)
-    t2.add_argument("--no-truncate", action="store_true",
-                    help="error on degrees beyond the homotopy window "
-                         "instead of marking them")
-    t2.add_argument("--replay", default=None)
-    _add_common(t2)
-
-    fr = tc_sub.add_parser("check-fr", help="Frobenius/restriction algebra")
-    fr.add_argument("--p", type=int, required=True)
-    fr.add_argument("--n", type=int, required=True)
-    _add_common(fr)
-
-    co = tc_sub.add_parser("coassembly", help="rational coassembly verdict")
-    co.add_argument("--i", type=int, required=True)
-    co.add_argument("--p", type=int, required=True)
-    co.add_argument("--assume-regular", action="store_true")
-    co.add_argument("--check-regularity", action="store_true",
-                    help="decide regularity from Bernoulli numerators (p < 10^5)")
-    co.add_argument("--replay", default=None,
-                    help="JSON failure payload to re-run; its i and p replace --i and --p")
-    _add_common(co)
-
-    ct = tc_sub.add_parser("controls", help="negative controls")
-    ct.add_argument("--p", type=int, required=True)
-    _add_common(ct)
-
+    # an unrecognized argument is reported by the top parser, whose usage
+    # names every group even when the tree is pruned
+    sub = top.add_subparsers(dest="group", required=True,
+                             **({"metavar": "{%s}" % ",".join(COMMANDS)} if pruned else {}))
+    for name, (group_help, verbs) in COMMANDS.items():
+        if pruned and name != group:
+            continue
+        verb_sub = sub.add_parser(name, help=group_help).add_subparsers(
+            dest="verb", required=True)
+        for verb_name, (verb_help, options) in verbs.items():
+            if pruned and verb_name != verb:
+                continue
+            parser = verb_sub.add_parser(verb_name, help=verb_help)
+            for flag, keywords in {**options, **_COMMON}.items():
+                parser.add_argument(flag, **keywords)
     return top
 
 
@@ -116,7 +115,7 @@ def _dispatch(args) -> Report:
     cfg = _config_from_args(args)
     replay = getattr(args, "replay", None)
     if replay:
-        return checks.run_replay(cfg, replay)
+        return checks.run_replay(cfg, replay, getattr(args, "no_truncate", False))
     if args.group == "operad":
         return checks.run_operad_check(cfg)
     if args.group == "hh":
@@ -136,7 +135,9 @@ def _dispatch(args) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

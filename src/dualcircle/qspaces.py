@@ -57,10 +57,6 @@ class SymbolicQSpace:
         return cls.make(q=n)
 
     @classmethod
-    def rational_countable(cls):
-        return cls.make(q_countable=True)
-
-    @classmethod
     def padic(cls, n: int = 1):
         return cls.make(qp=n)
 

@@ -1,18 +1,27 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
-from dualcircle.cli import main
+from dualcircle.cli import COMMANDS, build_parser, main
 from dualcircle.report import RunConfig, UsageError
 
 # sha256 of seeded operad-check output and the report of the bad_compose
 # negative control, frozen from the Fraction-based operad layer
 OPERAD_OUTPUTS = json.loads(
     (Path(__file__).parent / "data" / "operad_outputs.json").read_text())
+# exit code, stdout and stderr of help and usage-error command lines at
+# COLUMNS=80, frozen from the parser that built every command on each call
+CLI_USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -464,6 +473,24 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["operad", "check"], ["hh", "verify"], ["tc", "table1", "--p", "3"],
+        ["tc", "table2", "--p", "3"], ["tc", "coassembly", "--i", "1", "--p", "5"],
+    ])
+    def test_replay_table2_truncates_through_every_verb(self, tmp_path, capsys, argv):
+        # p = 3 has an empty homotopy window, so table 2 needs truncation
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "table2", "inputs": {"p": "3"}}))
+        code, out = run(capsys, *argv, "--replay", str(path))
+        assert code == 0 and "PASS table2 vs reference" in out
+
+    def test_replay_table2_under_no_truncate_keeps_the_window_error(self, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "table2", "inputs": {"p": "3"}}))
+        assert main(["tc", "table2", "--p", "3", "--no-truncate",
+                     "--replay", str(path)]) == 2
+        assert "homology-to-homotopy window" in capsys.readouterr().err
+
     def test_replay_unknown_check(self, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(json.dumps({"check": "nonsense"}))
@@ -476,6 +503,68 @@ def bad_compose(outer, inners):
     good = compose(outer, inners)
     # wrong addition: doubles every shift
     return OperadPoint(tuple(2 * t for t in good.shifts))
+
+
+def representative_argv(group, verb):
+    argv = [group, verb]
+    for flag, keywords in COMMANDS[group][1][verb][1].items():
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            argv += [flag, "3" if keywords.get("type") is int else "x.json"]
+    return argv + ["--format", "csv", "--config", "c.txt"]
+
+
+def subparsers(parser):
+    """name -> parser of the subcommands of ``parser``."""
+    return parser._subparsers._group_actions[0].choices
+
+
+class TestParser:
+    @pytest.mark.parametrize("case", CLI_USAGE, ids=lambda c: " ".join(c["argv"]) or "-")
+    def test_help_and_usage_bytes_are_frozen(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(list(case["argv"]))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("group, verb", [
+        (group, verb) for group, (_, verbs) in COMMANDS.items() for verb in verbs])
+    def test_pruned_and_full_trees_parse_alike(self, group, verb):
+        argv = representative_argv(group, verb)
+        pruned = build_parser(argv)
+        assert pruned.parse_args(argv) == build_parser().parse_args(argv)
+        groups = subparsers(pruned)
+        assert list(groups) == [group]
+        assert list(subparsers(groups[group])) == [verb]
+
+    @pytest.mark.parametrize("source", ["docstring", "README"])
+    def test_every_option_is_documented_on_its_verb_line(self, source):
+        text = cli.__doc__ if source == "docstring" else (ROOT / "README.md").read_text()
+        # a verb line and the indented lines that continue it
+        words = {(m.group(1), m.group(2)): {w.strip("[]") for w in m.group(3).split()}
+                 for m in re.finditer(r"dualcircle (\S+) (\S+)(.*(?:\n {20,}\S.*)*)", text)}
+        for group, (_, verbs) in COMMANDS.items():
+            for verb, (_, options) in verbs.items():
+                assert set(options) <= words[group, verb], (group, verb)
+
+    def test_fresh_process_reads_sys_argv(self):
+        digests = json.loads(
+            (ROOT / "perfbench" / "data" / "verbs_digests.json").read_text())
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def fresh(*argv):
+            return subprocess.run([sys.executable, "-m", "dualcircle.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=ROOT)
+
+        for line in ["tc table1 --p 5 --format json", "hh verify --format json"]:
+            done = fresh(*line.split())
+            assert done.returncode == 0
+            assert hashlib.sha256(done.stdout.encode()).hexdigest() == digests[line]
+        done = fresh("tc", "table1", "--p", "5", "extra")
+        assert done.returncode == 2 and done.stdout == ""
+        assert [ln for ln in done.stderr.splitlines() if "error:" in ln] == [
+            "dualcircle: error: unrecognized arguments: extra"]
 
 
 class TestNegativeControlInjection:
