@@ -32,7 +32,7 @@ from .operads import (
     is_zero_map,
     nullhomotopy_point,
 )
-from .primes import is_regular_prime
+from .primes import irregular_indices
 from .report import Report, RunConfig, TableBlock, UsageError
 from .tc import (
     coassembly_conclusion,
@@ -495,15 +495,13 @@ def run_coassembly(config: RunConfig, i: int) -> Report:
         raise UsageError("i must be at least 1")
     regular = config.assume_regular
     if config.check_regularity:
-        computed = is_regular_prime(config.p)
-        if config.assume_regular and not computed:
-            report.add_fail(
-                "regularity assumption rejected",
-                {"check": "regularity", "inputs": {"p": str(config.p)},
-                 "detail": f"p = {config.p} is irregular"})
+        indices = irregular_indices(config.p)
+        if config.assume_regular and indices:
+            report.add_fail("regularity assumption rejected",
+                            _regularity_payload(config.p, indices))
             return report
-        regular = computed
-        report.add_pass(f"regularity of p = {config.p} decided: {computed}")
+        regular = not indices
+        report.add_pass(f"regularity of p = {config.p} decided: {regular}")
     verdict = coassembly_conclusion(i, config.p, regular)
     block = TableBlock(
         f"rational square in degree {verdict.degree}",
@@ -524,14 +522,22 @@ def run_coassembly(config: RunConfig, i: int) -> Report:
     return report
 
 
+def _regularity_payload(p: int, indices: list[int]) -> dict:
+    """The FAIL payload of an irregular p, with the indices k of the
+    Bernoulli numerators B_k that p divides."""
+    return {"check": "regularity", "inputs": {"p": str(p)},
+            "irregular_indices": [str(k) for k in indices],
+            "detail": f"p = {p} is irregular"}
+
+
 # ---------------------------------------------------------------------------
 # replay
 
 
-def run_replay(config: RunConfig, payload_path: str, no_truncate: bool = False) -> Report:
+def run_replay(config: RunConfig, payload_path: str, truncate: bool = True) -> Report:
     """Re-run one minimal failing input from a failure payload file.  A
-    table-2 payload is re-run as ``tc table2`` runs it, with out-of-window
-    columns marked unless ``no_truncate`` (``tc table2 --no-truncate``)."""
+    table-2 payload is re-run with out-of-window columns marked when
+    ``truncate``, and as an error otherwise."""
     with open(payload_path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -635,7 +641,7 @@ def run_replay(config: RunConfig, payload_path: str, no_truncate: bool = False) 
         if check == "table1":
             sub = run_tc_table1(config)
         else:
-            config.truncate_out_of_range = not no_truncate
+            config.truncate_out_of_range = truncate
             sub = run_tc_table2(config)
         report.checks.extend(sub.checks)
     elif check == "coassembly":
@@ -643,6 +649,16 @@ def run_replay(config: RunConfig, payload_path: str, no_truncate: bool = False) 
         i = need_int("i", as_text=True)
         config.p = need_int("p", as_text=True)
         report.checks.extend(run_coassembly(config, i).checks)
+    elif check == "regularity":
+        # re-decide the payload's p; p >= 10^5 is refused by irregular_indices
+        config.p = need_int("p", as_text=True)
+        config.validate(need_prime=True)
+        indices = irregular_indices(config.p)
+        if indices:
+            report.add_fail(f"p = {config.p} is regular",
+                            _regularity_payload(config.p, indices))
+        else:
+            report.add_pass(f"p = {config.p} is regular")
     else:
         raise UsageError(f"replay does not understand check {check!r}")
     return report

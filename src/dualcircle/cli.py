@@ -95,19 +95,21 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    # the table command marks out-of-window columns unless its config file
+    # or --no-truncate says otherwise; every other verb keeps the default
+    defaults = {"truncate_out_of_range": True} if args.verb == "table2" else {}
     if getattr(args, "config_file", None):
-        cfg = RunConfig.from_key_value_file(args.config_file)
+        cfg = RunConfig.from_key_value_file(args.config_file, **defaults)
     else:
-        cfg = RunConfig()
+        cfg = RunConfig(**defaults)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         # an absent option reads None, an absent switch False; compare by
         # identity, since --seed 0 and --min-deg 0 are equal to False
         if value is not None and value is not False:
             setattr(cfg, f.name, value)
-    # the table command marks out-of-window columns unless asked not to
-    if getattr(args, "verb", None) == "table2":
-        cfg.truncate_out_of_range = not args.no_truncate
+    if getattr(args, "no_truncate", False):
+        cfg.truncate_out_of_range = False
     return cfg
 
 
@@ -115,7 +117,10 @@ def _dispatch(args) -> Report:
     cfg = _config_from_args(args)
     replay = getattr(args, "replay", None)
     if replay:
-        return checks.run_replay(cfg, replay, getattr(args, "no_truncate", False))
+        # a table-2 payload replays as tc table2 runs; through any other
+        # verb it marks out-of-window columns
+        truncate = cfg.truncate_out_of_range if args.verb == "table2" else True
+        return checks.run_replay(cfg, replay, truncate)
     if args.group == "operad":
         return checks.run_operad_check(cfg)
     if args.group == "hh":

@@ -60,10 +60,11 @@ class RunConfig:
         return out
 
     @classmethod
-    def from_key_value_file(cls, path: str) -> "RunConfig":
+    def from_key_value_file(cls, path: str, **defaults) -> "RunConfig":
         """Plain key=value lines; '#' starts a comment.  Booleans read
-        1/true/yes/on or 0/false/no/off; 'format' names the fmt field."""
-        cfg = cls()
+        1/true/yes/on or 0/false/no/off; 'format' names the fmt field.
+        ``defaults`` are field values that the file may override."""
+        cfg = cls(**defaults)
         # every field's default has the type its values take (None: text)
         kinds = {f.name: type(f.default) for f in fields(cls)}
         with open(path) as fh:

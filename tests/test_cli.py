@@ -201,6 +201,14 @@ class TestTCVerbs:
         assert code == 1
         assert "rejected" in out
 
+    def test_irregular_payload_holds_the_indices(self, capsys):
+        code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "691",
+                        "--assume-regular", "--check-regularity", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)["checks"][0]["payload"]
+        assert payload["inputs"] == {"p": "691"}
+        assert payload["irregular_indices"] == ["12", "200"]
+
     def test_coassembly_decides_regularity(self, capsys):
         code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "5",
                         "--check-regularity")
@@ -282,6 +290,24 @@ class TestConfigFile:
         assert code == 0
         echo = json.loads(out)["config"]
         assert {k: echo[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("line, flags, code", [
+        (None, [], 0),
+        ("truncate_out_of_range = true", [], 0),
+        ("truncate_out_of_range = false", [], 2),
+        ("truncate_out_of_range = true", ["--no-truncate"], 2),
+    ])
+    def test_table2_truncation_from_file_and_flag(self, tmp_path, capsys,
+                                                  line, flags, code):
+        # p = 3 has an empty homotopy window: marked columns or an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("" if line is None else line + "\n")
+        assert main(["tc", "table2", "--p", "3", "--config", str(cfg), *flags]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert "out-of-range" in out and err == ""
+        else:
+            assert "homology-to-homotopy window" in err and err.count("\n") == 1
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -490,6 +516,37 @@ class TestReplay:
         assert main(["tc", "table2", "--p", "3", "--no-truncate",
                      "--replay", str(path)]) == 2
         assert "homology-to-homotopy window" in capsys.readouterr().err
+
+    def test_replay_irregular_prime_fails_with_its_indices(self, tmp_path, capsys):
+        code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "37",
+                        "--assume-regular", "--check-regularity", "--format", "json")
+        assert code == 1
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(json.loads(out)["checks"][0]["payload"]))
+        code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "5",
+                        "--format", "json", "--replay", str(path))
+        assert code == 1
+        check, = json.loads(out)["checks"]
+        assert check["status"] == "fail"
+        assert check["payload"]["irregular_indices"] == ["32"]
+
+    def test_replay_regular_prime_passes(self, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "regularity", "inputs": {"p": "41"}}))
+        code, out = run(capsys, "operad", "check", "--replay", str(path))
+        assert code == 0 and "PASS p = 41 is regular" in out
+
+    @pytest.mark.parametrize("p, message", [
+        ("banana", "inputs.p"), (True, "inputs.p"), ("4", "not prime"),
+        ("100003", "below 10^5"),
+    ])
+    def test_replay_regularity_with_invalid_prime(self, tmp_path, capsys, p, message):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "regularity", "inputs": {"p": p}}))
+        assert main(["tc", "coassembly", "--i", "1", "--p", "5",
+                     "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_replay_unknown_check(self, tmp_path):
         path = tmp_path / "payload.json"

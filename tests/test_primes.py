@@ -1,4 +1,8 @@
+import json
+import random
+from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,15 @@ def power_sum_irregular_indices(p: int) -> list[int]:
         if s == 0:
             bad.append(2 * (i + 1))
     return bad
+
+
+def schoolbook_mul(a, b, p, m):
+    """The first m coefficients of a * b mod p, term by term."""
+    out = [0] * m
+    for i, x in enumerate(a[:m]):
+        for j, y in enumerate(b[:m - i]):
+            out[i + j] += x * y
+    return [c % p for c in out]
 
 
 def test_is_prime():
@@ -128,3 +141,45 @@ def test_perturbed_series_inverse_fails_the_certificate(monkeypatch):
     monkeypatch.setattr(primes, "_series_inverse", perturbed)
     with pytest.raises(ArithmeticError):
         irregular_indices(691)
+
+
+@pytest.mark.parametrize("p", [5, 691, 9973, 99991])
+def test_mul_matches_the_schoolbook_product(p):
+    rng = random.Random(p)
+    for la in range(1, 65):
+        lb = rng.randint(1, 64)
+        a = array("Q", [rng.randrange(p) for _ in range(la)])
+        b = array("Q", [rng.randrange(p) for _ in range(lb)])
+        full = la + lb - 1
+        for m in {rng.randint(1, full), full}:
+            assert list(primes._mul(a, b, p, m)) == schoolbook_mul(a, b, p, m), (la, lb, m)
+
+
+def test_mul_at_the_slot_bound():
+    # every coefficient below m sits at its largest value, (k+1) (p-1)^2,
+    # which fills 49 of the 56 bits of a 7-byte slot
+    p = 99991
+    m = (p - 1) // 2
+    top = array("Q", [p - 1]) * m
+    assert list(primes._mul(top, top, p, m)) == [(k + 1) * (p - 1) ** 2 % p
+                                                 for k in range(m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
+def test_half_length_quotient_matches_the_full_inverse(n):
+    p = 691
+    rng = random.Random(n)
+    c = array("Q", [rng.randrange(p) for _ in range(n)])
+    s = array("Q", [1] + [rng.randrange(p) for _ in range(n - 1)])
+    full = primes._mul(c, primes._series_inverse(s, p), p, n)
+    assert primes._series_quotient(c, s, p) == full
+
+
+def test_frozen_benchmark_verdicts():
+    # the regularity workload's 40 candidates with their frozen verdicts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
+        "regularity_candidates.json"
+    verdicts = {int(p): regular for band in json.loads(path.read_text())["bands"]
+                for p, regular in band["verdicts"].items()}
+    assert len(verdicts) == 40
+    assert {p: is_regular_prime(p) for p in verdicts} == verdicts
