@@ -1,7 +1,11 @@
-"""Verification suites behind the command-line verbs.
+"""Verification suites behind the command-line verbs, and the one registry
+of their checks.
 
-Each suite builds a ``Report`` whose failure payloads carry the minimal
-reproducing input, in the same JSON shapes the ``--replay`` flag accepts.
+``CHECKS`` declares each kind of check once: a parser from the ``inputs`` of
+a FAIL payload to keyword arguments, and a verdict function of those
+arguments that returns the check's report line.  A FAIL payload holds every
+input that decides its verdict, so ``--replay`` re-runs a check from its
+payload alone; the suites call the same verdict functions on their inputs.
 """
 
 from __future__ import annotations
@@ -11,217 +15,25 @@ import random
 import re
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 from .abgroups import FGAbGroup, GroupExpr, MapDescriptor, UnsupportedAtom
-from .cyclic import (
-    GradedModule,
-    brute_hochschild,
-    brute_hochschild_weights,
-    cell_weight_homology_fg,
-    thh_homology_square_zero,
-    weight_homology_fg,
-)
-from .operads import (
-    DomainError,
-    OperadPoint,
-    action_map,
-    compose,
-    compose_action_maps,
-    eval_action,
-    is_member,
-    is_zero_map,
-    nullhomotopy_point,
-)
-from .primes import irregular_indices
-from .report import Report, RunConfig, TableBlock, UsageError
-from .tc import (
-    coassembly_conclusion,
-    check_fr_commute,
-    diff_table1,
-    diff_table2,
-    dual_tc_shift_sum_check,
-    e_homology_with_descriptor,
-    expected_table1,
-    frobenius_general,
-    frobenius_map,
-    restriction_map,
-    table1,
-    table1_reference_degrees,
-    table2,
-    table2_wedge_check,
-)
+from .cyclic import (GradedModule, brute_hochschild, brute_hochschild_weights,
+                     cell_weight_homology_fg, thh_homology_square_zero, weight_homology_fg)
+from .operads import (DomainError, OperadPoint, action_map, compose, compose_action_maps,
+                      eval_action, is_member, is_zero_map, nullhomotopy_point)
+from .primes import irregular_indices, is_prime
+from .report import CheckResult, Report, RunConfig, TableBlock, UsageError
+from .tc import (check_fr_commute, coassembly_conclusion, diff_table1, diff_table2,
+                 dual_tc_shift_sum_check, e_homology_with_descriptor, expected_table1,
+                 frobenius_general, frobenius_map, restriction_map, table1,
+                 table1_reference_degrees, table2, table2_wedge_check)
 
 
-# ---------------------------------------------------------------------------
-# random generators for the operad suite
-
-
-def _random_ratio(rng: random.Random) -> tuple[int, int]:
-    """A rational in [0, 3] with denominator 1..4, as a (numerator,
-    denominator) pair."""
-    return rng.randint(0, 12), rng.choice((1, 2, 3, 4))
-
-
-def _random_point(rng: random.Random, min_arity=1, max_arity=4) -> OperadPoint:
-    arity = rng.randint(min_arity, max_arity)
-    return OperadPoint.from_pairs([_random_ratio(rng) for _ in range(arity - 1)])
-
-
-def _random_a_point(rng: random.Random) -> OperadPoint:
-    arity = rng.randint(1, 4)
-    return OperadPoint.from_pairs([(0, 1)] * (arity - 1))
-
-
-def _random_oprime_point(rng: random.Random, min_arity=1) -> OperadPoint:
-    arity = rng.randint(min_arity, 4)
-    pairs = [_random_ratio(rng) for _ in range(arity - 1)]
-    return OperadPoint.from_pairs([(n + d, d) for n, d in pairs])  # 1 + n/d
-
-
-def _point_payload(*points) -> list:
-    return [[str(t) for t in p.shifts] for p in points]
-
-
-# ---------------------------------------------------------------------------
-# operad axiom suite
-
-
-def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
-    """Associativity, unit, suboperad closure, coalgebra compatibility,
-    zero-action soundness, and the nullhomotopy endpoints, on seeded random
-    rational points.  ``compose_fn`` may substitute a (deliberately broken)
-    composition for negative-control runs."""
-    config.validate()
-    comp = compose_fn or compose
-    rng = random.Random(config.seed)
-    report = Report("operad check", config)
-    trials = config.trials
-
-    def composed_action(outer, inners):
-        return compose_action_maps(action_map(outer), [action_map(i) for i in inners])
-
-    # associativity and unit
-    failure = None
-    for _ in range(trials):
-        a = _random_point(rng)
-        bs = [_random_point(rng) for _ in range(a.arity)]
-        cs = [_random_point(rng) for _ in range(sum(b.arity for b in bs))]
-        left = comp(comp(a, bs), cs)
-        pos = 0
-        inner_composites = []
-        for b in bs:
-            inner_composites.append(comp(b, cs[pos:pos + b.arity]))
-            pos += b.arity
-        right = comp(a, inner_composites)
-        if left != right:
-            failure = {"check": "associativity",
-                       "inputs": {"outer": _point_payload(a)[0],
-                                  "inners": _point_payload(*bs),
-                                  "deepest": _point_payload(*cs)}}
-            break
-        unit = OperadPoint(())
-        if comp(unit, [a]) != a or comp(a, [unit] * a.arity) != a:
-            failure = {"check": "unit", "inputs": {"point": _point_payload(a)[0]}}
-            break
-    if failure:
-        report.add_fail(failure["check"], failure)
-    else:
-        report.add_pass("associativity", {"trials": trials})
-        report.add_pass("unit", {"trials": trials})
-
-    # suboperad closure
-    failure = None
-    for _ in range(trials):
-        a = _random_a_point(rng)
-        ins = [_random_a_point(rng) for _ in range(a.arity)]
-        if not is_member("A", comp(a, ins)):
-            failure = {"check": "closure-A",
-                       "inputs": {"outer": _point_payload(a)[0],
-                                  "inners": _point_payload(*ins)}}
-            break
-        o = _random_oprime_point(rng)
-        outs = [_random_oprime_point(rng) for _ in range(o.arity)]
-        if not is_member("Oprime", comp(o, outs)):
-            failure = {"check": "closure-Oprime",
-                       "inputs": {"outer": _point_payload(o)[0],
-                                  "inners": _point_payload(*outs)}}
-            break
-    if failure:
-        report.add_fail(failure["check"], failure)
-    else:
-        report.add_pass("closure-A", {"trials": trials})
-        report.add_pass("closure-Oprime", {"trials": trials})
-
-    # coalgebra compatibility
-    failure = None
-    for _ in range(trials):
-        a = _random_point(rng)
-        bs = [_random_point(rng) for _ in range(a.arity)]
-        if action_map(comp(a, bs)) != composed_action(a, bs):
-            failure = {"check": "coalgebra-compatibility",
-                       "inputs": {"outer": _point_payload(a)[0],
-                                  "inners": _point_payload(*bs)}}
-            break
-    if failure:
-        report.add_fail(failure["check"], failure)
-    else:
-        report.add_pass("coalgebra-compatibility", {"trials": trials})
-
-    # zero-action soundness
-    failure = None
-    for _ in range(200):
-        o = _random_oprime_point(rng, min_arity=2)
-        m = action_map(o)
-        verdict = is_zero_map(m)
-        if not verdict.is_zero:
-            failure = {"check": "zero-action",
-                       "inputs": {"point": _point_payload(o)[0]}}
-            break
-        ok = all(
-            eval_action(m, Fraction(rng.randint(1, 99), 100)).is_basepoint
-            for _ in range(100))
-        if not ok:
-            failure = {"check": "zero-action",
-                       "inputs": {"point": _point_payload(o)[0]}}
-            break
-    else:
-        for _ in range(200):
-            arity = rng.randint(2, 4)
-            point = OperadPoint.from_pairs(
-                [(rng.randint(0, 99), 100) for _ in range(arity - 1)])
-            verdict = is_zero_map(action_map(point))
-            if verdict.is_zero or eval_action(action_map(point), verdict.witness).is_basepoint:
-                failure = {"check": "zero-action-witness",
-                           "inputs": {"point": _point_payload(point)[0]}}
-                break
-    if failure:
-        report.add_fail(failure["check"], failure)
-    else:
-        report.add_pass("zero-action", {"trials": 200})
-        report.add_pass("zero-action-witness", {"trials": 200})
-
-    # nullhomotopy endpoints
-    start = nullhomotopy_point(0)
-    end = nullhomotopy_point(1)
-    s = Fraction(1, 3)
-    diag = eval_action(action_map(start), s)
-    endpoint_ok = (
-        is_member("A", start)
-        and is_member("Oprime", end)
-        and not diag.is_basepoint
-        and len(set(diag.coords)) == 1
-        and is_zero_map(action_map(end)).is_zero
-    )
-    if endpoint_ok:
-        report.add_pass("nullhomotopy-endpoints")
-    else:
-        report.add_fail("nullhomotopy-endpoints",
-                        {"check": "nullhomotopy-endpoints", "inputs": {}})
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Hochschild oracle suite
+def _verdict(name: str, holds: bool, failure, passed: dict | None = None) -> CheckResult:
+    """The report line ``name``: PASS with payload ``passed``, or FAIL with
+    the payload that the function ``failure`` builds only then."""
+    return CheckResult(name, "pass", passed) if holds else CheckResult(name, "fail", failure())
 
 
 def _lookup(obj, *path: str, source: str):
@@ -234,14 +46,266 @@ def _lookup(obj, *path: str, source: str):
     return obj
 
 
-def _load_hh_fixture(path: str | None) -> dict:
+# ---------------------------------------------------------------------------
+# payload inputs: a bad one is a usage error that names its key
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise UsageError(message)
+
+
+def _need(inputs: dict, key: str):
+    _require(key in inputs, f"replay payload lacks key inputs.{key}")
+    return inputs[key]
+
+
+def _int_input(inputs: dict, key: str) -> int:
+    """inputs.key as a JSON integer (not a boolean) or as decimal text."""
+    value = _need(inputs, key)
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"replay payload inputs.{key} holds {json.dumps(value)}, "
+                     "which is not an integer")
+
+
+def _prime(inputs: dict) -> int:
+    p = _int_input(inputs, "p")
+    _require(is_prime(p), f"p = {p} is not prime")
+    return p
+
+
+def _window(inputs: dict, default: tuple[int, int]) -> tuple[int, int]:
+    """The degree window [inputs.lo, inputs.hi], or ``default`` if it names none."""
+    if "lo" not in inputs and "hi" not in inputs:
+        return default
+    lo, hi = _int_input(inputs, "lo"), _int_input(inputs, "hi")
+    _require(lo <= hi, f"replay payload inputs.lo..hi = {lo}..{hi} is empty")
+    return lo, hi
+
+
+def _rational(key: str, value) -> Fraction:
+    # Fraction reads JSON true as 1 and raises on "1/0" or 1e400
+    try:
+        if not isinstance(value, bool):
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise UsageError(f"replay payload inputs.{key} holds {json.dumps(value)}, "
+                     "which is not a rational coordinate")
+
+
+def _points(inputs: dict, key: str, single=False, slots=None) -> list[OperadPoint]:
+    """The points at inputs.key; ``slots`` is how many of them the
+    composite needs, if it is fixed."""
+    value = _need(inputs, key)
+    listed = [value] if single else value
+    _require(isinstance(value, list) and all(isinstance(c, list) for c in listed),
+             f"replay payload inputs.{key} is not made of coordinate lists")
+    try:
+        points = [OperadPoint(tuple(_rational(key, c) for c in coords))
+                  for coords in listed]
+    except DomainError as exc:
+        raise UsageError(f"replay payload inputs.{key}: {exc}") from exc
+    _require(slots is None or len(points) == slots,
+             f"replay payload inputs.{key} holds {len(points)} points for {slots} slots")
+    return points
+
+
+def _composite(inputs: dict, operad: str = "O", deepest: bool = False) -> dict:
+    """inputs.outer, one point of inputs.inners per slot, all in ``operad``,
+    and with ``deepest`` one point of inputs.deepest per slot of those."""
+    args = {"outer": _points(inputs, "outer", single=True)[0]}
+    args["inners"] = _points(inputs, "inners", slots=args["outer"].arity)
+    for key, points in (("outer", [args["outer"]]), ("inners", args["inners"])):
+        _require(all(is_member(operad, q) for q in points),
+                 f"replay payload inputs.{key} is not in {operad}")
+    if deepest:
+        slots = sum(b.arity for b in args["inners"])
+        args["deepest"] = _points(inputs, "deepest", slots=slots)
+    return args
+
+
+def _parse_zero_action(inputs: dict, with_s: bool) -> dict:
+    point, = _points(inputs, "point", single=True)
+    _require(point.arity >= 2, "replay payload inputs.point has arity 1; the "
+             "zero-action check needs arity at least 2")
+    if not with_s:
+        return {"point": point}
+    s = _rational("s", _need(inputs, "s"))
+    _require(0 < s < 1, f"replay payload inputs.s is {s}, outside (0, 1)")
+    return {"point": point, "s_values": [s]}
+
+
+# ---------------------------------------------------------------------------
+# operad checks and their suite
+
+
+def _coords(*points) -> list:
+    return [[str(t) for t in p.shifts] for p in points]
+
+
+def _composite_inputs(outer, inners) -> dict:
+    return {"outer": _coords(outer)[0], "inners": _coords(*inners)}
+
+
+def associativity(outer, inners, deepest, comp=None) -> CheckResult:
+    comp = comp or compose
+    rest = iter(deepest)
+    inner_composites = [comp(b, list(islice(rest, b.arity))) for b in inners]
+    holds = comp(comp(outer, inners), deepest) == comp(outer, inner_composites)
+    return _verdict("associativity replay", holds, lambda: {
+        "check": "associativity",
+        "inputs": {**_composite_inputs(outer, inners), "deepest": _coords(*deepest)}})
+
+
+def unit(point, comp=None) -> CheckResult:
+    comp, e = comp or compose, OperadPoint(())
+    holds = comp(e, [point]) == point and comp(point, [e] * point.arity) == point
+    return _verdict("unit replay", holds, lambda: {
+        "check": "unit", "inputs": {"point": _coords(point)[0]}})
+
+
+def closure_a(outer, inners, comp=None) -> CheckResult:
+    return _verdict("closure-A replay", is_member("A", (comp or compose)(outer, inners)),
+                    lambda: {"check": "closure-A",
+                             "inputs": _composite_inputs(outer, inners)})
+
+
+def closure_oprime(outer, inners, comp=None) -> CheckResult:
+    return _verdict("closure-Oprime replay",
+                    is_member("Oprime", (comp or compose)(outer, inners)),
+                    lambda: {"check": "closure-Oprime",
+                             "inputs": _composite_inputs(outer, inners)})
+
+
+def coalgebra_compatibility(outer, inners, comp=None) -> CheckResult:
+    holds = action_map((comp or compose)(outer, inners)) == compose_action_maps(
+        action_map(outer), [action_map(i) for i in inners])
+    return _verdict("coalgebra replay", holds, lambda: {
+        "check": "coalgebra-compatibility", "inputs": _composite_inputs(outer, inners)})
+
+
+def zero_action(point, s_values) -> CheckResult:
+    """Whether the action of ``point`` is zero and sends each circle coordinate
+    in ``s_values`` to the basepoint; the payload records the first that is not."""
+    m = action_map(point)
+    zero = is_zero_map(m).is_zero
+    bad = next((s for s in s_values if not zero or not eval_action(m, s).is_basepoint),
+               None)
+    return _verdict("zero-action replay", bad is None, lambda: {
+        "check": "zero-action", "inputs": {"point": _coords(point)[0], "s": str(bad)}})
+
+
+def zero_action_witness(point) -> CheckResult:
+    """Whether a nonzero action sends its witness to an interior point."""
+    m = action_map(point)
+    verdict = is_zero_map(m)
+    holds = not verdict.is_zero and not eval_action(m, verdict.witness).is_basepoint
+    return _verdict("zero-action replay", holds, lambda: {
+        "check": "zero-action-witness", "inputs": {"point": _coords(point)[0]}})
+
+
+def nullhomotopy_endpoints() -> CheckResult:
+    start, end = nullhomotopy_point(0), nullhomotopy_point(1)
+    diag = eval_action(action_map(start), Fraction(1, 3))
+    holds = (is_member("A", start) and is_member("Oprime", end)
+             and not diag.is_basepoint and len(set(diag.coords)) == 1
+             and is_zero_map(action_map(end)).is_zero)
+    return _verdict("nullhomotopy-endpoints", holds, lambda: {
+        "check": "nullhomotopy-endpoints", "inputs": {}})
+
+
+def _random_point(rng: random.Random, min_arity=1, suboperad="O") -> OperadPoint:
+    """A point of arity min_arity..4 whose shifts are rationals in [0, 3]
+    with denominator 1..4: all 0 in A, and 1 more in Oprime."""
+    arity = rng.randint(min_arity, 4)
+    if suboperad == "A":
+        return OperadPoint.from_pairs([(0, 1)] * (arity - 1))
+    pairs = [(rng.randint(0, 12), rng.choice((1, 2, 3, 4))) for _ in range(arity - 1)]
+    if suboperad == "Oprime":
+        pairs = [(n + d, d) for n, d in pairs]  # 1 + n/d
+    return OperadPoint.from_pairs(pairs)
+
+
+def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
+    """Associativity, unit, suboperad closure, coalgebra compatibility,
+    zero-action soundness, and the nullhomotopy endpoints, on seeded random
+    rational points.  ``compose_fn`` may substitute a (deliberately broken)
+    composition for negative-control runs."""
+    config.validate()
+    comp = compose_fn  # None: each verdict looks up compose when it runs
+    rng = random.Random(config.seed)
+    report = Report("operad check", config)
+    trials = config.trials
+
+    # each section yields its verdicts lazily, so its draws stop at the
+    # first failure
+    def associative_and_unital():
+        for _ in range(trials):
+            a = _random_point(rng)
+            bs = [_random_point(rng) for _ in range(a.arity)]
+            cs = [_random_point(rng) for _ in range(sum(b.arity for b in bs))]
+            yield associativity(a, bs, cs, comp)
+            yield unit(a, comp)
+
+    def closed():
+        for _ in range(trials):
+            a = _random_point(rng, suboperad="A")
+            yield closure_a(a, [_random_point(rng, suboperad="A")
+                                for _ in range(a.arity)], comp)
+            o = _random_point(rng, suboperad="Oprime")
+            yield closure_oprime(o, [_random_point(rng, suboperad="Oprime")
+                                     for _ in range(o.arity)], comp)
+
+    def compatible():
+        for _ in range(trials):
+            a = _random_point(rng)
+            yield coalgebra_compatibility(
+                a, [_random_point(rng) for _ in range(a.arity)], comp)
+
+    def sound():
+        for _ in range(200):
+            o = _random_point(rng, min_arity=2, suboperad="Oprime")
+            yield zero_action(o, [Fraction(rng.randint(1, 99), 100) for _ in range(100)])
+        for _ in range(200):
+            arity = rng.randint(2, 4)
+            yield zero_action_witness(OperadPoint.from_pairs(
+                [(rng.randint(0, 99), 100) for _ in range(arity - 1)]))
+
+    for kinds, verdicts, count in (
+            (("associativity", "unit"), associative_and_unital(), trials),
+            (("closure-A", "closure-Oprime"), closed(), trials),
+            (("coalgebra-compatibility",), compatible(), trials),
+            (("zero-action", "zero-action-witness"), sound(), 200)):
+        failed = next((v for v in verdicts if v.status == "fail"), None)
+        if failed:
+            report.add_fail(failed.payload["check"], failed.payload)
+        else:
+            for kind in kinds:
+                report.add_pass(kind, {"trials": count})
+    report.checks.append(nullhomotopy_endpoints())
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Hochschild checks and their suite
+
+
+def _parse_fixtures(inputs: dict) -> dict:
+    """The fixture file that inputs.fixtures names (null or absent: the
+    packaged one) and its contents."""
+    path = inputs.get("fixtures")
+    _require(path is None or isinstance(path, str), "replay payload inputs.fixtures "
+             f"holds {json.dumps(path)}, which is not a file name or null")
     if path is None:
-        text = resources.files("dualcircle").joinpath(
-            "fixtures/hh_fixtures.json").read_text()
-        return json.loads(text)
+        return {"fixtures": None, "fx": json.loads(resources.files("dualcircle").joinpath(
+            "fixtures/hh_fixtures.json").read_text())}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return {"fixtures": path, "fx": json.load(fh)}
     except OSError as exc:
         raise UsageError(f"cannot read fixture file: {exc}") from exc
 
@@ -263,14 +327,6 @@ def _hh_module(fx: dict, name: str) -> GradedModule:
         "a list of [degree, order] pairs")
 
 
-def _hh_expected(fx: dict, name: str, w: int) -> dict[int, FGAbGroup]:
-    return _parse_fixture(
-        fx, ("expected_weight_homology", name, str(w)),
-        lambda frozen: {int(t): FGAbGroup.from_orders(orders)
-                        for t, orders in frozen.items()},
-        "a map from degrees to lists of orders")
-
-
 def _hh_degree_window(fx: dict) -> tuple[int, int]:
     def parse(window):
         lo, hi = (int(d) for d in window)
@@ -278,131 +334,175 @@ def _hh_degree_window(fx: dict) -> tuple[int, int]:
     return _parse_fixture(fx, ("degree_window",), parse, "a [lo, hi] pair")
 
 
-def _hh_disagreeing_route(m: GradedModule, w: int, lo: int, hi: int,
-                          oracle: dict[int, FGAbGroup],
-                          expected: dict[int, FGAbGroup]) -> str | None:
-    """The first of the weight, oracle and cell routes whose weight-w
-    homology in [lo, hi] differs from ``expected``, or None."""
+def hh_weight(fixtures, fx, name, m, w, lo, hi, oracle) -> CheckResult:
+    """Whether the weight, oracle and cell routes of module ``name`` in weight
+    w equal the frozen groups in [lo, hi]; the payload names the first that does not."""
+    def window(groups):
+        return {t: g for t, g in groups.items() if lo <= t <= hi}
+
+    expected = window(_parse_fixture(
+        fx, ("expected_weight_homology", name, str(w)),
+        lambda frozen: {int(t): FGAbGroup.from_orders(orders)
+                        for t, orders in frozen.items()},
+        "a map from degrees to lists of orders"))
     routes = {"weight": weight_homology_fg(w, m), "oracle": oracle,
               "cell": cell_weight_homology_fg(w, m)}
-    for route, groups in routes.items():
-        if {t: g for t, g in groups.items() if lo <= t <= hi} != expected:
-            return route
-    return None
+    route = next((r for r, groups in routes.items() if window(groups) != expected), None)
+    line = f"hh replay [{name}, {w}]" + ("" if route is None else f" {route} vs frozen")
+    return _verdict(line, route is None, lambda: {
+        "check": "hh-weight", "route": route, "inputs": {
+            "module": name, "weight": w, "lo": lo, "hi": hi, "fixtures": fixtures}})
+
+
+def _parse_hh_weight(inputs: dict) -> dict:
+    name = _need(inputs, "module")
+    w = _int_input(inputs, "weight")
+    _require(isinstance(name, str) and w >= 1, "replay payload inputs needs a "
+             "module name and a weight of at least 1")
+    args = _parse_fixtures(inputs)
+    m = _hh_module(args["fx"], name)
+    lo, hi = _window(inputs, _hh_degree_window(args["fx"]))
+    return {**args, "name": name, "m": m, "w": w, "lo": lo, "hi": hi,
+            "oracle": brute_hochschild_weights(m, w, lo, hi)[w]}
+
+
+def hh_dual_numbers(fixtures, fx) -> CheckResult:
+    """The full assembled homology of the dual numbers in low degrees."""
+    dual = brute_hochschild(GradedModule.single(0, 0), 2)
+    got = [dual.at(0), dual.at(1)]
+    expected = [_parse_fixture(
+        fx, ("dual_numbers", key),
+        lambda orders: GroupExpr.from_fg(FGAbGroup.from_orders(orders)),
+        "a list of orders") for key in ("HH0", "HH1")]
+    return _verdict("dual-numbers HH0, HH1", got == expected, lambda: {
+        "check": "hh-dual-numbers", "inputs": {"fixtures": fixtures},
+        "got": [str(g) for g in got]})
+
+
+def hh_truncation() -> CheckResult:
+    """The dual-numbers oracle is stable under a deeper truncation."""
+    dual = brute_hochschild(GradedModule.single(0, 0), 2)
+    deeper = brute_hochschild(GradedModule.single(0, 0), 3)
+    return _verdict("truncation-stability", all(dual.at(d) == deeper.at(d) for d in range(3)),
+                    lambda: {"check": "hh-truncation", "inputs": {}})
+
+
+def thh_shadow(fixtures, fx) -> CheckResult:
+    shadow = thh_homology_square_zero(GradedModule.single(-1, 0), -1, 0)
+    expected = {d: _parse_fixture(
+        fx, ("thh_dual_circle_shadow", str(d)),
+        lambda atoms: GroupExpr._make([tuple(a) for a in atoms]),
+        "a list of [kind, parameter, multiplicity] atoms") for d in (-1, 0)}
+    return _verdict("circle-dual-shadow", all(shadow.at(d) == expected[d] for d in (-1, 0)),
+                    lambda: {"check": "thh-shadow", "inputs": {"fixtures": fixtures},
+                             "got": {str(d): str(shadow.at(d)) for d in (-1, 0)}})
 
 
 def run_hh_verify(config: RunConfig) -> Report:
-    """Three-route equality (weight complex, brute-force oracle, cell
-    model) on the fixture modules, against the frozen expectations, plus
-    the dual-numbers values, truncation stability, and the circle-dual
-    shadow row."""
+    """Three-route equality (weight complex, brute-force oracle, cell model) on
+    the fixture modules against the frozen expectations, plus the dual-numbers
+    values, truncation stability, and the circle-dual shadow row."""
     config.validate()
     report = Report("hh verify", config)
-    fx = _load_hh_fixture(config.fixture_path)
-
+    path = config.fixture_path
+    fx = _parse_fixtures({"fixtures": path})["fx"]
     lo, hi = _hh_degree_window(fx)
-    lo = max(lo, -config.max_degree)
-    hi = min(hi, config.max_degree)
+    lo, hi = max(lo, -config.max_degree), min(hi, config.max_degree)
     max_weight = min(config.max_weight,
                      _parse_fixture(fx, ("max_weight",), int, "an integer"))
-
     for name in _lookup(fx, "modules", source="fixture file"):
         m = _hh_module(fx, name)
         brute = brute_hochschild_weights(m, max_weight, lo, hi)
         for w in range(1, max_weight + 1):
-            expected = {t: g for t, g in _hh_expected(fx, name, w).items()
-                        if lo <= t <= hi}
-            route = _hh_disagreeing_route(m, w, lo, hi, brute[w], expected)
-            payload = {"check": "hh-weight", "inputs": {"module": name, "weight": w}}
-            if route is None:
+            line = hh_weight(path, fx, name, m, w, lo, hi, brute[w])
+            if line.status == "pass":
                 report.add_pass(f"three-route[{name},{w}]")
             else:
-                report.add_fail(f"{route}[{name},{w}] vs frozen", payload)
-
-    # dual numbers: full assembled homology in low degrees
-    dual = brute_hochschild(GradedModule.single(0, 0), 2)
-    hh0, hh1 = (
-        _parse_fixture(fx, ("dual_numbers", key),
-                       lambda orders: GroupExpr.from_fg(FGAbGroup.from_orders(orders)),
-                       "a list of orders")
-        for key in ("HH0", "HH1"))
-    if dual.at(0) == hh0 and dual.at(1) == hh1:
-        report.add_pass("dual-numbers HH0, HH1")
-    else:
-        report.add_fail("dual-numbers HH0, HH1",
-                        {"check": "hh-dual-numbers", "inputs": {},
-                         "got": [str(dual.at(0)), str(dual.at(1))]})
-
-    # stability of the truncation bound
-    deeper = brute_hochschild(GradedModule.single(0, 0), 3)
-    if all(dual.at(d) == deeper.at(d) for d in range(0, 3)):
-        report.add_pass("truncation-stability")
-    else:
-        report.add_fail("truncation-stability",
-                        {"check": "hh-truncation", "inputs": {}})
-
-    # the circle-dual shadow
-    shadow = thh_homology_square_zero(GradedModule.single(-1, 0), -1, 0)
-    expected_shadow = {
-        d: _parse_fixture(fx, ("thh_dual_circle_shadow", str(d)),
-                          lambda atoms: GroupExpr._make([tuple(a) for a in atoms]),
-                          "a list of [kind, parameter, multiplicity] atoms")
-        for d in (-1, 0)}
-    if all(shadow.at(d) == expected_shadow[d] for d in (-1, 0)):
-        report.add_pass("circle-dual-shadow")
-    else:
-        report.add_fail("circle-dual-shadow",
-                        {"check": "thh-shadow", "inputs": {},
-                         "got": {str(d): str(shadow.at(d)) for d in (-1, 0)}})
+                report.add_fail(f"{line.payload['route']}[{name},{w}] vs frozen",
+                                line.payload)
+    report.checks += [hh_dual_numbers(path, fx), hh_truncation(), thh_shadow(path, fx)]
     return report
 
 
 # ---------------------------------------------------------------------------
-# table suites
+# tc checks and their suites: tables, F/R algebra, coassembly
 
 
-def _table1_block(p: int, rows, lo: int, hi: int) -> TableBlock:
-    headers = ["spectrum"] + [f"H_{d}" for d in range(lo, hi + 1)]
-    body = [[label] + [str(rows[label].at(d)) for d in range(lo, hi + 1)]
-            for label in rows]
-    return TableBlock(f"integral homology of the components (p = {p})", headers, body)
+def _table1_reference(lo: int, hi: int) -> tuple[int, int]:
+    """The degrees of the table-1 reference; a usage error if [lo, hi] misses them."""
+    ref_lo, ref_hi = table1_reference_degrees()
+    _require(hi >= ref_lo and lo <= ref_hi, f"degrees {lo}..{hi} miss the table1 "
+             f"reference, which covers degrees {ref_lo}..{ref_hi}")
+    return ref_lo, ref_hi
 
 
-def _table2_block(t) -> TableBlock:
-    headers = ["spectrum"] + [f"pi_{d}^Q" for d in t.degrees]
-    body = []
-    for label, row in t.rows.items():
-        body.append([label] + [
-            ("out-of-range" if row[d] is None else str(row[d])) for d in t.degrees])
-    return TableBlock(f"rational homotopy of the p-completions (p = {t.p})",
-                      headers, body)
+def table1_vs_reference(p, lo, hi, rows) -> CheckResult:
+    problems = diff_table1(p, rows, lo, hi)
+    cells = {label: {str(d): row.at(d).to_json_obj() for d in range(lo, hi + 1)}
+             for label, row in rows.items()}
+    return _verdict("table1 vs reference", not problems, lambda: {
+        "check": "table1", "inputs": {"p": str(p), "lo": str(lo), "hi": str(hi)},
+        "mismatches": problems}, {"cells": cells})
+
+
+def _parse_table1(inputs: dict) -> dict:
+    p = _prime(inputs)
+    lo, hi = _window(inputs, table1_reference_degrees())
+    _table1_reference(lo, hi)
+    return {"p": p, "lo": lo, "hi": hi, "rows": table1(p, lo, hi)}
+
+
+def table2_vs_reference(t) -> CheckResult:
+    problems = diff_table2(t)
+    cells = {label: {str(d): ("out-of-range" if row[d] is None else row[d].to_json_obj())
+                     for d in t.degrees}
+             for label, row in t.rows.items()}
+    return _verdict("table2 vs reference", not problems, lambda: {
+        "check": "table2", "inputs": {"p": str(t.p)}, "mismatches": problems},
+        {"cells": cells})
+
+
+def table2_shift_sum(t) -> CheckResult:
+    return _verdict("smash row = shift-sum", dual_tc_shift_sum_check(t), lambda: {
+        "check": "table2-shift-sum", "inputs": {"p": str(t.p)}})
+
+
+def table2_wedge(t) -> CheckResult:
+    return _verdict("dual-circle row = normalized wedge of components", table2_wedge_check(t),
+                    lambda: {"check": "table2-wedge", "inputs": {"p": str(t.p)}})
+
+
+def _parse_table2(inputs: dict) -> dict:
+    # every table-2 check skips marked cells, so marking the columns beyond
+    # the homotopy window never changes a verdict
+    return {"t": table2(_prime(inputs), truncate_out_of_range=True)}
+
+
+def negative_control(p) -> CheckResult:
+    """A zeroed transfer row must move H_{-1}(E) away from the reference."""
+    got = e_homology_with_descriptor(p, MapDescriptor.zero(), -2, 4).at(-1)
+    expected = expected_table1(p)["E"][-1]
+    return _verdict("zeroed transfer row detected", got != expected,
+                    lambda: {"check": "negative-control", "inputs": {"p": str(p)}},
+                    {"got": str(got), "expected": str(expected)})
 
 
 def run_tc_table1(config: RunConfig) -> Report:
     config.validate(need_prime=True)
     lo, hi = config.min_deg, config.max_deg
-    ref_lo, ref_hi = table1_reference_degrees()
-    if hi < ref_lo or lo > ref_hi:
-        raise UsageError(f"degrees {lo}..{hi} miss the table1 reference, "
-                         f"which covers degrees {ref_lo}..{ref_hi}")
+    ref_lo, ref_hi = _table1_reference(lo, hi)
     report = Report("tc table1", config)
     rows = table1(config.p, lo, hi)
-    report.tables.append(_table1_block(config.p, rows, lo, hi))
-    outside = (hi - lo) - (min(hi, ref_hi) - max(lo, ref_lo))
-    if outside:
-        uncompared = len(rows) * outside
+    report.tables.append(TableBlock(
+        f"integral homology of the components (p = {config.p})",
+        ["spectrum"] + [f"H_{d}" for d in range(lo, hi + 1)],
+        [[label] + [str(row.at(d)) for d in range(lo, hi + 1)]
+         for label, row in rows.items()]))
+    uncompared = len(rows) * ((hi - lo) - (min(hi, ref_hi) - max(lo, ref_lo)))
+    if uncompared:
         report.add_skip(f"{uncompared} cells outside the reference degrees "
                         f"{ref_lo}..{ref_hi}", {"cells": str(uncompared)})
-    structured = {
-        label: {str(d): row.at(d).to_json_obj() for d in range(lo, hi + 1)}
-        for label, row in rows.items()}
-    problems = diff_table1(config.p, rows, lo, hi)
-    if problems:
-        report.add_fail("table1 vs reference",
-                        {"check": "table1", "inputs": {"p": str(config.p)},
-                         "mismatches": problems})
-    else:
-        report.add_pass("table1 vs reference", {"cells": structured})
+    report.checks.append(table1_vs_reference(config.p, lo, hi, rows))
     return report
 
 
@@ -410,255 +510,152 @@ def run_tc_table2(config: RunConfig) -> Report:
     config.validate(need_prime=True)
     report = Report("tc table2", config)
     t = table2(config.p, truncate_out_of_range=config.truncate_out_of_range)
-    report.tables.append(_table2_block(t))
+    report.tables.append(TableBlock(
+        f"rational homotopy of the p-completions (p = {t.p})",
+        ["spectrum"] + [f"pi_{d}^Q" for d in t.degrees],
+        [[label] + [("out-of-range" if row[d] is None else str(row[d]))
+                    for d in t.degrees] for label, row in t.rows.items()]))
     skipped = [d for d in t.degrees if t.cell("E^_p", d) is None]
     if skipped:
         report.add_skip(
             f"columns {skipped[0]}..{skipped[-1]} beyond the homotopy window",
             {"cap": str(t.cap)})
-    structured = {
-        label: {str(d): ("out-of-range" if row[d] is None else row[d].to_json_obj())
-                for d in t.degrees}
-        for label, row in t.rows.items()}
-    problems = diff_table2(t)
-    if problems:
-        report.add_fail("table2 vs reference",
-                        {"check": "table2", "inputs": {"p": str(config.p)},
-                         "mismatches": problems})
-    else:
-        report.add_pass("table2 vs reference", {"cells": structured})
-    if dual_tc_shift_sum_check(t):
-        report.add_pass("smash row = shift-sum")
-    else:
-        report.add_fail("smash row = shift-sum",
-                        {"check": "table2-shift-sum", "inputs": {"p": str(config.p)}})
-    if table2_wedge_check(t):
-        report.add_pass("dual-circle row = normalized wedge of components")
-    else:
-        report.add_fail("dual-circle row = normalized wedge of components",
-                        {"check": "table2-wedge", "inputs": {"p": str(config.p)}})
+    report.checks += [table2_vs_reference(t), table2_shift_sum(t), table2_wedge(t)]
     return report
 
 
 def run_negative_controls(config: RunConfig) -> Report:
-    """Guards against vacuous passes: a zeroed transfer row must move
-    H_{-1}(E) away from the reference value and be reported."""
     config.validate(need_prime=True)
-    report = Report("tc negative-controls", config)
-    sabotaged = e_homology_with_descriptor(
-        config.p, MapDescriptor.zero(), -2, 4)
-    reference = expected_table1(config.p)["E"]
-    if sabotaged.at(-1) != reference[-1]:
-        report.add_pass("zeroed transfer row detected",
-                        {"got": str(sabotaged.at(-1)),
-                         "expected": str(reference[-1])})
-    else:
-        report.add_fail("zeroed transfer row detected",
-                        {"check": "negative-control", "inputs": {"p": str(config.p)}})
-    return report
+    return Report("tc negative-controls", config, [negative_control(config.p)])
+
+
+def fr_commute(p, n) -> CheckResult:
+    return _verdict(f"F and R commute at level {n}", check_fr_commute(p, n), lambda: {
+        "check": "fr-commute", "inputs": {"p": str(p), "n": str(n)}})
+
+
+def restriction_deletion(p, n) -> CheckResult:
+    deleted = [r for r in restriction_map(p, n).routes if r.target is None]
+    holds = len(deleted) == 1 and deleted[0].source == 0
+    return _verdict("restriction deletes exactly one orbit summand", holds, lambda: {
+        "check": "restriction-deletion", "inputs": {"p": str(p), "n": str(n)}})
+
+
+def frobenius_routing(p, n) -> CheckResult:
+    holds = frobenius_map(p, n) == frobenius_general(p, n, n - 1)
+    return _verdict("Frobenius routing matches the fixed-point rule", holds, lambda: {
+        "check": "frobenius-routing", "inputs": {"p": str(p), "n": str(n)}})
+
+
+def _parse_level(inputs: dict) -> dict:
+    p, n = _prime(inputs), _int_input(inputs, "n")
+    _require(n >= 2, "check-fr needs n >= 2")
+    return {"p": p, "n": n}
 
 
 def run_check_fr(config: RunConfig, n: int) -> Report:
     config.validate(need_prime=True)
-    report = Report("tc check-fr", config)
-    if n < 2:
-        raise UsageError("check-fr needs n >= 2")
-    if check_fr_commute(config.p, n):
-        report.add_pass(f"F and R commute at level {n}")
-    else:
-        report.add_fail(f"F and R commute at level {n}",
-                        {"check": "fr-commute",
-                         "inputs": {"p": str(config.p), "n": str(n)}})
-    rmap = restriction_map(config.p, n)
-    deleted = [r for r in rmap.routes if r.target is None]
-    if len(deleted) == 1 and deleted[0].source == 0:
-        report.add_pass("restriction deletes exactly one orbit summand")
-    else:
-        report.add_fail("restriction deletes exactly one orbit summand",
-                        {"check": "restriction-deletion",
-                         "inputs": {"p": str(config.p), "n": str(n)}})
-    staircase = frobenius_map(config.p, n)
-    expected = frobenius_general(config.p, n, n - 1)
-    if staircase == expected:
-        report.add_pass("Frobenius routing matches the fixed-point rule")
-    else:
-        report.add_fail("Frobenius routing matches the fixed-point rule",
-                        {"check": "frobenius-routing",
-                         "inputs": {"p": str(config.p), "n": str(n)}})
-    return report
+    _require(n >= 2, "check-fr needs n >= 2")
+    p = config.p
+    return Report("tc check-fr", config,
+                  [fr_commute(p, n), restriction_deletion(p, n), frobenius_routing(p, n)])
+
+
+def coassembly(i, p, regular, conclusion) -> CheckResult:
+    """``conclusion`` of i, p and ``regular`` as a line; a failed hypothesis
+    is a result, so only a square that does not close fails."""
+    corners = ("top_left", "top_right", "bottom_left", "bottom_right")
+    return _verdict(conclusion.summary(), conclusion.status != "open", lambda: {
+        "check": "coassembly", "inputs": {"i": str(i), "p": str(p), "regular": regular},
+        "square": {k: conclusion.square[k] for k in corners}})
+
+
+def _parse_coassembly(inputs: dict) -> dict:
+    i, p = _int_input(inputs, "i"), _prime(inputs)
+    _require(i >= 1, "i must be at least 1")
+    regular = _need(inputs, "regular")
+    _require(isinstance(regular, bool), f"replay payload inputs.regular holds "
+             f"{json.dumps(regular)}, which is not a boolean")
+    return {"i": i, "p": p, "regular": regular,
+            "conclusion": coassembly_conclusion(i, p, regular)}
+
+
+def regularity(p) -> CheckResult:
+    """Whether p is regular; the payload lists the k with p | numerator(B_k)."""
+    indices = irregular_indices(p)
+    return _verdict(f"p = {p} is regular", not indices, lambda: {
+        "check": "regularity", "inputs": {"p": str(p)},
+        "irregular_indices": [str(k) for k in indices],
+        "detail": f"p = {p} is irregular"})
 
 
 def run_coassembly(config: RunConfig, i: int) -> Report:
     config.validate(need_prime=True)
     report = Report("tc coassembly", config)
-    if i < 1:
-        raise UsageError("i must be at least 1")
+    _require(i >= 1, "i must be at least 1")
     regular = config.assume_regular
     if config.check_regularity:
-        indices = irregular_indices(config.p)
-        if config.assume_regular and indices:
-            report.add_fail("regularity assumption rejected",
-                            _regularity_payload(config.p, indices))
+        decided = regularity(config.p)
+        if config.assume_regular and decided.status == "fail":
+            report.add_fail("regularity assumption rejected", decided.payload)
             return report
-        regular = not indices
+        regular = decided.status == "pass"
         report.add_pass(f"regularity of p = {config.p} decided: {regular}")
-    verdict = coassembly_conclusion(i, config.p, regular)
-    block = TableBlock(
-        f"rational square in degree {verdict.degree}",
-        ["corner", "value"],
-        [[k, v] for k, v in sorted(verdict.square.items())],
-    )
-    if verdict.square:
-        report.tables.append(block)
-    if verdict.status == "open":
-        corners = ("top_left", "top_right", "bottom_left", "bottom_right")
-        report.add_fail(verdict.summary(),
-                        {"check": "coassembly",
-                         "inputs": {"i": str(i), "p": str(config.p)},
-                         "square": {k: verdict.square[k] for k in corners}})
-    else:
-        # a hypothesis that fails is a result, not a failure
-        report.add_pass(verdict.summary())
+    conclusion = coassembly_conclusion(i, config.p, regular)
+    if conclusion.square:
+        report.tables.append(TableBlock(
+            f"rational square in degree {conclusion.degree}", ["corner", "value"],
+            [[k, v] for k, v in sorted(conclusion.square.items())]))
+    report.checks.append(coassembly(i, config.p, regular, conclusion))
     return report
-
-
-def _regularity_payload(p: int, indices: list[int]) -> dict:
-    """The FAIL payload of an irregular p, with the indices k of the
-    Bernoulli numerators B_k that p divides."""
-    return {"check": "regularity", "inputs": {"p": str(p)},
-            "irregular_indices": [str(k) for k in indices],
-            "detail": f"p = {p} is irregular"}
 
 
 # ---------------------------------------------------------------------------
-# replay
+# the registry and replay
 
 
-def run_replay(config: RunConfig, payload_path: str, truncate: bool = True) -> Report:
-    """Re-run one minimal failing input from a failure payload file.  A
-    table-2 payload is re-run with out-of-window columns marked when
-    ``truncate``, and as an error otherwise."""
+# kind -> (parse: payload inputs -> keyword arguments, verdict: those -> line)
+CHECKS = {
+    "associativity": (lambda x: _composite(x, deepest=True), associativity),
+    "unit": (lambda x: {"point": _points(x, "point", single=True)[0]}, unit),
+    "closure-A": (lambda x: _composite(x, "A"), closure_a),
+    "closure-Oprime": (lambda x: _composite(x, "Oprime"), closure_oprime),
+    "coalgebra-compatibility": (_composite, coalgebra_compatibility),
+    "zero-action": (lambda x: _parse_zero_action(x, with_s=True), zero_action),
+    "zero-action-witness": (lambda x: _parse_zero_action(x, with_s=False),
+                            zero_action_witness),
+    "nullhomotopy-endpoints": (lambda x: {}, nullhomotopy_endpoints),
+    "hh-weight": (_parse_hh_weight, hh_weight),
+    "hh-dual-numbers": (_parse_fixtures, hh_dual_numbers),
+    "hh-truncation": (lambda x: {}, hh_truncation),
+    "thh-shadow": (_parse_fixtures, thh_shadow),
+    "table1": (_parse_table1, table1_vs_reference),
+    "table2": (_parse_table2, table2_vs_reference),
+    "table2-shift-sum": (_parse_table2, table2_shift_sum),
+    "table2-wedge": (_parse_table2, table2_wedge),
+    "negative-control": (lambda x: {"p": _prime(x)}, negative_control),
+    "fr-commute": (_parse_level, fr_commute),
+    "restriction-deletion": (_parse_level, restriction_deletion),
+    "frobenius-routing": (_parse_level, frobenius_routing),
+    "coassembly": (_parse_coassembly, coassembly),
+    "regularity": (lambda x: {"p": _prime(x)}, regularity),
+}
+
+
+def run_replay(config: RunConfig, payload_path: str) -> Report:
+    """Re-run the check of a FAIL payload file on the payload's inputs
+    alone: ``config`` sets only the output format, and the report echoes
+    the payload's prime."""
     with open(payload_path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise UsageError("replay payload is not a JSON object")
-    check = payload.get("check")
-    report = Report(f"replay {check}", config)
-
-    def need(key):
-        return _lookup(payload, "inputs", key, source="replay payload")
-
-    def need_int(key, as_text=False) -> int:
-        """inputs.key as a JSON integer, not a boolean; with ``as_text``
-        also as the decimal text that the tc payloads write."""
-        value = need(key)
-        if as_text and isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
-            return int(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise UsageError(f"replay payload inputs.{key} holds {json.dumps(value)}, "
-                         "which is not an integer")
-
-    def parse_points(key, single=False, slots=None) -> list[OperadPoint]:
-        """The points at inputs.key; ``slots`` is how many of them the
-        composite needs, if it is fixed."""
-        value = need(key)
-        listed = [value] if single else value
-        if not (isinstance(value, list) and all(isinstance(c, list) for c in listed)):
-            raise UsageError(
-                f"replay payload inputs.{key} is not made of coordinate lists")
-
-        def coordinate(c) -> Fraction:
-            # Fraction reads JSON true as 1 and raises on "1/0" or 1e400
-            try:
-                if not isinstance(c, bool):
-                    return Fraction(c)
-            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                pass
-            raise UsageError(f"replay payload inputs.{key} holds {json.dumps(c)}, "
-                             "which is not a rational coordinate")
-
-        try:
-            points = [OperadPoint(tuple(coordinate(c) for c in coords))
-                      for coords in listed]
-        except DomainError as exc:
-            raise UsageError(f"replay payload inputs.{key}: {exc}") from exc
-        if slots is not None and len(points) != slots:
-            raise UsageError(f"replay payload inputs.{key} holds {len(points)} "
-                             f"points for {slots} slots")
-        return points
-
-    if check == "associativity":
-        a, = parse_points("outer", single=True)
-        bs = parse_points("inners", slots=a.arity)
-        cs = parse_points("deepest", slots=sum(b.arity for b in bs))
-        left = compose(compose(a, bs), cs)
-        pos = 0
-        rights = []
-        for b in bs:
-            rights.append(compose(b, cs[pos:pos + b.arity]))
-            pos += b.arity
-        right = compose(a, rights)
-        (report.add_pass if left == right else report.add_fail)(
-            "associativity replay", payload)
-    elif check == "coalgebra-compatibility":
-        a, = parse_points("outer", single=True)
-        bs = parse_points("inners", slots=a.arity)
-        lhs = action_map(compose(a, bs))
-        rhs = compose_action_maps(action_map(a), [action_map(b) for b in bs])
-        (report.add_pass if lhs == rhs else report.add_fail)(
-            "coalgebra replay", payload)
-    elif check in ("zero-action", "zero-action-witness"):
-        point, = parse_points("point", single=True)
-        if point.arity < 2:
-            raise UsageError("replay payload inputs.point has arity 1; the "
-                             "zero-action check needs arity at least 2")
-        verdict = is_zero_map(action_map(point))
-        if verdict.is_zero:
-            ok = eval_action(action_map(point), Fraction(1, 2)).is_basepoint
-        else:
-            ok = not eval_action(action_map(point), verdict.witness).is_basepoint
-        (report.add_pass if ok else report.add_fail)("zero-action replay", payload)
-    elif check == "hh-weight":
-        name = need("module")
-        w = need_int("weight")
-        if not isinstance(name, str) or w < 1:
-            raise UsageError("replay payload inputs needs a module name and "
-                             "a weight of at least 1")
-        fx = _load_hh_fixture(config.fixture_path)
-        m = _hh_module(fx, name)
-        lo, hi = _hh_degree_window(fx)
-        oracle = brute_hochschild_weights(m, w, lo, hi)[w]
-        route = _hh_disagreeing_route(m, w, lo, hi, oracle,
-                                      _hh_expected(fx, name, w))
-        if route is None:
-            report.add_pass(f"hh replay [{name}, {w}]")
-        else:
-            report.add_fail(f"hh replay [{name}, {w}] {route} vs frozen", payload)
-    elif check in ("table1", "table2"):
-        # the payload's p wins over the command's
-        config.p = need_int("p", as_text=True)
-        if check == "table1":
-            sub = run_tc_table1(config)
-        else:
-            config.truncate_out_of_range = truncate
-            sub = run_tc_table2(config)
-        report.checks.extend(sub.checks)
-    elif check == "coassembly":
-        # the payload's i and p; the regularity options come from the command
-        i = need_int("i", as_text=True)
-        config.p = need_int("p", as_text=True)
-        report.checks.extend(run_coassembly(config, i).checks)
-    elif check == "regularity":
-        # re-decide the payload's p; p >= 10^5 is refused by irregular_indices
-        config.p = need_int("p", as_text=True)
-        config.validate(need_prime=True)
-        indices = irregular_indices(config.p)
-        if indices:
-            report.add_fail(f"p = {config.p} is regular",
-                            _regularity_payload(config.p, indices))
-        else:
-            report.add_pass(f"p = {config.p} is regular")
-    else:
-        raise UsageError(f"replay does not understand check {check!r}")
-    return report
+    _require(isinstance(payload, dict), "replay payload is not a JSON object")
+    kind = payload.get("check")
+    _require(isinstance(kind, str) and kind in CHECKS,
+             f"replay does not understand check {kind!r}")
+    inputs = _lookup(payload, "inputs", source="replay payload")
+    _require(isinstance(inputs, dict), "replay payload inputs is not a JSON object")
+    parse, verdict = CHECKS[kind]
+    args = parse(inputs)
+    if "p" in inputs:
+        config.p = _prime(inputs)
+    return Report(f"replay {kind}", config, [verdict(**args)])

@@ -12,7 +12,7 @@ Verbs:
                               [--replay FILE]
     dualcircle tc controls    --p P
 
-Global options on every verb: --format {markdown,json,csv}, --config FILE.
+Global options on every verb, after it: --format {markdown,json,csv}, --config FILE.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 """
 
@@ -115,12 +115,8 @@ def _config_from_args(args) -> RunConfig:
 
 def _dispatch(args) -> Report:
     cfg = _config_from_args(args)
-    replay = getattr(args, "replay", None)
-    if replay:
-        # a table-2 payload replays as tc table2 runs; through any other
-        # verb it marks out-of-window columns
-        truncate = cfg.truncate_out_of_range if args.verb == "table2" else True
-        return checks.run_replay(cfg, replay, truncate)
+    if getattr(args, "replay", None):
+        return checks.run_replay(cfg, args.replay)
     if args.group == "operad":
         return checks.run_operad_check(cfg)
     if args.group == "hh":
@@ -142,6 +138,12 @@ def _dispatch(args) -> Report:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # an option of every verb, given before the verb, would read as a bad verb
+    misplaced = [a.split("=")[0] for a in argv[:2] if a.split("=")[0] in _COMMON]
+    if misplaced:
+        print(f"error: {misplaced[0]} goes after the verb, as in "
+              f"'dualcircle tc table1 --p 5 {misplaced[0]} ...'", file=sys.stderr)
+        return 2
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -238,7 +238,7 @@ class TestTCVerbs:
         assert code == 1
         failed, = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
         assert failed["name"] == "assembled square in degree 4 did not close"
-        assert failed["payload"]["inputs"] == {"i": "1", "p": "5"}
+        assert failed["payload"]["inputs"] == {"i": "1", "p": "5", "regular": True}
         assert set(failed["payload"]["square"]) == {
             "top_left", "top_right", "bottom_left", "bottom_right"}
         assert failed["payload"]["square"]["top_right"] == "0"
@@ -404,6 +404,10 @@ class TestReplay:
         ({"check": "associativity",
           "inputs": {"outer": ["1", "2"], "inners": "123",
                      "deepest": [[]] * 6}}, "inputs.inners"),
+        ({"check": "closure-A", "inputs": {"outer": ["1"], "inners": [[], []]}},
+         "inputs.outer"),
+        ({"check": "zero-action", "inputs": {"point": ["2"], "s": "3/2"}}, "inputs.s"),
+        ({"check": "zero-action", "inputs": {"point": ["2"]}}, "inputs.s"),
     ])
     def test_replay_payload_with_invalid_points(self, tmp_path, capsys,
                                                 payload, key):
@@ -467,6 +471,8 @@ class TestReplay:
         ({"i": True, "p": "5"}, "inputs.i"),
         ({"i": "one", "p": "5"}, "inputs.i"),
         ({"i": "0", "p": "5"}, "at least 1"),
+        ({"i": "1", "p": "5"}, "inputs.regular"),
+        ({"i": "1", "p": "5", "regular": "yes"}, "inputs.regular"),
     ])
     def test_replay_coassembly_with_invalid_inputs(self, tmp_path, capsys,
                                                    inputs, message):
@@ -499,6 +505,23 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"check": "table1", "inputs": {"p": "5", "lo": "3", "hi": "1"}}, "is empty"),
+        ({"check": "table1", "inputs": {"p": "5", "lo": "8", "hi": "9"}},
+         "miss the table1 reference"),
+        ({"check": "hh-weight", "inputs": {"module": "Z", "weight": 1, "lo": 2}},
+         "inputs.hi"),
+        ({"check": "hh-weight", "inputs": {"module": "Z", "weight": 1, "fixtures": 3}},
+         "inputs.fixtures"),
+    ])
+    def test_replay_payload_with_invalid_window_or_fixtures(self, tmp_path, capsys,
+                                                            payload, message):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        assert main(["operad", "check", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("argv", [
         ["operad", "check"], ["hh", "verify"], ["tc", "table1", "--p", "3"],
         ["tc", "table2", "--p", "3"], ["tc", "coassembly", "--i", "1", "--p", "5"],
@@ -510,12 +533,14 @@ class TestReplay:
         code, out = run(capsys, *argv, "--replay", str(path))
         assert code == 0 and "PASS table2 vs reference" in out
 
-    def test_replay_table2_under_no_truncate_keeps_the_window_error(self, tmp_path, capsys):
+    def test_replay_table2_under_no_truncate_marks_the_window(self, tmp_path, capsys):
+        # a replay reads its inputs only from the payload, and marking never
+        # changes a table-2 verdict
         path = tmp_path / "payload.json"
         path.write_text(json.dumps({"check": "table2", "inputs": {"p": "3"}}))
-        assert main(["tc", "table2", "--p", "3", "--no-truncate",
-                     "--replay", str(path)]) == 2
-        assert "homology-to-homotopy window" in capsys.readouterr().err
+        code, out = run(capsys, "tc", "table2", "--p", "3", "--no-truncate",
+                        "--replay", str(path))
+        assert code == 0 and "PASS table2 vs reference" in out
 
     def test_replay_irregular_prime_fails_with_its_indices(self, tmp_path, capsys):
         code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "37",
@@ -548,10 +573,16 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
-    def test_replay_unknown_check(self, tmp_path):
+    @pytest.mark.parametrize("payload", [
+        {"check": "nonsense"}, {"check": ["x"]}, {"check": None},
+        {"check": "unit", "inputs": 3}, ["unit"],
+    ], ids=["nonsense", "list-check", "null-check", "scalar-inputs", "list-payload"])
+    def test_replay_unknown_check(self, tmp_path, capsys, payload):
         path = tmp_path / "payload.json"
-        path.write_text(json.dumps({"check": "nonsense"}))
+        path.write_text(json.dumps(payload))
         assert main(["operad", "check", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def bad_compose(outer, inners):
@@ -604,6 +635,20 @@ class TestParser:
         for group, (_, verbs) in COMMANDS.items():
             for verb, (_, options) in verbs.items():
                 assert set(options) <= words[group, verb], (group, verb)
+
+    @pytest.mark.parametrize("source", ["README", "schema"])
+    def test_every_replayable_kind_is_documented(self, source):
+        from dualcircle.checks import CHECKS
+
+        if source == "README":
+            text = (ROOT / "README.md").read_text()
+            listed = re.search(r"Replayable kinds:(.*?)\.", text, re.S).group(1)
+            kinds = re.findall(r"`([^`]+)`", listed)
+        else:
+            schema = json.loads((ROOT / "docs" / "report.schema.json").read_text())
+            payload = schema["properties"]["checks"]["items"]["properties"]["payload"]
+            kinds = payload["properties"]["check"]["enum"]
+        assert sorted(kinds) == sorted(CHECKS)
 
     def test_fresh_process_reads_sys_argv(self):
         digests = json.loads(
