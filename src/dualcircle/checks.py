@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 from importlib import resources
 from itertools import islice
+from math import gcd
 
 from .abgroups import FGAbGroup, GroupExpr, MapDescriptor, UnsupportedAtom
 from .cyclic import (GradedModule, brute_hochschild, brute_hochschild_weights,
@@ -218,16 +219,33 @@ def nullhomotopy_endpoints() -> CheckResult:
         "check": "nullhomotopy-endpoints", "inputs": {}})
 
 
-def _random_point(rng: random.Random, min_arity=1, suboperad="O") -> OperadPoint:
+def _below(bits, n: int) -> int:
+    """What ``random.Random.randrange(n)`` returns, drawn from ``bits``, the
+    generator's ``getrandbits``: the same stream, kept fixed for every seed
+    even if a later ``randint`` or ``choice`` draws differently."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_point(bits, min_arity=1, suboperad="O") -> OperadPoint:
     """A point of arity min_arity..4 whose shifts are rationals in [0, 3]
-    with denominator 1..4: all 0 in A, and 1 more in Oprime."""
-    arity = rng.randint(min_arity, 4)
+    with denominator 1..4: all 0 in A, and 1 more in Oprime.  ``bits`` is
+    the generator's ``getrandbits``."""
+    arity = min_arity + _below(bits, 5 - min_arity)
     if suboperad == "A":
-        return OperadPoint.from_pairs([(0, 1)] * (arity - 1))
-    pairs = [(rng.randint(0, 12), rng.choice((1, 2, 3, 4))) for _ in range(arity - 1)]
-    if suboperad == "Oprime":
-        pairs = [(n + d, d) for n, d in pairs]  # 1 + n/d
-    return OperadPoint.from_pairs(pairs)
+        return OperadPoint._trusted((0,) * (arity - 1), 1)
+    # every denominator d in 1..4 divides 12, so a shift n/d is n(12/d)
+    # twelfths and 1 + n/d twelve more: nonnegative numerators by
+    # construction.  Operands evaluate left to right, so n is drawn before
+    # d, as the generator's randint and choice once drew them.
+    one = 12 if suboperad == "Oprime" else 0
+    nums = [one + _below(bits, 13) * (12, 6, 4, 3)[_below(bits, 4)]
+            for _ in range(arity - 1)]
+    g = gcd(12, *nums)
+    return OperadPoint._trusted(tuple(n // g for n in nums), 12 // g)
 
 
 def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
@@ -237,7 +255,7 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
     composition for negative-control runs."""
     config.validate()
     comp = compose_fn  # None: each verdict looks up compose when it runs
-    rng = random.Random(config.seed)
+    bits = random.Random(config.seed).getrandbits
     report = Report("operad check", config)
     trials = config.trials
 
@@ -245,35 +263,35 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
     # first failure
     def associative_and_unital():
         for _ in range(trials):
-            a = _random_point(rng)
-            bs = [_random_point(rng) for _ in range(a.arity)]
-            cs = [_random_point(rng) for _ in range(sum(b.arity for b in bs))]
+            a = _random_point(bits)
+            bs = [_random_point(bits) for _ in range(a.arity)]
+            cs = [_random_point(bits) for _ in range(sum(b.arity for b in bs))]
             yield associativity(a, bs, cs, comp)
             yield unit(a, comp)
 
     def closed():
         for _ in range(trials):
-            a = _random_point(rng, suboperad="A")
-            yield closure_a(a, [_random_point(rng, suboperad="A")
+            a = _random_point(bits, suboperad="A")
+            yield closure_a(a, [_random_point(bits, suboperad="A")
                                 for _ in range(a.arity)], comp)
-            o = _random_point(rng, suboperad="Oprime")
-            yield closure_oprime(o, [_random_point(rng, suboperad="Oprime")
+            o = _random_point(bits, suboperad="Oprime")
+            yield closure_oprime(o, [_random_point(bits, suboperad="Oprime")
                                      for _ in range(o.arity)], comp)
 
     def compatible():
         for _ in range(trials):
-            a = _random_point(rng)
+            a = _random_point(bits)
             yield coalgebra_compatibility(
-                a, [_random_point(rng) for _ in range(a.arity)], comp)
+                a, [_random_point(bits) for _ in range(a.arity)], comp)
 
     def sound():
         for _ in range(200):
-            o = _random_point(rng, min_arity=2, suboperad="Oprime")
-            yield zero_action(o, [Fraction(rng.randint(1, 99), 100) for _ in range(100)])
+            o = _random_point(bits, min_arity=2, suboperad="Oprime")
+            yield zero_action(o, [Fraction(1 + _below(bits, 99), 100) for _ in range(100)])
         for _ in range(200):
-            arity = rng.randint(2, 4)
+            arity = 2 + _below(bits, 3)
             yield zero_action_witness(OperadPoint.from_pairs(
-                [(rng.randint(0, 99), 100) for _ in range(arity - 1)]))
+                [(_below(bits, 100), 100) for _ in range(arity - 1)]))
 
     for kinds, verdicts, count in (
             (("associativity", "unit"), associative_and_unital(), trials),
@@ -334,6 +352,10 @@ def _hh_degree_window(fx: dict) -> tuple[int, int]:
     return _parse_fixture(fx, ("degree_window",), parse, "a [lo, hi] pair")
 
 
+def _hh_max_weight(fx: dict) -> int:
+    return _parse_fixture(fx, ("max_weight",), int, "an integer")
+
+
 def hh_weight(fixtures, fx, name, m, w, lo, hi, oracle) -> CheckResult:
     """Whether the weight, oracle and cell routes of module ``name`` in weight
     w equal the frozen groups in [lo, hi]; the payload names the first that does not."""
@@ -360,6 +382,9 @@ def _parse_hh_weight(inputs: dict) -> dict:
     _require(isinstance(name, str) and w >= 1, "replay payload inputs needs a "
              "module name and a weight of at least 1")
     args = _parse_fixtures(inputs)
+    cap = _hh_max_weight(args["fx"])
+    _require(w <= cap, f"replay payload inputs.weight is {w}, above the fixture "
+             f"file's max_weight {cap}")
     m = _hh_module(args["fx"], name)
     lo, hi = _window(inputs, _hh_degree_window(args["fx"]))
     return {**args, "name": name, "m": m, "w": w, "lo": lo, "hi": hi,
@@ -408,8 +433,7 @@ def run_hh_verify(config: RunConfig) -> Report:
     fx = _parse_fixtures({"fixtures": path})["fx"]
     lo, hi = _hh_degree_window(fx)
     lo, hi = max(lo, -config.max_degree), min(hi, config.max_degree)
-    max_weight = min(config.max_weight,
-                     _parse_fixture(fx, ("max_weight",), int, "an integer"))
+    max_weight = min(config.max_weight, _hh_max_weight(fx))
     for name in _lookup(fx, "modules", source="fixture file"):
         m = _hh_module(fx, name)
         brute = brute_hochschild_weights(m, max_weight, lo, hi)
@@ -547,15 +571,23 @@ def frobenius_routing(p, n) -> CheckResult:
         "check": "frobenius-routing", "inputs": {"p": str(p), "n": str(n)}})
 
 
-def _parse_level(inputs: dict) -> dict:
-    p, n = _prime(inputs), _int_input(inputs, "n")
+# the level n at most; the F/R checks take time about n^1.6
+MAX_LEVEL = 2048
+
+
+def _level(n: int) -> int:
     _require(n >= 2, "check-fr needs n >= 2")
-    return {"p": p, "n": n}
+    _require(n <= MAX_LEVEL, f"check-fr needs n <= {MAX_LEVEL}, got {n}")
+    return n
+
+
+def _parse_level(inputs: dict) -> dict:
+    return {"p": _prime(inputs), "n": _level(_int_input(inputs, "n"))}
 
 
 def run_check_fr(config: RunConfig, n: int) -> Report:
     config.validate(need_prime=True)
-    _require(n >= 2, "check-fr needs n >= 2")
+    _level(n)
     p = config.p
     return Report("tc check-fr", config,
                   [fr_commute(p, n), restriction_deletion(p, n), frobenius_routing(p, n)])
@@ -645,7 +677,7 @@ CHECKS = {
 def run_replay(config: RunConfig, payload_path: str) -> Report:
     """Re-run the check of a FAIL payload file on the payload's inputs
     alone: ``config`` sets only the output format, and the report echoes
-    the payload's prime."""
+    the default options apart from that format and the payload's prime."""
     with open(payload_path) as fh:
         payload = json.load(fh)
     _require(isinstance(payload, dict), "replay payload is not a JSON object")
@@ -656,6 +688,8 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     _require(isinstance(inputs, dict), "replay payload inputs is not a JSON object")
     parse, verdict = CHECKS[kind]
     args = parse(inputs)
+    # the verdict read no other option, so the report echoes none
+    echoed = RunConfig(fmt=config.fmt)
     if "p" in inputs:
-        config.p = _prime(inputs)
-    return Report(f"replay {kind}", config, [verdict(**args)])
+        echoed.p = _prime(inputs)
+    return Report(f"replay {kind}", echoed, [verdict(**args)])

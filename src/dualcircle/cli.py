@@ -68,30 +68,42 @@ _COMMON = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  When it starts with a known group and verb,
-    only that branch is built, since building every command costs more
-    than most ``tc`` verbs compute; otherwise (and for ``argv=None``) the
-    whole tree, so that help and usage errors list every command."""
-    group, verb = (list(argv or ()) + [None, None])[:2]
-    pruned = verb in COMMANDS.get(group, ("", {}))[1]
+def _with_options(parser: argparse.ArgumentParser, options: dict):
+    """``parser`` given a verb's ``options`` and ``_COMMON``."""
+    for flag, keywords in {**options, **_COMMON}.items():
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, whose help and usage errors list every command."""
     top = argparse.ArgumentParser(prog="dualcircle", description=__doc__.split("\n")[0])
-    # an unrecognized argument is reported by the top parser, whose usage
-    # names every group even when the tree is pruned
-    sub = top.add_subparsers(dest="group", required=True,
-                             **({"metavar": "{%s}" % ",".join(COMMANDS)} if pruned else {}))
+    sub = top.add_subparsers(dest="group", required=True)
     for name, (group_help, verbs) in COMMANDS.items():
-        if pruned and name != group:
-            continue
         verb_sub = sub.add_parser(name, help=group_help).add_subparsers(
             dest="verb", required=True)
         for verb_name, (verb_help, options) in verbs.items():
-            if pruned and verb_name != verb:
-                continue
-            parser = verb_sub.add_parser(verb_name, help=verb_help)
-            for flag, keywords in {**options, **_COMMON}.items():
-                parser.add_argument(flag, **keywords)
+            _with_options(verb_sub.add_parser(verb_name, help=verb_help), options)
     return top
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser()`` parses it.  When it starts with
+    a known group and verb, only that verb's parser is built, since building
+    every command costs more than most ``tc`` verbs compute; it equals the
+    subparser to which the tree hands the rest of ``argv``.  Extra
+    arguments, or no verb, go to the whole tree, whose usage errors name
+    every group."""
+    group, verb = (list(argv) + [None, None])[:2]
+    options = COMMANDS.get(group, ("", {}))[1].get(verb, ("", None))[1]
+    if options is not None:
+        parser = _with_options(argparse.ArgumentParser(prog=f"dualcircle {group} {verb}"),
+                               options)
+        args, extra = parser.parse_known_args(argv[2:])
+        if not extra:
+            args.group, args.verb = group, verb
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -144,9 +156,8 @@ def main(argv=None) -> int:
         print(f"error: {misplaced[0]} goes after the verb, as in "
               f"'dualcircle tc table1 --p 5 {misplaced[0]} ...'", file=sys.stderr)
         return 2
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -202,10 +202,6 @@ class CubePoint:
     coords: tuple[Fraction, ...] | None
     label_copies: int = 0
 
-    @classmethod
-    def basepoint(cls) -> "CubePoint":
-        return cls(None, 0)
-
     @property
     def is_basepoint(self) -> bool:
         return self.coords is None
@@ -217,6 +213,10 @@ class CubePoint:
             for c in self.coords:
                 if not (0 < c < 1):
                     raise DomainError(f"interior coordinate {c} not in (0,1)")
+
+
+# frozen, so every evaluation that lands on the basepoint may share it
+_BASEPOINT = CubePoint(None, 0)
 
 
 def eval_action(m: SuspensionActionMap, s) -> CubePoint:
@@ -236,7 +236,7 @@ def eval_action(m: SuspensionActionMap, s) -> CubePoint:
     # s + t > 0 for every shift t >= 0; s + max(t) < 1 decides the rest
     if max(m.nums) * b < (b - a) * m.den:
         return CubePoint(tuple(s + Fraction(n, m.den) for n in m.nums), m.arity)
-    return CubePoint.basepoint()
+    return _BASEPOINT
 
 
 def compose_action_maps(outer: SuspensionActionMap,

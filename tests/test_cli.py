@@ -11,7 +11,8 @@ import pytest
 
 from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
-from dualcircle.cli import COMMANDS, build_parser, main
+from dualcircle.checks import MAX_LEVEL
+from dualcircle.cli import COMMANDS, build_parser, main, parse_args
 from dualcircle.report import RunConfig, UsageError
 
 # sha256 of seeded operad-check output and the report of the bad_compose
@@ -182,6 +183,11 @@ class TestTCVerbs:
         code, out = run(capsys, "tc", "check-fr", "--p", "2", "--n", "3")
         assert code == 0
         assert "PASS F and R commute at level 3" in out
+
+    def test_check_fr_level_cap(self, capsys):
+        assert main(["tc", "check-fr", "--p", "2", "--n", str(MAX_LEVEL + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"n <= {MAX_LEVEL}" in err
 
     def test_coassembly_zero(self, capsys):
         code, out = run(capsys, "tc", "coassembly", "--i", "1", "--p", "5",
@@ -434,6 +440,37 @@ class TestReplay:
         assert main(["hh", "verify", "--replay", str(path)]) == 2
         assert "weight of at least 1" in capsys.readouterr().err
 
+    def test_replay_hh_weight_above_the_fixture_cap(self, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "hh-weight",
+                                    "inputs": {"module": "Z", "weight": 6}}))
+        assert main(["hh", "verify", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_weight 5" in err
+
+    @pytest.mark.parametrize("check", ["fr-commute", "restriction-deletion",
+                                       "frobenius-routing"])
+    def test_replay_level_above_the_cap(self, tmp_path, capsys, check):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": check, "inputs": {
+            "p": "2", "n": str(MAX_LEVEL + 1)}}))
+        assert main(["operad", "check", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"n <= {MAX_LEVEL}" in err
+
+    def test_replay_report_echoes_no_option_of_the_verb(self, tmp_path, capsys):
+        path = tmp_path / "hh.json"
+        path.write_text(json.dumps({"check": "hh-weight",
+                                    "inputs": {"module": "Z", "weight": 1}}))
+        code, out = run(capsys, "hh", "verify", "--fixtures", "/nonexistent.json",
+                        "--max-weight", "1", "--replay", str(path))
+        assert code == 0 and "PASS hh replay [Z, 1]" in out
+        config = next(line for line in out.splitlines() if line.startswith("config: "))
+        assert "fixture_path" not in config and "max_weight=5" in config
+        code, out = run(capsys, "tc", "table2", "--p", "3", "--format", "json",
+                        "--replay", str(path))
+        assert json.loads(out)["config"] == RunConfig(fmt="json").echo()
+
     @pytest.mark.parametrize("weight", ["true", "1.9"])
     def test_replay_hh_weight_that_is_not_an_integer(self, tmp_path, capsys, weight):
         path = tmp_path / "payload.json"
@@ -603,11 +640,6 @@ def representative_argv(group, verb):
     return argv + ["--format", "csv", "--config", "c.txt"]
 
 
-def subparsers(parser):
-    """name -> parser of the subcommands of ``parser``."""
-    return parser._subparsers._group_actions[0].choices
-
-
 class TestParser:
     @pytest.mark.parametrize("case", CLI_USAGE, ids=lambda c: " ".join(c["argv"]) or "-")
     def test_help_and_usage_bytes_are_frozen(self, capsys, monkeypatch, case):
@@ -618,13 +650,39 @@ class TestParser:
 
     @pytest.mark.parametrize("group, verb", [
         (group, verb) for group, (_, verbs) in COMMANDS.items() for verb in verbs])
-    def test_pruned_and_full_trees_parse_alike(self, group, verb):
+    def test_pruned_and_full_trees_parse_alike(self, group, verb, monkeypatch):
         argv = representative_argv(group, verb)
-        pruned = build_parser(argv)
-        assert pruned.parse_args(argv) == build_parser().parse_args(argv)
-        groups = subparsers(pruned)
-        assert list(groups) == [group]
-        assert list(subparsers(groups[group])) == [verb]
+        full = vars(build_parser().parse_args(argv))
+        # a known verb with nothing left over never builds the whole tree
+        monkeypatch.setattr(cli, "build_parser", None)
+        assert vars(parse_args(argv)) == full
+
+    def test_every_verbs_job_and_spelling_parses_as_the_full_tree(self, monkeypatch):
+        digests = json.loads(
+            (ROOT / "perfbench" / "data" / "verbs_digests.json").read_text())
+        spellings = ["operad check --tri 5", "operad check --seed=3 --trials=7 --format=csv",
+                     "tc table1 --p=5 --min -1 --max=3 --format=csv",
+                     "hh verify --max-w 2 --max-d=3 --fix=f.json",
+                     "tc coassembly --i 1 --p 5 --assume --check --rep x.json",
+                     "tc table2 --no --p 7 --form json --conf c.txt"]
+        full = {line: vars(build_parser().parse_args(line.split()))
+                for line in [*digests, *spellings]}
+        monkeypatch.setattr(cli, "build_parser", None)
+        for line, parsed in full.items():
+            assert vars(parse_args(line.split())) == parsed, line
+
+    @pytest.mark.parametrize("line", [
+        "tc table1", "tc table1 --p x", "tc table1 --p 5 extra", "tc check-fr -h",
+        "hh verify --max 2", "operad check --seed", "tc table2 --p 5 --format xml"])
+    def test_rejected_argv_prints_what_the_full_tree_prints(self, capsys, monkeypatch,
+                                                            line):
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = []
+        for parse in (parse_args, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(line.split())
+            seen.append((exc.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1]
 
     @pytest.mark.parametrize("source", ["docstring", "README"])
     def test_every_option_is_documented_on_its_verb_line(self, source):

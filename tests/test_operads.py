@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcircle import checks
 from dualcircle.operads import (
     ArityMismatch,
     DomainError,
@@ -277,3 +279,67 @@ class TestAgainstFractionReference:
             assert_canonical(q)
             assert q == p and hash(q) == hash(p)
         assert_canonical(action_map(p))
+
+
+# The operad suite draws on getrandbits through checks._below; every seed
+# must keep drawing the points that randint and choice drew.
+
+def ref_random_point(rng, min_arity=1, suboperad="O"):
+    arity = rng.randint(min_arity, 4)
+    if suboperad == "A":
+        return OperadPoint.from_pairs([(0, 1)] * (arity - 1))
+    pairs = [(rng.randint(0, 12), rng.choice((1, 2, 3, 4))) for _ in range(arity - 1)]
+    if suboperad == "Oprime":
+        pairs = [(n + d, d) for n, d in pairs]
+    return OperadPoint.from_pairs(pairs)
+
+
+def wide_below(bits, n):
+    """A draw that takes one bit more than randrange does."""
+    k = n.bit_length() + 1
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def below_matches_randrange(below):
+    for seed in range(400):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in (2, 3, 4, 5, 13, 99):
+            if below(rng.getrandbits, n) != ref.randrange(n):
+                return False
+        if rng.getstate() != ref.getstate():
+            return False
+    return True
+
+
+# every (min_arity, suboperad) pair that run_operad_check draws
+SUITE_DRAWS = [(1, "O"), (1, "A"), (1, "Oprime"), (2, "Oprime")]
+
+
+def points_match_reference():
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for min_arity, suboperad in SUITE_DRAWS * 3:
+            got = checks._random_point(rng.getrandbits, min_arity, suboperad)
+            if got != ref_random_point(ref, min_arity, suboperad):
+                return False
+            if rng.getstate() != ref.getstate():
+                return False
+    return True
+
+
+class TestDrawStream:
+    def test_below_draws_what_randrange_draws(self):
+        assert below_matches_randrange(checks._below)
+
+    def test_a_draw_of_one_bit_more_is_caught(self):
+        assert not below_matches_randrange(wide_below)
+
+    def test_points_match_the_randint_reference(self):
+        assert points_match_reference()
+
+    def test_points_drawn_with_one_bit_more_are_caught(self, monkeypatch):
+        monkeypatch.setattr(checks, "_below", wide_below)
+        assert not points_match_reference()
