@@ -18,9 +18,9 @@ are two kinds: the zero map and the transfer row ``row_powers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
+from .frozen import Frozen
 from .matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
 from .primes import factorint
 
@@ -46,27 +46,41 @@ class UnsupportedAtom(Exception):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True, order=True)
-class FGAbGroup:
+class FGAbGroup(Frozen):
     """Invariant-factor form: Z^free_rank + Z/d_1 + ... with d_1 | d_2 | ...
+    Groups order by (free_rank, torsion).
 
     >>> print(FGAbGroup.from_orders([0, 4, 6]))
     Z + Z/2 + Z/12
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
             if prev is not None and d % prev != 0:
                 raise ValueError(f"broken divisibility chain: {prev} does not divide {d}")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if type(other) is not FGAbGroup:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __lt__(self, other):
+        if type(other) is not FGAbGroup:
+            return NotImplemented
+        return (self.free_rank, self.torsion) < (other.free_rank, other.torsion)
 
     @classmethod
     def zero(cls) -> "FGAbGroup":
@@ -147,8 +161,7 @@ _ATOM_ORDER = {_Z: 0, _ZMOD: 1, _COUNTABLE_FREE: 2, _TORSION_TOWER: 3, _COUNTABL
 _IDEMPOTENT = {_COUNTABLE_FREE, _COUNTABLE_TOWER_SUM}
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Frozen):
     """Formal finite sum of atoms, canonically normalized.
 
     Atoms are (kind, parameter, multiplicity) with cyclic parts split into
@@ -158,7 +171,10 @@ class GroupExpr:
     the tables display their entries.
     """
 
-    atoms: tuple[tuple[str, int | None, int], ...] = ()
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[tuple[str, int | None, int], ...]):
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def _make(cls, raw_atoms) -> "GroupExpr":
@@ -285,14 +301,12 @@ class DegreeOutOfRange(Exception):
         super().__init__(f"degree {degree} outside known range {known}")
 
 
-@dataclass(frozen=True)
-class GradedGroup:
-    """Integer-graded GroupExpr values with finite support.  ``known_range``
-    bounds where values are certified; queries outside it raise instead of
-    silently returning 0."""
+class GradedGroup(Frozen):
+    """Integer-graded GroupExpr values with finite support: ``explicit``
+    holds the (degree, group) pairs.  ``known_range`` bounds where values
+    are certified; queries outside it raise instead of silently returning 0."""
 
-    explicit: tuple[tuple[int, GroupExpr], ...] = ()
-    known_range: tuple[int | None, int | None] = (None, None)
+    __slots__ = ("explicit", "known_range")
 
     @classmethod
     def from_dict(cls, values: dict[int, GroupExpr],
@@ -302,7 +316,7 @@ class GradedGroup:
 
     @classmethod
     def zero(cls) -> "GradedGroup":
-        return cls()
+        return cls((), (None, None))
 
     def at(self, degree: int) -> GroupExpr:
         lo, hi = self.known_range
@@ -338,8 +352,7 @@ def graded_from_fg(values: dict[int, FGAbGroup], known_range=(None, None)) -> Gr
 # chain complexes of free abelian groups
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Frozen):
     """Bounded complex of free abelian groups.
 
     ``boundaries[d]`` is the matrix of the map from degree d to degree d-1;
@@ -347,17 +360,17 @@ class ChainComplex:
     must compose to zero.
     """
 
-    ranks: dict[int, int]
-    boundaries: dict[int, IntMatrix]
+    __slots__ = ("ranks", "boundaries")
 
-    def __post_init__(self):
-        for d, m in self.boundaries.items():
-            if m.cols != self.ranks.get(d, 0) or m.rows != self.ranks.get(d - 1, 0):
+    def __init__(self, ranks: dict[int, int], boundaries: dict[int, IntMatrix]):
+        for d, m in boundaries.items():
+            if m.cols != ranks.get(d, 0) or m.rows != ranks.get(d - 1, 0):
                 raise StructuralError(f"boundary at degree {d} has wrong shape")
-        for d, m in self.boundaries.items():
-            n = self.boundaries.get(d + 1)
+        for d, m in boundaries.items():
+            n = boundaries.get(d + 1)
             if n is not None and not m.mul(n).is_zero():
                 raise StructuralError(f"boundary composite at degree {d + 1} is nonzero")
+        super().__init__(ranks, boundaries)
 
     def boundary(self, d: int) -> IntMatrix:
         m = self.boundaries.get(d)
@@ -462,8 +475,7 @@ def _lands_in_relations(d_out: SparseMatrix, cols, orders_below) -> bool:
 # degreewise map descriptors and the LES fiber solver
 
 
-@dataclass(frozen=True)
-class MapDescriptor:
+class MapDescriptor(Frozen):
     """One degree of a map between GroupExpr values.
 
     kind:
@@ -471,12 +483,11 @@ class MapDescriptor:
       "row_powers"      CountableFree -> Z, e_k |-> base**k (data = base)
     """
 
-    kind: str
-    data: object = None
+    __slots__ = ("kind", "data")
 
     @classmethod
     def zero(cls):
-        return cls("zero")
+        return cls("zero", None)
 
     @classmethod
     def row_powers(cls, base: int):
@@ -496,12 +507,12 @@ def descriptor_kernel_cokernel(desc: MapDescriptor, domain: GroupExpr,
     raise StructuralError(f"unknown descriptor kind {desc.kind!r}")
 
 
-@dataclass(frozen=True)
-class GradedMapData:
-    """Degreewise descriptors for a map of graded groups.  Degrees without a
-    descriptor must have zero domain or zero codomain."""
+class GradedMapData(Frozen):
+    """Degreewise descriptors for a map of graded groups, as (degree,
+    descriptor) pairs.  Degrees without a descriptor must have zero domain
+    or zero codomain."""
 
-    descriptors: tuple[tuple[int, MapDescriptor], ...] = ()
+    __slots__ = ("descriptors",)
 
     @classmethod
     def from_dict(cls, d: dict[int, MapDescriptor]) -> "GradedMapData":

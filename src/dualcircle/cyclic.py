@@ -33,7 +33,6 @@ a fixture zoo and on generated modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abgroups import (
@@ -44,6 +43,7 @@ from .abgroups import (
     graded_from_fg,
     homology_with_orders,
 )
+from .frozen import Frozen
 from .matrices import IntMatrix, SparseMatrix, cokernel_invariants
 
 
@@ -51,13 +51,23 @@ class UnsupportedModule(Exception):
     """The requested assembly needs module shapes this engine refuses."""
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(Frozen):
     """Finitely generated graded abelian group, flattened to a tuple of
     (degree, order) generators with order 0 meaning an infinite cyclic
     summand."""
 
-    generators: tuple[tuple[int, int], ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if type(other) is not GradedModule:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash(self.generators)
 
     @classmethod
     def from_groups(cls, groups: dict[int, FGAbGroup]) -> "GradedModule":
@@ -209,16 +219,6 @@ def weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
 # brute-force normalized Hochschild oracle
 
 
-@dataclass(frozen=True)
-class _Chain:
-    """A normalized chain (r0; m_1, ..., m_k): slot 0 is either the ring
-    unit (None) or a module generator index, and the tail slots are module
-    generator indices."""
-
-    r0: int | None
-    tail: tuple[int, ...]
-
-
 class NormalizedHochschild:
     """The normalized Hochschild complex of the square-zero ring Z (+) M,
     built from the simplicial face maps, truncated at ``max_level``.
@@ -226,53 +226,61 @@ class NormalizedHochschild:
     Serves as the independent oracle for the weight complexes: the
     differential here is the full alternating face sum of the ring
     structure, with no cyclic-operator shortcut.
+
+    A chain is a pair (r0, tail) for the normalized chain (r0; m_1, ...,
+    m_k): r0 is either the ring unit (None) or a module generator index,
+    and the tail is the tuple of module generator indices.
     """
 
     def __init__(self, m: GradedModule, max_level: int):
         self.module = m
         self.max_level = max_level
         g = len(m.generators)
-        self.bases: list[list[_Chain]] = []
+        self.bases: list[list[tuple]] = []
         # chains by (total degree, weight); the level of a chain is its
         # tail length, so a chain alone says where it lives
-        self._blocks: dict[tuple[int, int], list[_Chain]] = {}
+        self._blocks: dict[tuple[int, int], list[tuple]] = {}
         for k in range(max_level + 1):
             tails: list[tuple[int, ...]] = [()]
             for _ in range(k):
                 tails = [t + (i,) for t in tails for i in range(g)]
-            level = [_Chain(None, t) for t in tails]
-            level += [_Chain(r0, t) for r0 in range(g) for t in tails]
+            level = [(None, t) for t in tails]
+            level += [(r0, t) for r0 in range(g) for t in tails]
             self.bases.append(level)
             for c in level:
-                degree = k + sum(m.generators[i][0] for i in c.tail)
-                if c.r0 is not None:
-                    degree += m.generators[c.r0][0]
+                r0, tail = c
+                degree = k + sum(m.generators[i][0] for i in tail)
+                if r0 is not None:
+                    degree += m.generators[r0][0]
                 self._blocks.setdefault((degree, self.chain_weight(c)), []).append(c)
 
-    def chain_weight(self, c: _Chain) -> int:
-        return len(c.tail) + (0 if c.r0 is None else 1)
+    def chain_weight(self, c: tuple) -> int:
+        r0, tail = c
+        return len(tail) + (0 if r0 is None else 1)
 
-    def chain_order(self, c: _Chain) -> int:
+    def chain_order(self, c: tuple) -> int:
         gens = self.module.generators
-        o = 0 if c.r0 is None else gens[c.r0][1]
-        for i in c.tail:
+        r0, tail = c
+        o = 0 if r0 is None else gens[r0][1]
+        for i in tail:
             o = gcd(o, gens[i][1])
         return o
 
-    def _boundary(self, k: int, c: _Chain) -> list[tuple[_Chain, int]]:
+    def _boundary(self, k: int, c: tuple) -> list[tuple[tuple, int]]:
         """The nonzero faces of a level-k chain, with their signs.  Faces
         1..k-1 multiply adjacent module slots, and so does every face of a
         chain led by a module generator: all are zero.  A unit-led chain
         keeps face 0 (unit * m_1) and face k (the last slot rotated to the
         front, with its Koszul sign).  On a constant tail, as always at
         k = 1, the two faces coincide and their signs add."""
-        if c.r0 is not None or k == 0:
+        r0, tail = c
+        if r0 is not None or k == 0:
             return []
         gens = self.module.generators
-        last = c.tail[-1]
-        front = _Chain(c.tail[0], c.tail[1:])
-        rotated = _Chain(last, c.tail[:-1])
-        deg_front = sum(gens[i][0] for i in c.tail[:-1])
+        last = tail[-1]
+        front = (tail[0], tail[1:])
+        rotated = (last, tail[:-1])
+        deg_front = sum(gens[i][0] for i in tail[:-1])
         koszul = -1 if (gens[last][0] % 2) and (deg_front % 2) else 1
         sign = (1 if k % 2 == 0 else -1) * koszul
         if rotated == front:
@@ -299,7 +307,7 @@ class NormalizedHochschild:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
 
-        def chains(t: int) -> list[_Chain]:
+        def chains(t: int) -> list[tuple]:
             if weight is not None:
                 return self._blocks.get((t, weight), [])
             return [c for (d, _), block in self._blocks.items() if d == t for c in block]
@@ -310,7 +318,7 @@ class NormalizedHochschild:
         def matrix_for(src, dst):
             dst_pos = {cell: r for r, cell in enumerate(dst)}
             return SparseMatrix(len(dst), tuple(
-                {dst_pos[face]: sign for face, sign in self._boundary(len(c.tail), c)}
+                {dst_pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
                 for c in src))
 
         return homology_with_orders(
@@ -360,16 +368,16 @@ def brute_hochschild(m: GradedModule, degree_bound: int) -> GradedGroup:
 # the equivariant cell model
 
 
-@dataclass(frozen=True)
-class EquivariantCellComplex:
+class EquivariantCellComplex(Frozen):
     """Free cell complex with a cyclic-group action by signed permutation
     matrices, one action matrix per dimension."""
 
-    group_order: int
-    cells: dict[int, int]
-    boundaries: dict[int, IntMatrix]
-    actions: dict[int, IntMatrix]
-    orbit_reps: dict[int, tuple[int, ...]]
+    __slots__ = ("group_order", "cells", "boundaries", "actions", "orbit_reps")
+
+    def __init__(self, group_order: int, cells: dict[int, int],
+                 boundaries: dict[int, IntMatrix], actions: dict[int, IntMatrix],
+                 orbit_reps: dict[int, tuple[int, ...]]):
+        super().__init__(group_order, cells, boundaries, actions, orbit_reps)
 
     def validate(self) -> None:
         for d, bnd in self.boundaries.items():

@@ -13,23 +13,24 @@ they were given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+class IntMatrix(Frozen):
+    """A rows x cols integer matrix, ``entries`` a tuple of row tuples."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if len(entries) != rows:
             raise ValueError("row count does not match entry grid")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count does not match entry grid")
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -85,8 +86,7 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Frozen):
     """A rows x len(columns) integer matrix kept by columns: ``columns[j]``
     maps the row of each nonzero entry of column j to that entry.
 
@@ -95,8 +95,11 @@ class SparseMatrix:
     of the column tuples.  The dicts are never mutated.
     """
 
-    rows: int
-    columns: tuple[dict[int, int], ...]
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows: int, columns: tuple[dict[int, int], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def cols(self) -> int:
@@ -284,11 +287,10 @@ def _divisibility_chain(diag: list[int], mix=None) -> list[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+class SmithDecomposition(Frozen):
+    """U m V = D, as the fields d, u, v."""
+
+    __slots__ = ("d", "u", "v")
 
     @property
     def rank(self) -> int:
@@ -339,9 +341,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
     _divisibility_chain(diag, mix)
     return SmithDecomposition(
-        d=IntMatrix.diagonal(diag, r, c),
-        u=IntMatrix(r, r, tuple(tuple(row.get(k, 0) for k in range(r)) for row in u)),
-        v=IntMatrix(c, c, tuple(tuple(col.get(k, 0) for col in vt) for k in range(c))),
+        IntMatrix.diagonal(diag, r, c),
+        IntMatrix(r, r, tuple(tuple(row.get(k, 0) for k in range(r)) for row in u)),
+        IntMatrix(c, c, tuple(tuple(col.get(k, 0) for col in vt) for k in range(c))),
     )
 
 

@@ -21,10 +21,11 @@ read the coordinates back as ``fractions.Fraction``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
+
+from .frozen import Frozen
 
 
 class ArityMismatch(Exception):
@@ -50,12 +51,10 @@ def _over_common_denominator(pairs) -> tuple[tuple[int, ...], int]:
     return tuple(n // g for n in nums), den // g
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class _Rationals:
+class _Rationals(Frozen):
     """An immutable tuple of rationals held as ``nums`` over ``den``."""
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
     _field = ""  # the public name of the coordinates, for ``repr``
 
     def __init__(self, values):
@@ -72,6 +71,14 @@ class _Rationals:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         return self
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
 
     def _fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -194,25 +201,25 @@ def action_map(point: OperadPoint) -> SuspensionActionMap:
     return SuspensionActionMap._trusted(point.nums + (0,), point.den)
 
 
-@dataclass(frozen=True)
-class CubePoint:
+class CubePoint(Frozen):
     """A point of the open-cube model of S^n smashed with n label copies.
     ``coords`` is None at the basepoint."""
 
-    coords: tuple[Fraction, ...] | None
-    label_copies: int = 0
+    __slots__ = ("coords", "label_copies")
+
+    def __init__(self, coords: tuple[Fraction, ...] | None, label_copies: int = 0):
+        if coords is not None:
+            if label_copies < 1:
+                raise DomainError("interior points carry at least one label copy")
+            for c in coords:
+                if not (0 < c < 1):
+                    raise DomainError(f"interior coordinate {c} not in (0,1)")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "label_copies", label_copies)
 
     @property
     def is_basepoint(self) -> bool:
         return self.coords is None
-
-    def __post_init__(self):
-        if self.coords is not None:
-            if self.label_copies < 1:
-                raise DomainError("interior points carry at least one label copy")
-            for c in self.coords:
-                if not (0 < c < 1):
-                    raise DomainError(f"interior coordinate {c} not in (0,1)")
 
 
 # frozen, so every evaluation that lands on the basepoint may share it

@@ -24,19 +24,23 @@ summands is completed as a whole:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import GroupExpr, GradedGroup, UnsupportedAtom
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class SymbolicQSpace:
-    q: int = 0
-    q_countable: bool = False
-    qp: int = 0
-    a: bool = False
-    b: int = 0
-    binf: bool = False
+class SymbolicQSpace(Frozen):
+    """A formal sum: Q^q (Q^oo when ``q_countable``), Qp^qp, A when ``a``,
+    B^b, and B_oo when ``binf``; ``make`` applies the absorption rules."""
+
+    __slots__ = ("q", "q_countable", "qp", "a", "b", "binf")
+
+    def __init__(self, q: int, q_countable: bool, qp: int, a: bool, b: int, binf: bool):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q_countable", q_countable)
+        object.__setattr__(self, "qp", qp)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "binf", binf)
 
     @classmethod
     def make(cls, q=0, q_countable=False, qp=0, a=False, b=0, binf=False) -> "SymbolicQSpace":

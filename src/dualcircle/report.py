@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, fields, asdict
 
 from .primes import is_prime
 
@@ -19,20 +18,22 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    p: int = 2
-    min_deg: int = -2
-    max_deg: int = 4
-    seed: int = 0
-    trials: int = 1000
-    fixture_path: str | None = None
-    fmt: str = "markdown"
-    assume_regular: bool = False
-    check_regularity: bool = False
-    truncate_out_of_range: bool = False
-    max_weight: int = 5
-    max_degree: int = 6
+    """The options of a run, each an attribute."""
+
+    # every option in the order the report echoes it, with its default; the
+    # type of a default is the type of the option's values (None: text)
+    FIELDS = {"p": 2, "min_deg": -2, "max_deg": 4, "seed": 0, "trials": 1000,
+              "fixture_path": None, "fmt": "markdown", "assume_regular": False,
+              "check_regularity": False, "truncate_out_of_range": False,
+              "max_weight": 5, "max_degree": 6}
+    __slots__ = tuple(FIELDS)
+
+    def __init__(self, **options):
+        for name, default in self.FIELDS.items():
+            setattr(self, name, options.pop(name, default))
+        if options:
+            raise TypeError(f"unknown run options {sorted(options)}")
 
     def validate(self, need_prime: bool = False) -> None:
         if self.min_deg > self.max_deg:
@@ -49,14 +50,11 @@ class RunConfig:
             raise UsageError(f"p = {self.p} is not prime")
 
     def echo(self) -> dict:
+        """Every option by name, an integer as decimal text."""
         out = {}
-        for k, v in asdict(self).items():
-            if isinstance(v, bool) or v is None:
-                out[k] = v
-            elif isinstance(v, int):
-                out[k] = str(v)
-            else:
-                out[k] = v
+        for name in self.FIELDS:
+            v = getattr(self, name)
+            out[name] = str(v) if isinstance(v, int) and not isinstance(v, bool) else v
         return out
 
     @classmethod
@@ -65,8 +63,6 @@ class RunConfig:
         1/true/yes/on or 0/false/no/off; 'format' names the fmt field.
         ``defaults`` are field values that the file may override."""
         cfg = cls(**defaults)
-        # every field's default has the type its values take (None: text)
-        kinds = {f.name: type(f.default) for f in fields(cls)}
         with open(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -76,9 +72,9 @@ class RunConfig:
                     raise UsageError(f"malformed config line: {raw.rstrip()}")
                 key, value = (s.strip() for s in line.split("=", 1))
                 key = "fmt" if key == "format" else key
-                if key not in kinds:
+                if key not in cls.FIELDS:
                     raise UsageError(f"unknown config key {key!r}")
-                setattr(cfg, key, _parse_config_value(key, value, kinds[key]))
+                setattr(cfg, key, _parse_config_value(key, value, type(cls.FIELDS[key])))
         return cfg
 
 
@@ -99,26 +95,31 @@ def _parse_config_value(key: str, value: str, kind: type):
     return value
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    payload: dict | None = None
+    """One report line: its name, status ("pass", "fail" or "skip") and
+    payload."""
+
+    __slots__ = ("name", "status", "payload")
+
+    def __init__(self, name: str, status: str, payload: dict | None = None):
+        self.name, self.status, self.payload = name, status, payload
 
 
-@dataclass
 class TableBlock:
-    title: str
-    headers: list[str]
-    rows: list[list[str]]
+    __slots__ = ("title", "headers", "rows")
+
+    def __init__(self, title: str, headers: list[str], rows: list[list[str]]):
+        self.title, self.headers, self.rows = title, headers, rows
 
 
-@dataclass
 class Report:
-    command: str
-    config: RunConfig
-    checks: list[CheckResult] = field(default_factory=list)
-    tables: list[TableBlock] = field(default_factory=list)
+    __slots__ = ("command", "config", "checks", "tables")
+
+    def __init__(self, command: str, config: RunConfig,
+                 checks: list[CheckResult] | None = None):
+        self.command, self.config = command, config
+        self.checks = [] if checks is None else checks
+        self.tables: list[TableBlock] = []
 
     def add_pass(self, name: str, payload: dict | None = None):
         self.checks.append(CheckResult(name, "pass", payload))

@@ -15,9 +15,8 @@ with no rule raises ``EvaluationUnsupported`` instead of approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
+from .frozen import Frozen
 
 
 class EvaluationUnsupported(Exception):
@@ -28,60 +27,63 @@ class EvaluationUnsupported(Exception):
 # expression alphabet
 
 
-@dataclass(frozen=True)
-class Sphere:
-    pass
+class Sphere(Frozen):
+    """The sphere spectrum."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuspCircle:
+class SuspCircle(Frozen):
     """Suspension spectrum of the circle with disjoint basepoint."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CPInf:
+
+class CPInf(Frozen):
     """Stunted complex projective spectrum with cells from dimension -2:
     one integral class in every even degree >= -2."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CPInfShift:
+
+class CPInfShift(Frozen):
     """Suspension of the stunted projective spectrum: one integral class in
     every odd degree >= -1 (the shift of the rule above by one)."""
 
-
-@dataclass(frozen=True)
-class Shift:
-    k: int
-    inner: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Wedge:
-    parts: tuple
+class Shift(Frozen):
+    """The expression ``inner`` shifted up by k degrees."""
+
+    __slots__ = ("k", "inner")
 
 
-@dataclass(frozen=True)
-class CountableWedge:
+class Wedge(Frozen):
+    """The finite wedge of the tuple ``parts``."""
+
+    __slots__ = ("parts",)
+
+
+class CountableWedge(Frozen):
     """Lazily indexed countable wedge.  ``family`` is one of
     ("bcyc_ppowers", p), the suspension spectra of the classifying spaces
     of the cyclic groups of order p^k for k >= 0, or ("orbits_all",), the
     suspension spectra of the circle orbits S^1/C_n for n >= 1."""
 
-    family: tuple
+    __slots__ = ("family",)
 
 
 # ---------------------------------------------------------------------------
 # the map whose fiber is E
 
 
-@dataclass(frozen=True)
-class WedgeCircleTransfer:
+class WedgeCircleTransfer(Frozen):
     """The wedge over k >= 0 of circle transfers out of the classifying
     spaces of the p-power cyclic groups; on degree-zero homology this is
     the row (1, p, p^2, ...)."""
 
-    p: int
+    __slots__ = ("p",)
 
     @property
     def domain(self):

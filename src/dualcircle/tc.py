@@ -20,10 +20,10 @@ a verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
+from .frozen import Frozen
 from .primes import is_prime, padic_valuation
 from .qspaces import SymbolicQSpace, bousfield_pi_q
 from .spectra import (
@@ -36,7 +36,10 @@ from .spectra import (
 )
 
 
-class HurewiczRangeError(Exception):
+class HurewiczRangeError(ValueError):
+    """A table-2 degree past the homology-to-homotopy window; a ValueError,
+    so the command line reports it without loading this module."""
+
     def __init__(self, degree: int, cap: int):
         self.degree = degree
         self.cap = cap
@@ -48,17 +51,20 @@ class HurewiczRangeError(Exception):
 # the Frobenius / restriction algebra on tom Dieck summands
 
 
-@dataclass(frozen=True)
-class NormalMap:
+class NormalMap(Frozen):
     """Normal form of a summand-level map: an optional transfer (orbit
     exponents, descending), an optional fixed-point inclusion (fixed
     exponents, descending), and a count of label identifications.  Transfers
     and inclusions commute past each other and past relabelings, so the
     triple is a faithful normal form for the composites that arise."""
 
-    transfer: tuple[int, int] | None = None
-    inclusion: tuple[int, int] | None = None
-    relabels: int = 0
+    __slots__ = ("transfer", "inclusion", "relabels")
+
+    def __init__(self, transfer: tuple[int, int] | None, inclusion: tuple[int, int] | None,
+                 relabels: int):
+        object.__setattr__(self, "transfer", transfer)
+        object.__setattr__(self, "inclusion", inclusion)
+        object.__setattr__(self, "relabels", relabels)
 
     @classmethod
     def make(cls, transfer=None, inclusion=None, relabels=0) -> "NormalMap":
@@ -116,21 +122,29 @@ class NormalMap:
         return " o ".join(parts) if parts else "id"
 
 
-@dataclass(frozen=True)
-class SummandRoute:
-    source: int
-    target: int | None  # None when the summand is deleted
-    map: NormalMap
+class SummandRoute(Frozen):
+    """Where ``map`` sends summand ``source``: to summand ``target``, or
+    nowhere (None) when the summand is deleted."""
+
+    __slots__ = ("source", "target", "map")
+
+    def __init__(self, source: int, target: int | None, map: NormalMap):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
 
 
-@dataclass(frozen=True)
-class LevelMap:
+class LevelMap(Frozen):
     """A map between tom Dieck levels, given by one route per summand."""
 
-    p: int
-    level_from: int
-    level_to: int
-    routes: tuple[SummandRoute, ...]
+    __slots__ = ("p", "level_from", "level_to", "routes")
+
+    def __init__(self, p: int, level_from: int, level_to: int,
+                 routes: tuple[SummandRoute, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "level_from", level_from)
+        object.__setattr__(self, "level_to", level_to)
+        object.__setattr__(self, "routes", routes)
 
     def route(self, source: int) -> SummandRoute:
         for r in self.routes:
@@ -164,10 +178,7 @@ def frobenius_route(p: int, n: int, h: int, k: int) -> SummandRoute:
         raise ValueError("subgroup exponents out of range")
     target = min(h, k)
     return SummandRoute(
-        source=k,
-        target=target,
-        map=NormalMap.make(transfer=(n - k, h - target), inclusion=(k, target)),
-    )
+        k, target, NormalMap.make(transfer=(n - k, h - target), inclusion=(k, target)))
 
 
 def frobenius_general(p: int, n: int, h: int) -> LevelMap:
@@ -332,12 +343,11 @@ def tc_dual_circle_model_homology(p: int, lo: int, hi: int) -> GradedGroup:
     return base.wedge(e_part, lo, hi)
 
 
-@dataclass(frozen=True)
-class Table2:
-    p: int
-    cap: int
-    degrees: tuple[int, ...]
-    rows: dict[str, dict[int, SymbolicQSpace | None]]  # None = out of range
+class Table2(Frozen):
+    """The table of prime p over ``degrees``: ``rows`` maps each row label
+    to its cells by degree, None for a degree past ``cap``."""
+
+    __slots__ = ("p", "cap", "degrees", "rows")
 
     def cell(self, label: str, n: int):
         return self.rows[label][n]
@@ -394,7 +404,7 @@ def table2(p: int, truncate_out_of_range: bool = False) -> Table2:
         "E^_p": {n: completed_row(e_pi)(n) for n in degrees},
         "TC(DS^1)^_p": {n: completed_row(tcd_pi)(n) for n in degrees},
     }
-    return Table2(p=p, cap=cap, degrees=degrees, rows=rows)
+    return Table2(p, cap, degrees, rows)
 
 
 def table2_wedge_check(t: Table2) -> bool:
@@ -523,14 +533,12 @@ def diff_table2(t: Table2) -> list[str]:
 # the coassembly verdict
 
 
-@dataclass(frozen=True)
-class CoassemblyVerdict:
-    # "zero"; "inconclusive" when a hypothesis fails; "open" when the
-    # hypotheses hold but the assembled square does not close
-    status: str
-    degree: int
-    failed_hypothesis: str | None
-    square: dict[str, str]
+class CoassemblyVerdict(Frozen):
+    """``status`` is "zero"; "inconclusive" when ``failed_hypothesis``
+    fails; "open" when the hypotheses hold but the assembled ``square`` in
+    ``degree`` does not close."""
+
+    __slots__ = ("status", "degree", "failed_hypothesis", "square")
 
     def summary(self) -> str:
         if self.status == "zero":

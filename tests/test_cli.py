@@ -11,7 +11,7 @@ import pytest
 
 from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
-from dualcircle.checks import MAX_LEVEL
+from dualcircle.tc_checks import MAX_LEVEL
 from dualcircle.cli import COMMANDS, build_parser, main, parse_args
 from dualcircle.report import RunConfig, UsageError
 
@@ -85,6 +85,26 @@ class TestHHVerb:
                         "--max-degree", "2")
         assert code == 0
         assert "PASS three-route[Z[1],5]" in out
+
+    def test_options_beyond_the_fixture_caps_are_skipped_by_name(self, capsys):
+        code, out = run(capsys, "hh", "verify", "--max-weight", "9",
+                        "--max-degree", "100", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["status"] for c in checks].count("skip") == 1
+        assert checks[0] == {
+            "name": "weights 6..9 and degrees -100..-7, 7..100 not compared: "
+                    "the fixture file covers weights 1..5 and degrees -6..6",
+            "status": "skip", "payload": {"max_weight": "5", "degrees": ["-6", "6"]}}
+        assert "three-route[Z,5]" in {c["name"] for c in checks}
+        code, out = run(capsys, "hh", "verify", "--max-weight", "6", "--max-degree", "2")
+        assert "SKIP weights 6 not compared" in out
+        code, out = run(capsys, "hh", "verify", "--max-degree", "7")
+        assert "SKIP degrees -7, 7 not compared" in out
+
+    def test_default_options_skip_nothing(self, capsys):
+        code, out = run(capsys, "hh", "verify")
+        assert code == 0 and "SKIP" not in out
 
     def test_missing_fixture_file(self, capsys):
         code = main(["hh", "verify", "--fixtures", "/nonexistent.json"])
@@ -371,16 +391,16 @@ class TestReplay:
 
     def test_replay_hh_names_the_disagreeing_route(self, tmp_path, capsys,
                                                     monkeypatch):
-        from dualcircle import checks
+        from dualcircle import hh_checks
 
-        real = checks.cell_weight_homology_fg
+        real = hh_checks.cell_weight_homology_fg
 
         def wrong_cell(n, m):
             got = dict(real(n, m))
             got[n] = FGAbGroup.from_orders(got.get(n, FGAbGroup.zero()).orders() + [2])
             return got
 
-        monkeypatch.setattr(checks, "cell_weight_homology_fg", wrong_cell)
+        monkeypatch.setattr(hh_checks, "cell_weight_homology_fg", wrong_cell)
         payload = {"check": "hh-weight", "inputs": {"module": "Z^2", "weight": 4}}
         path = tmp_path / "payload.json"
         path.write_text(json.dumps(payload))

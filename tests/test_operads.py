@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcircle import checks
+from dualcircle import operad_checks
 from dualcircle.operads import (
     ArityMismatch,
     DomainError,
@@ -281,7 +281,7 @@ class TestAgainstFractionReference:
         assert_canonical(action_map(p))
 
 
-# The operad suite draws on getrandbits through checks._below; every seed
+# The operad suite draws on getrandbits through operad_checks._below; every seed
 # must keep drawing the points that randint and choice drew.
 
 def ref_random_point(rng, min_arity=1, suboperad="O"):
@@ -322,7 +322,7 @@ def points_match_reference():
     for seed in range(300):
         rng, ref = random.Random(seed), random.Random(seed)
         for min_arity, suboperad in SUITE_DRAWS * 3:
-            got = checks._random_point(rng.getrandbits, min_arity, suboperad)
+            got = operad_checks._random_point(rng.getrandbits, min_arity, suboperad)
             if got != ref_random_point(ref, min_arity, suboperad):
                 return False
             if rng.getstate() != ref.getstate():
@@ -332,7 +332,7 @@ def points_match_reference():
 
 class TestDrawStream:
     def test_below_draws_what_randrange_draws(self):
-        assert below_matches_randrange(checks._below)
+        assert below_matches_randrange(operad_checks._below)
 
     def test_a_draw_of_one_bit_more_is_caught(self):
         assert not below_matches_randrange(wide_below)
@@ -341,5 +341,5 @@ class TestDrawStream:
         assert points_match_reference()
 
     def test_points_drawn_with_one_bit_more_are_caught(self, monkeypatch):
-        monkeypatch.setattr(checks, "_below", wide_below)
+        monkeypatch.setattr(operad_checks, "_below", wide_below)
         assert not points_match_reference()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dualcircle import checks, tc
+from dualcircle import checks, hh_checks, operad_checks, tc, tc_checks
 from dualcircle.cli import main
 from dualcircle.cyclic import GradedModule
 from dualcircle.operads import CubePoint, OperadPoint, SuspensionActionMap, ZeroMapVerdict
@@ -52,45 +52,47 @@ TABLE2 = ["tc", "table2", "--p", "7"]
 HH = ["hh", "verify", "--max-weight", "2", "--max-degree", "3"]
 # kind -> (failing verb, patch: (module, attribute, wrapper of the original))
 CASES = {
-    "associativity": (OPERAD, (checks, "compose", lambda f: lambda o, i: _doubled(f(o, i)))),
-    "unit": (OPERAD, (checks, "compose", lambda f: _compose_unless(
+    "associativity": (OPERAD, (operad_checks, "compose",
+                               lambda f: lambda o, i: _doubled(f(o, i)))),
+    "unit": (OPERAD, (operad_checks, "compose", lambda f: _compose_unless(
         lambda o, i: o.arity > 1 and all(q.arity == 1 for q in i), _doubled))),
-    "closure-A": (OPERAD, (checks, "compose", lambda f: _compose_unless(
+    "closure-A": (OPERAD, (operad_checks, "compose", lambda f: _compose_unless(
         lambda o, i: _in("A", o, i), _constant_point(1)))),
-    "closure-Oprime": (OPERAD, (checks, "compose", lambda f: _compose_unless(
+    "closure-Oprime": (OPERAD, (operad_checks, "compose", lambda f: _compose_unless(
         lambda o, i: _in("Oprime", o, i), _constant_point(0)))),
-    "coalgebra-compatibility": (OPERAD, (checks, "compose_action_maps", lambda f: (
+    "coalgebra-compatibility": (OPERAD, (operad_checks, "compose_action_maps", lambda f: (
         lambda o, i: SuspensionActionMap((1,) + f(o, i).shift_vector)))),
-    "zero-action": (OPERAD, (checks, "eval_action",
+    "zero-action": (OPERAD, (operad_checks, "eval_action",
                              lambda f: lambda m, s: CubePoint((Fraction(1, 2),), 1))),
-    "zero-action-witness": (OPERAD, (checks, "is_zero_map",
+    "zero-action-witness": (OPERAD, (operad_checks, "is_zero_map",
                                      lambda f: lambda m: ZeroMapVerdict(True, None))),
-    "nullhomotopy-endpoints": (OPERAD, (checks, "nullhomotopy_point",
+    "nullhomotopy-endpoints": (OPERAD, (operad_checks, "nullhomotopy_point",
                                         lambda f: lambda t: f(Fraction(1, 2)))),
-    "hh-weight": (HH, (checks, "cell_weight_homology_fg",
+    "hh-weight": (HH, (hh_checks, "cell_weight_homology_fg",
                        lambda f: lambda n, m: f(n, GradedModule.single(0, 0)))),
-    "hh-dual-numbers": (HH, (checks, "brute_hochschild",
+    "hh-dual-numbers": (HH, (hh_checks, "brute_hochschild",
                              lambda f: lambda m, n: f(GradedModule.single(0, 2), n))),
-    "hh-truncation": (HH, (checks, "brute_hochschild", lambda f: lambda m, n: (
+    "hh-truncation": (HH, (hh_checks, "brute_hochschild", lambda f: lambda m, n: (
         f(m, n) if n == 2 else f(GradedModule.single(0, 2), n)))),
-    "thh-shadow": (HH, (checks, "thh_homology_square_zero",
+    "thh-shadow": (HH, (hh_checks, "thh_homology_square_zero",
                         lambda f: lambda m, lo, hi: f(GradedModule.single(-2, 0), lo, hi))),
-    "table1": (["tc", "table1", "--p", "5"], (checks, "table1", lambda f: (
+    "table1": (["tc", "table1", "--p", "5"], (tc_checks, "table1", lambda f: (
         lambda p, lo, hi: {**f(p, lo, hi), "E": f(p, lo, hi)["S"]}))),
     "table2": (TABLE2, (tc, "k_sphere_rational", lambda f: lambda n: SymbolicQSpace.zero())),
-    "table2-shift-sum": (TABLE2, (checks, "dual_tc_shift_sum_check", lambda f: lambda t: False)),
-    "table2-wedge": (TABLE2, (checks, "table2_wedge_check", lambda f: lambda t: False)),
+    "table2-shift-sum": (TABLE2, (tc_checks, "dual_tc_shift_sum_check",
+                                  lambda f: lambda t: False)),
+    "table2-wedge": (TABLE2, (tc_checks, "table2_wedge_check", lambda f: lambda t: False)),
     "negative-control": (["tc", "controls", "--p", "3"], (
-        checks, "e_homology_with_descriptor",
+        tc_checks, "e_homology_with_descriptor",
         lambda f: lambda p, row, lo, hi: tc.e_homology(p, lo, hi))),
-    "fr-commute": (FR, (checks, "check_fr_commute", lambda f: lambda p, n: False)),
-    "restriction-deletion": (FR, (checks, "restriction_map", lambda f: tc.frobenius_map)),
-    "frobenius-routing": (FR, (checks, "frobenius_general",
+    "fr-commute": (FR, (tc_checks, "check_fr_commute", lambda f: lambda p, n: False)),
+    "restriction-deletion": (FR, (tc_checks, "restriction_map", lambda f: tc.frobenius_map)),
+    "frobenius-routing": (FR, (tc_checks, "frobenius_general",
                                lambda f: lambda p, n, h: tc.restriction_map(p, n))),
     "coassembly": (COASSEMBLY, (tc, "k_sphere_rational",
                                 lambda f: lambda n: SymbolicQSpace.zero())),
     "regularity": (COASSEMBLY + ["--check-regularity"], (
-        checks, "irregular_indices", lambda f: lambda p: [2])),
+        tc_checks, "irregular_indices", lambda f: lambda p: [2])),
 }
 
 
@@ -101,6 +103,9 @@ def _run(capsys, argv):
 
 def test_the_cases_cover_the_registry():
     assert sorted(CASES) == sorted(checks.CHECKS)
+    suites = {"operad": operad_checks, "hh": hh_checks, "tc": tc_checks}
+    assert {kind: name for name, suite in suites.items() for kind in suite.KINDS} \
+        == checks.CHECKS
 
 
 def test_every_payload_kind_written_in_src_is_registered():

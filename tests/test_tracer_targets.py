@@ -5,8 +5,6 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import dualcircle.cli  # noqa: F401  (loads every module the tracer patches)
-
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -28,6 +26,10 @@ def _binding(module_name, path):
 def test_every_tracer_target_resolves_and_is_patched():
     tracer_module = _load_tracer()
     targets = [(module, path) for module, path, _ in tracer_module.TARGETS]
+    # the package loads its modules lazily, so load each one the tracer
+    # patches before it looks for the names bound to its targets
+    for module, _ in targets:
+        importlib.import_module(f"dualcircle.{module}")
     originals = {t: _binding(*t) for t in targets}
     tracer = tracer_module.Tracer()
     try:
