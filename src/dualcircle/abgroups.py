@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .frozen import Frozen
-from .matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
+from .matrices import IntMatrix, SparseMatrix, cokernel_invariants
 from .primes import factorint
 
 
@@ -214,9 +214,9 @@ class GroupExpr(Frozen):
         atoms.sort(key=lambda a: (_ATOM_ORDER[a[0]], a[1] or 0))
         return cls(tuple(atoms))
 
-    @classmethod
-    def zero(cls) -> "GroupExpr":
-        return cls._make([])
+    @staticmethod
+    def zero() -> "GroupExpr":
+        return _ZERO_EXPR
 
     @classmethod
     def free(cls, rank: int = 1) -> "GroupExpr":
@@ -289,6 +289,9 @@ class GroupExpr(Frozen):
             else:
                 parts.append(f"(+)^oo (+)_k Z/{param}^k")
         return " + ".join(parts)
+
+
+_ZERO_EXPR = GroupExpr(())  # values are immutable, so one zero serves every caller
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +409,23 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
     ``orders_here``, C by ``orders_below``, and the maps are given by
     integer matrices on generators, dense or sparse.
 
-    In the generator lattice Z^n of B, the kernel K of B -> C is spanned by
-    the columns of P (n x r), the B-rows of a kernel basis of
-    [d_out | diag(orders_below)] (columns of order 0 add nothing, so they
-    are left out and P has no zero column).  What must die, L, is spanned
-    by the columns of Q: those of d_in and B's relations.  Then H = K / L
-    is Z^r / {a : P a in L}, and that lattice is spanned by the top r rows
-    of a kernel basis of [P | Q]; when K is all of B it is L itself.  The
-    signs of the appended columns do not change these projections.  Every
-    step stays on sparse columns.
+    With B = Z^n / R_B and C = Z^m / R_C (R holding o e_i per nonzero
+    order o), the complex is the cokernel of the injective chain map of
+    relations R: F_1 -> F_0, so it is quasi-isomorphic to the cone of R, a
+    complex of free groups.  B's place in the cone is Z^n (+) F_1(C), with
+    one generator of F_1(C) per nonzero order of C (m' in all), and its
+    differentials are d_B = [d_out | R_C], m x (n + m'), and d_{B+1}, with
+    a column (x ; R_C^-1 d_out x) for each column x of ``d_in`` and R_B.
+    So H = Z^(n + m' - rank d_B - rank d_{B+1}) (+) (the invariant factors
+    of d_{B+1} other than 1), from one elimination without a transform for
+    each differential.  The cone's F_1(C) rows carry the opposite sign,
+    which changes neither rank nor invariant factors.  A non-integral
+    R_C^-1 d_out x means the input is not a complex.  When d_out is zero,
+    H is the cokernel of the columns of ``d_in`` and R_B.
+
+    >>> str(homology_with_orders(IntMatrix.from_rows([[1]]),
+    ...                          IntMatrix.from_rows([[4]]), [8], [2]))
+    'Z/2'
     """
     orders_here = list(orders_here)
     n_b = len(orders_here)
@@ -437,38 +448,34 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
             raise StructuralError("incoming boundary has wrong height")
         killed.extend(col for col in SparseMatrix.of(d_in).columns if col)
     killed.extend({i: o} for i, o in enumerate(orders_here) if o)
-
     if out is None:
-        r, relations = n_b, killed
-    else:
-        if not _lands_in_relations(out, killed, orders_below):
-            raise StructuralError(
-                "relations or incoming image do not land in the kernel "
-                "(input is not a complex)")
-        block = out.columns + tuple({i: o} for i, o in enumerate(orders_below) if o)
-        p = [{k: x for k, x in col.items() if k < n_b}
-             for col in kernel_basis(SparseMatrix(out.rows, block)).columns]
-        r = len(p)
-        relations = [{k: x for k, x in col.items() if k < r}
-                     for col in kernel_basis(SparseMatrix(n_b, tuple(p + killed))).columns]
-    free, torsion = cokernel_invariants(SparseMatrix(r, tuple(relations)))
-    return FGAbGroup(free, tuple(torsion))
+        free, torsion = cokernel_invariants(SparseMatrix(n_b, tuple(killed)))
+        return FGAbGroup(free, tuple(torsion))
 
-
-def _lands_in_relations(d_out: SparseMatrix, cols, orders_below) -> bool:
-    """Whether d_out sends every sparse column into the relations of C,
-    that is to a multiple of orders_below[i] in each row i (0 in rows of
-    order 0)."""
-    for col in cols:
+    slot: dict[int, int] = {}  # row i of C -> its row in F_1(C), after B's
+    for i, o in enumerate(orders_below):
+        if o:
+            slot[i] = n_b + len(slot)
+    lifted = []
+    for col in killed:
         image: dict[int, int] = {}
         for j, x in col.items():
-            for i, y in d_out.columns[j].items():
+            for i, y in out.columns[j].items():
                 image[i] = image.get(i, 0) + x * y
+        lift = dict(col)
         for i, v in image.items():
-            c = orders_below[i]
-            if (v % c if c else v) != 0:
-                return False
-    return True
+            if v:
+                o = orders_below[i]
+                if not o or v % o:
+                    raise StructuralError(
+                        "relations or incoming image do not land in the kernel "
+                        "(input is not a complex)")
+                lift[slot[i]] = v // o
+        lifted.append(lift)
+    relations_c = tuple({i: orders_below[i]} for i in slot)
+    free_below, _ = cokernel_invariants(SparseMatrix(out.rows, out.columns + relations_c))
+    free, torsion = cokernel_invariants(SparseMatrix(n_b + len(slot), tuple(lifted)))
+    return FGAbGroup(free - (out.rows - free_below), tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ its homology, each from its own source:
   off one generic elimination of that block (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
   from the simplicial face maps of the ring; each (total degree, weight)
-  block of its face-sum differential goes through generic homology
-  (``NormalizedHochschild``).
+  block of its face-sum differential is built once per oracle and goes
+  through generic homology (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.
@@ -253,6 +253,7 @@ class NormalizedHochschild:
                 if r0 is not None:
                     degree += m.generators[r0][0]
                 self._blocks.setdefault((degree, self.chain_weight(c)), []).append(c)
+        self._faces: dict[tuple[int, int | None], tuple[SparseMatrix, list[int]]] = {}
 
     def chain_weight(self, c: tuple) -> int:
         r0, tail = c
@@ -307,23 +308,29 @@ class NormalizedHochschild:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
 
-        def chains(t: int) -> list[tuple]:
-            if weight is not None:
-                return self._blocks.get((t, weight), [])
-            return [c for (d, _), block in self._blocks.items() if d == t for c in block]
+        d_out, orders_here = self._faces_from(total_degree, weight)
+        d_in, _ = self._faces_from(total_degree + 1, weight)
+        _, orders_below = self._faces_from(total_degree - 1, weight)
+        return homology_with_orders(d_out, d_in, orders_here, orders_below)
 
-        here = chains(total_degree)
-        below, above = chains(total_degree - 1), chains(total_degree + 1)
+    def _faces_from(self, t: int, weight: int | None) -> tuple[SparseMatrix, list[int]]:
+        """The face-sum matrix from total degree t to t - 1 and the orders
+        of the degree-t chains, of one weight or (None) of all, built once
+        per instance."""
+        key = (t, weight)
+        if key not in self._faces:
+            here, below = self._chains(t, weight), self._chains(t - 1, weight)
+            pos = {cell: r for r, cell in enumerate(below)}
+            matrix = SparseMatrix(len(below), tuple(
+                {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
+                for c in here))
+            self._faces[key] = matrix, [self.chain_order(c) for c in here]
+        return self._faces[key]
 
-        def matrix_for(src, dst):
-            dst_pos = {cell: r for r, cell in enumerate(dst)}
-            return SparseMatrix(len(dst), tuple(
-                {dst_pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
-                for c in src))
-
-        return homology_with_orders(
-            matrix_for(here, below), matrix_for(above, here),
-            [self.chain_order(c) for c in here], [self.chain_order(c) for c in below])
+    def _chains(self, t: int, weight: int | None) -> list[tuple]:
+        if weight is not None:
+            return self._blocks.get((t, weight), [])
+        return [c for (d, _), block in self._blocks.items() if d == t for c in block]
 
 
 def brute_hochschild_weights(m: GradedModule, max_weight: int,

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from dualcircle.abgroups import (
     homology_with_orders,
     les_fiber,
 )
-from dualcircle.matrices import IntMatrix
+from dualcircle.matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
 
 
 def _to_fg(expr: GroupExpr) -> FGAbGroup:
@@ -208,6 +210,113 @@ class TestLesFiber:
         b = _graded({0: GroupExpr.free(1)})
         with pytest.raises(StructuralError):
             les_fiber(w, b, GradedMapData.zero(), 0, 0)
+
+
+def _reference_homology_with_orders(d_out, d_in, orders_here, orders_below):
+    """Homology at B of A -> B -> C by two kernel bases and a cokernel: the
+    kernel K of B -> C is spanned by the B-rows P of a kernel basis of
+    [d_out | R_C], and H = Z^r / {a : P a in L} with L spanned by the
+    columns of d_in and R_B, read off a kernel basis of [P | L]."""
+    orders_here = list(orders_here)
+    n_b = len(orders_here)
+    if n_b == 0:
+        return FGAbGroup.zero()
+    out = None if d_out is None else SparseMatrix.of(d_out)
+    if out is not None and (out.rows == 0 or out.is_zero()):
+        out = None
+    killed = []
+    if d_in is not None and d_in.cols:
+        killed.extend(col for col in SparseMatrix.of(d_in).columns if col)
+    killed.extend({i: o} for i, o in enumerate(orders_here) if o)
+    if out is None:
+        r, relations = n_b, killed
+    else:
+        orders_below = list(orders_below)
+        for col in killed:
+            image = {}
+            for j, x in col.items():
+                for i, y in out.columns[j].items():
+                    image[i] = image.get(i, 0) + x * y
+            for i, v in image.items():
+                c = orders_below[i]
+                if (v % c if c else v) != 0:
+                    raise StructuralError("input is not a complex")
+        block = out.columns + tuple({i: o} for i, o in enumerate(orders_below) if o)
+        p = [{k: x for k, x in col.items() if k < n_b}
+             for col in kernel_basis(SparseMatrix(out.rows, block)).columns]
+        r = len(p)
+        relations = [{k: x for k, x in col.items() if k < r}
+                     for col in kernel_basis(SparseMatrix(n_b, tuple(p + killed))).columns]
+    free, torsion = cokernel_invariants(SparseMatrix(r, tuple(relations)))
+    return FGAbGroup(free, tuple(torsion))
+
+
+_ORDERS = st.sampled_from((0, 0, 2, 3, 4, 6))
+
+
+@st.composite
+def _small_complexes(draw):
+    """A -> B -> C with mixed free and torsion generators in B and C.
+    d_out is well defined on B; the columns of d_in are drawn from the
+    lattice of B's generators that d_out sends into C's relations, so
+    d_out d_in is zero modulo R_C but often not over Z.  A's orders are no
+    input of the homology; a column of d_in of finite order in B stands
+    for a torsion generator of A."""
+    orders_b = draw(st.lists(_ORDERS, min_size=1, max_size=4))
+    orders_c = draw(st.lists(_ORDERS, min_size=0, max_size=3))
+    small = st.integers(min_value=-3, max_value=3)
+    # o_j * d[i][j] must be a multiple of o_i, and 0 when o_i = 0 < o_j
+    d_out = IntMatrix.from_rows([
+        [0 if oi == 0 and oj else
+         draw(small) * (oi // gcd(oi, oj) if oi else 1)
+         for oj in orders_b] for oi in orders_c])
+    block = [[d_out.entries[i][j] for j in range(len(orders_b))]
+             + [o if k == i else 0 for k, o in enumerate(orders_c) if o]
+             for i in range(len(orders_c))]
+    lifts = kernel_basis(IntMatrix.from_rows(block)) if orders_c else None
+    n_lifts = lifts.cols if lifts is not None else len(orders_b)
+    cols = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        coeffs = draw(st.lists(small, min_size=n_lifts, max_size=n_lifts))
+        if lifts is None:
+            cols.append(coeffs)
+        else:
+            cols.append([sum(lifts.entries[i][k] * c for k, c in enumerate(coeffs))
+                         for i in range(len(orders_b))])
+    d_in = IntMatrix.from_rows(list(zip(*cols))) if cols else None
+    return d_out, d_in, orders_b, orders_c
+
+
+class TestHomologyWithOrdersReference:
+    @given(_small_complexes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_kernel_basis_reference(self, cx):
+        d_out, d_in, orders_b, orders_c = cx
+        assert (homology_with_orders(d_out, d_in, orders_b, orders_c)
+                == _reference_homology_with_orders(d_out, d_in, orders_b, orders_c))
+
+    def test_free_summand_and_torsion_lift(self):
+        # B = Z^2 + Z/4 -> C = Z/2 by (1, 0, 2): the kernel is 2Z + Z + Z/4, and
+        # d_in kills (2, 0, 1), whose image 4 is zero in C only modulo 2
+        d_out = IntMatrix.from_rows([[1, 0, 2]])
+        d_in = IntMatrix.from_rows([[2], [0], [1]])
+        got = homology_with_orders(d_out, d_in, [0, 0, 4], [2])
+        assert got == _reference_homology_with_orders(d_out, d_in, [0, 0, 4], [2])
+        assert got == FGAbGroup.from_orders([0, 4])
+
+    @pytest.mark.parametrize("args", [
+        # B = Z + Z/2 -> C = Z by (0, 1): the relation 2 e_1 maps to 2, not
+        # into C's relations; e_0 spans a nonzero kernel
+        (IntMatrix.from_rows([[0, 1]]), None, [0, 2], [0]),
+        # B = Z^2 -> C = Z/4 by (0, 1), A = Z -> B by (0, 2): the composite
+        # is 2, not zero modulo 4; e_0 spans a nonzero kernel
+        (IntMatrix.from_rows([[0, 1]]), IntMatrix.from_rows([[0], [2]]), [0, 0], [4]),
+    ], ids=["relation-of-B", "incoming-image"])
+    def test_non_complex_with_a_nonzero_kernel_raises(self, args):
+        with pytest.raises(StructuralError, match="not a complex"):
+            homology_with_orders(*args)
+        with pytest.raises(StructuralError):
+            _reference_homology_with_orders(*args)
 
 
 class TestHomologyWithOrdersBruteForce:

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcircle import cyclic
+from dualcircle import abgroups, cyclic, matrices
 from dualcircle.abgroups import FGAbGroup, GroupExpr
 from dualcircle.cyclic import (
     EquivariantCellComplex,
@@ -95,6 +97,66 @@ class TestBruteOracle:
         deeper = NormalizedHochschild(Z0, max_level=8)
         for d in range(0, 5):
             assert shallow.at(d) == GroupExpr.from_fg(deeper.homology(d))
+
+
+class TestOracleWork:
+    """Work counts of the oracle, in place of timings: each face-sum block
+    is built once per instance, and each query is one call of generic
+    homology with at most two eliminations, both cokernels."""
+
+    M = GradedModule(((0, 0), (1, 2), (2, 0)))
+
+    def test_each_block_is_built_once_per_instance(self, monkeypatch):
+        faces, eliminations, cokernels, calls = Counter(), [], [], []
+        boundary = NormalizedHochschild._boundary
+        eliminate = matrices._eliminate
+        generic = cyclic.homology_with_orders
+
+        def counted_boundary(self, k, c):
+            faces[c] += 1
+            return boundary(self, k, c)
+
+        def counted_eliminate(*args, **kwargs):
+            eliminations.append(args[0])
+            return eliminate(*args, **kwargs)
+
+        def counted_cokernel(m):
+            cokernels.append(m)
+            return cokernel_invariants(m)
+
+        def counted_homology(*args):
+            calls.append(args)
+            return generic(*args)
+
+        monkeypatch.setattr(NormalizedHochschild, "_boundary", counted_boundary)
+        monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(abgroups, "cokernel_invariants", counted_cokernel)
+        monkeypatch.setattr(cyclic, "homology_with_orders", counted_homology)
+        oracle = NormalizedHochschild(self.M, max_level=4)
+        queries = 0
+        for weights, most in (([1, 2, 3, 4], 1), ([None], 2)):
+            for w in weights:
+                for t in range(-1, 15 if w else 4):
+                    for _ in range(2):  # a repeated query builds nothing new
+                        before = len(eliminations), len(cokernels)
+                        oracle.homology(t, weight=w)
+                        queries += 1
+                        assert len(eliminations) - before[0] <= 2, (t, w)
+                        assert (len(eliminations) - before[0]
+                                == len(cokernels) - before[1]), (t, w)
+            # restricted sweeps face each chain once; the unrestricted
+            # sweep builds its own blocks, so at most once more
+            assert max(faces.values()) == most
+        assert len(calls) == queries
+
+    def test_mixed_queries_answer_as_fresh_instances(self):
+        queries = [(t, w) for t in range(-1, 4) for w in (1, 2, 3, None)]
+        queries += [(t, 4) for t in range(2, 13)]
+        random.Random(7).shuffle(queries)
+        oracle = NormalizedHochschild(self.M, max_level=4)
+        for t, w in queries:
+            fresh = NormalizedHochschild(self.M, max_level=4).homology(t, weight=w)
+            assert oracle.homology(t, weight=w) == fresh, (t, w)
 
 
 class TestCellModel:
