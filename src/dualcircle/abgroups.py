@@ -18,10 +18,8 @@ are two kinds: the zero map and the transfer row ``row_powers``.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 from .frozen import Frozen
-from .matrices import IntMatrix, SparseMatrix, cokernel_invariants
+from .matrices import IntMatrix, SparseMatrix, _divisibility_chain, cokernel_invariants, rank
 from .primes import factorint
 
 
@@ -99,28 +97,15 @@ class FGAbGroup(Frozen):
     @classmethod
     def from_orders(cls, orders) -> "FGAbGroup":
         """Canonicalize an arbitrary list of cyclic orders (0 meaning Z)."""
-        rank = 0
-        primary: dict[int, list[int]] = {}
+        rank, torsion = 0, []
         for d in orders:
             d = abs(int(d))
             if d == 0:
                 rank += 1
-            elif d == 1:
-                continue
-            else:
-                for p, e in factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        for exps in primary.values():
-            exps.sort(reverse=True)
-        factors = []
-        for tier in zip_longest(*primary.values(), fillvalue=0):
-            d = 1
-            for p, e in zip(primary.keys(), tier):
-                d *= p**e
-            factors.append(d)
-        factors = [d for d in factors if d > 1]
-        factors.reverse()  # ascending divisibility chain
-        return cls(rank, tuple(factors))
+            elif d > 1:
+                torsion.append(d)
+        chain = _divisibility_chain(sorted(torsion))
+        return cls(rank, tuple(chain[chain.count(1):]))  # the 1s lead the chain
 
     def orders(self) -> list[int]:
         """Cyclic orders of the summands, 0 meaning Z."""
@@ -417,14 +402,17 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
     differentials are d_B = [d_out | R_C], m x (n + m'), and d_{B+1}, with
     a column (x ; R_C^-1 d_out x) for each column x of ``d_in`` and R_B.
     So H = Z^(n + m' - rank d_B - rank d_{B+1}) (+) (the invariant factors
-    of d_{B+1} other than 1), from one elimination without a transform for
-    each differential.  The cone's F_1(C) rows carry the opposite sign,
-    which changes neither rank nor invariant factors.  A non-integral
-    R_C^-1 d_out x means the input is not a complex.  When d_out is zero,
-    H is the cokernel of the columns of ``d_in`` and R_B.
+    of d_{B+1} other than 1).  Over Q the columns of R_C span C's torsion
+    rows, so rank d_B = m' + (the rank of d_out on C's free rows): one
+    elimination without a transform, none if d_out is zero there, and one
+    more for d_{B+1}.  The cone's F_1(C) rows carry the opposite sign,
+    which changes neither rank nor invariant factors.  A non-integral R_C^-1 d_out x means the input
+    is not a complex.  When d_out is zero, H is the cokernel of the columns
+    of ``d_in`` and R_B.  Below, C = Z + Z/2 and B = Z^2 -> C is the
+    identity, so the kernel is 0 + 2Z, and A = Z maps onto 4Z:
 
-    >>> str(homology_with_orders(IntMatrix.from_rows([[1]]),
-    ...                          IntMatrix.from_rows([[4]]), [8], [2]))
+    >>> str(homology_with_orders(IntMatrix.from_rows([[1, 0], [0, 1]]),
+    ...                          IntMatrix.from_rows([[0], [4]]), [0, 0], [0, 2]))
     'Z/2'
     """
     orders_here = list(orders_here)
@@ -472,10 +460,11 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
                         "(input is not a complex)")
                 lift[slot[i]] = v // o
         lifted.append(lift)
-    relations_c = tuple({i: orders_below[i]} for i in slot)
-    free_below, _ = cokernel_invariants(SparseMatrix(out.rows, out.columns + relations_c))
+    on_free = [c for c in ({i: x for i, x in col.items() if i not in slot}
+                           for col in out.columns) if c]  # d_out on C's free rows
+    rank_b = len(slot) + (rank(SparseMatrix(out.rows, tuple(on_free))) if on_free else 0)
     free, torsion = cokernel_invariants(SparseMatrix(n_b + len(slot), tuple(lifted)))
-    return FGAbGroup(free - (out.rows - free_below), tuple(torsion))
+    return FGAbGroup(free - rank_b, tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ its homology, each from its own source:
   orbit's sparse L x L block and reads both its kernel and its cokernel
   off one generic elimination of that block (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
-  from the simplicial face maps of the ring; each (total degree, weight)
-  block of its face-sum differential is built once per oracle and goes
-  through generic homology (``NormalizedHochschild``).
+  from the simplicial face maps of the ring; it builds each weight's chains
+  and each (total degree, weight) block of its face-sum differential once,
+  on first use, for generic homology (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.
@@ -229,35 +229,32 @@ class NormalizedHochschild:
 
     A chain is a pair (r0, tail) for the normalized chain (r0; m_1, ...,
     m_k): r0 is either the ring unit (None) or a module generator index,
-    and the tail is the tuple of module generator indices.
+    and the tail, whose length is the chain's level, is the tuple of module
+    generator indices.  A weight's chains are built on its first query
+    (every weight's for an unrestricted one).
     """
 
     def __init__(self, m: GradedModule, max_level: int):
         self.module = m
         self.max_level = max_level
-        g = len(m.generators)
-        self.bases: list[list[tuple]] = []
-        # chains by (total degree, weight); the level of a chain is its
-        # tail length, so a chain alone says where it lives
-        self._blocks: dict[tuple[int, int], list[tuple]] = {}
-        for k in range(max_level + 1):
-            tails: list[tuple[int, ...]] = [()]
-            for _ in range(k):
-                tails = [t + (i,) for t in tails for i in range(g)]
-            level = [(None, t) for t in tails]
-            level += [(r0, t) for r0 in range(g) for t in tails]
-            self.bases.append(level)
-            for c in level:
-                r0, tail = c
-                degree = k + sum(m.generators[i][0] for i in tail)
-                if r0 is not None:
-                    degree += m.generators[r0][0]
-                self._blocks.setdefault((degree, self.chain_weight(c)), []).append(c)
+        self._weights: dict[int, dict[int, list[tuple]]] = {}
         self._faces: dict[tuple[int, int | None], tuple[SparseMatrix, list[int]]] = {}
 
-    def chain_weight(self, c: tuple) -> int:
-        r0, tail = c
-        return len(tail) + (0 if r0 is None else 1)
+    def _weight_chains(self, w: int) -> dict[int, list[tuple]]:
+        """The chains of weight w by total degree, built once: one per word
+        r0 m_1 ... m_(w-1) of generators at level w - 1, and one unit-led
+        per word at level w unless max_level truncates it."""
+        if w not in self._weights:
+            degrees = [d for d, _ in self.module.generators]
+            words = [((), 0)]  # (word, its internal degree), lexicographic
+            for _ in range(w):
+                words = [(u + (i,), d + e) for u, d in words for i, e in enumerate(degrees)]
+            blocks = self._weights[w] = {}
+            for u, d in words if w else ():
+                blocks.setdefault(w - 1 + d, []).append((u[0], u[1:]))
+            for u, d in words if w <= self.max_level else ():
+                blocks.setdefault(w + d, []).append((None, u))
+        return self._weights[w]
 
     def chain_order(self, c: tuple) -> int:
         gens = self.module.generators
@@ -321,16 +318,17 @@ class NormalizedHochschild:
         if key not in self._faces:
             here, below = self._chains(t, weight), self._chains(t - 1, weight)
             pos = {cell: r for r, cell in enumerate(below)}
-            matrix = SparseMatrix(len(below), tuple(
+            # from a list: a tuple grown from a generator can keep a larger block
+            matrix = SparseMatrix(len(below), tuple([
                 {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
-                for c in here))
+                for c in here]))
             self._faces[key] = matrix, [self.chain_order(c) for c in here]
         return self._faces[key]
 
     def _chains(self, t: int, weight: int | None) -> list[tuple]:
         if weight is not None:
-            return self._blocks.get((t, weight), [])
-        return [c for (d, _), block in self._blocks.items() if d == t for c in block]
+            return self._weight_chains(weight).get(t, [])
+        return [c for w in range(self.max_level + 2) for c in self._weight_chains(w).get(t, [])]
 
 
 def brute_hochschild_weights(m: GradedModule, max_weight: int,

@@ -39,22 +39,29 @@ def _parse_fixture(fx: dict, path: tuple[str, ...], parse, shape: str):
         raise UsageError(f"fixture file {'.'.join(path)} is not {shape}") from exc
 
 
+def _whole(value, least=float("-inf")) -> int:
+    """``value`` if it is a JSON integer (not a boolean) >= ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(value)
+    return value
+
+
 def _hh_module(fx: dict, name: str) -> GradedModule:
     return _parse_fixture(
         fx, ("modules", name),
-        lambda gens: GradedModule(tuple((int(d), int(o)) for d, o in gens)),
-        "a list of [degree, order] pairs")
+        lambda gens: GradedModule(tuple((_whole(d), _whole(o, 0)) for d, o in gens)),
+        "a list of [degree, order] integer pairs with order >= 0")
 
 
 def _hh_degree_window(fx: dict) -> tuple[int, int]:
     def parse(window):
-        lo, hi = (int(d) for d in window)
-        return lo, hi
-    return _parse_fixture(fx, ("degree_window",), parse, "a [lo, hi] pair")
+        lo, hi = map(_whole, window)
+        return lo, _whole(hi, lo)
+    return _parse_fixture(fx, ("degree_window",), parse, "an integer pair [lo, hi], lo <= hi")
 
 
 def _hh_max_weight(fx: dict) -> int:
-    return _parse_fixture(fx, ("max_weight",), int, "an integer")
+    return _parse_fixture(fx, ("max_weight",), lambda w: _whole(w, 1), "an integer >= 1")
 
 
 def hh_weight(fixtures, fx, name, m, w, lo, hi, oracle) -> CheckResult:

@@ -2,11 +2,11 @@
 
 All entries are Python ints, so torsion coefficients like p**37 cost
 nothing but digits.  One sparse elimination core (``_eliminate``) serves
-the kernel, cokernel and Smith routines: it row-reduces a list of sparse
-rows, optionally mirroring its operations on transform rows.  The kernel
-of m is read off the left transform of m's transpose, the cokernel
-tracks no transform, and the Smith routine tracks both sides.  A matrix
-may be given densely (``IntMatrix``) or by sparse columns
+the kernel, rank, cokernel and Smith routines: it row-reduces a list of
+sparse rows, optionally mirroring its operations on transform rows.  The
+kernel of m is read off the left transform of m's transpose, the rank and
+the cokernel track no transform, and the Smith routine tracks both sides.
+A matrix may be given densely (``IntMatrix``) or by sparse columns
 (``SparseMatrix``); the kernel and cokernel helpers answer in the form
 they were given.
 """
@@ -369,6 +369,11 @@ def kernel_basis(m: IntMatrix | SparseMatrix) -> IntMatrix | SparseMatrix:
     kernel = SparseMatrix(len(rows), tuple(
         left[t] for t in range(len(rows)) if t not in fixed))
     return kernel if isinstance(m, SparseMatrix) else kernel.dense()
+
+
+def rank(m: IntMatrix | SparseMatrix) -> int:
+    """The rank of m: the pivot count of an echelon form of its columns."""
+    return len(_eliminate([dict(col) for col in SparseMatrix.of(m).columns]))
 
 
 def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:

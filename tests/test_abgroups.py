@@ -19,6 +19,7 @@ from dualcircle.abgroups import (
     les_fiber,
 )
 from dualcircle.matrices import IntMatrix, SparseMatrix, cokernel_invariants, kernel_basis
+from dualcircle.primes import factorint
 
 
 def _to_fg(expr: GroupExpr) -> FGAbGroup:
@@ -255,15 +256,15 @@ _ORDERS = st.sampled_from((0, 0, 2, 3, 4, 6))
 
 
 @st.composite
-def _small_complexes(draw):
-    """A -> B -> C with mixed free and torsion generators in B and C.
-    d_out is well defined on B; the columns of d_in are drawn from the
-    lattice of B's generators that d_out sends into C's relations, so
-    d_out d_in is zero modulo R_C but often not over Z.  A's orders are no
-    input of the homology; a column of d_in of finite order in B stands
-    for a torsion generator of A."""
+def _small_complexes(draw, orders_c=st.lists(_ORDERS, min_size=0, max_size=3)):
+    """A -> B -> C with mixed free and torsion generators in B, and C's
+    orders drawn from ``orders_c``.  d_out is well defined on B; the
+    columns of d_in are drawn from the lattice of B's generators that
+    d_out sends into C's relations, so d_out d_in is zero modulo R_C but
+    often not over Z.  A's orders are no input of the homology; a column
+    of d_in of finite order in B stands for a torsion generator of A."""
     orders_b = draw(st.lists(_ORDERS, min_size=1, max_size=4))
-    orders_c = draw(st.lists(_ORDERS, min_size=0, max_size=3))
+    orders_c = draw(orders_c)
     small = st.integers(min_value=-3, max_value=3)
     # o_j * d[i][j] must be a multiple of o_i, and 0 when o_i = 0 < o_j
     d_out = IntMatrix.from_rows([
@@ -287,13 +288,28 @@ def _small_complexes(draw):
     return d_out, d_in, orders_b, orders_c
 
 
+def _agrees_with_reference(cx):
+    d_out, d_in, orders_b, orders_c = cx
+    assert (homology_with_orders(d_out, d_in, orders_b, orders_c)
+            == _reference_homology_with_orders(d_out, d_in, orders_b, orders_c))
+
+
 class TestHomologyWithOrdersReference:
     @given(_small_complexes())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_kernel_basis_reference(self, cx):
-        d_out, d_in, orders_b, orders_c = cx
-        assert (homology_with_orders(d_out, d_in, orders_b, orders_c)
-                == _reference_homology_with_orders(d_out, d_in, orders_b, orders_c))
+        _agrees_with_reference(cx)
+
+    # the rank of d_B is read off C's free rows: all of them, or none
+    @given(_small_complexes(st.lists(st.just(0), min_size=1, max_size=3)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference_when_c_is_all_free(self, cx):
+        _agrees_with_reference(cx)
+
+    @given(_small_complexes(st.lists(st.sampled_from((2, 3, 4, 6)), min_size=1, max_size=3)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference_when_c_is_all_torsion(self, cx):
+        _agrees_with_reference(cx)
 
     def test_free_summand_and_torsion_lift(self):
         # B = Z^2 + Z/4 -> C = Z/2 by (1, 0, 2): the kernel is 2Z + Z + Z/4, and
@@ -408,6 +424,31 @@ class TestHomologyWithOrdersBruteForce:
                 self._element_order(x, got.torsion or [1])
                 for x in self._elements(got.torsion or [1]))
             assert produced == expected_multiset, (trial, got)
+
+
+def _reference_from_orders(orders):
+    """Invariant factors from primary parts: factor every order, and
+    multiply the largest prime powers together, then the next largest..."""
+    rank, primary = 0, {}
+    for d in orders:
+        if d == 0:
+            rank += 1
+        for p, e in factorint(d).items() if d > 1 else ():
+            primary.setdefault(p, []).append(e)
+    tiers = [sorted(exps, reverse=True) for exps in primary.values()]
+    factors = []
+    for k in range(max(map(len, tiers), default=0)):
+        d = 1
+        for p, exps in zip(primary, tiers):
+            d *= p ** exps[k] if k < len(exps) else 1
+        factors.append(d)
+    return FGAbGroup(rank, tuple(reversed(factors)))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=400), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_from_orders_matches_the_primary_decomposition(orders):
+    assert FGAbGroup.from_orders(orders) == _reference_from_orders(orders)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=64), max_size=6))

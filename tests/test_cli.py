@@ -145,6 +145,35 @@ class TestHHVerb:
         assert main(["hh", "verify", "--fixtures", path, "--max-weight", "1"]) == 2
         assert "thh_dual_circle_shadow.-1" in capsys.readouterr().err
 
+    # values that once gave a vacuous PASS, a SKIP of weights 1..0, or a
+    # FAIL against the frozen groups
+    @pytest.mark.parametrize("key, value", [
+        (("degree_window",), [3, -3]),
+        (("degree_window",), [0, True]),
+        (("max_weight",), 0),
+        (("max_weight",), True),
+        (("modules", "Z"), [[True, 0]]),
+        (("modules", "Z"), [[0, -2]]),
+        (("modules", "Z"), [[0, 1.5]]),
+    ], ids=["empty-window", "boolean-bound", "weight-0", "boolean-weight",
+            "boolean-degree", "negative-order", "fractional-order"])
+    def test_fixture_file_with_out_of_range_values(self, tmp_path, capsys, key, value):
+        def set_value(fx):
+            obj = fx
+            for k in key[:-1]:
+                obj = obj[k]
+            obj[key[-1]] = value
+
+        path = self._broken_fixture(tmp_path, set_value)
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"check": "hh-weight", "inputs": {
+            "module": "Z", "weight": 1, "fixtures": path}}))
+        for argv in (["--fixtures", path], ["--replay", str(payload)]):
+            assert main(["hh", "verify", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and ".".join(key) in captured.err
+
 
 class TestTCVerbs:
     def test_table1(self, capsys):

@@ -79,11 +79,12 @@ class TestBruteOracle:
                 assert per_weight[n] == expected, (name, n)
 
     def test_weight_pieces_live_on_two_levels(self):
+        # a chain's level is its tail length, its weight that plus a module lead
         oracle = NormalizedHochschild(Z0, max_level=5)
         for w in range(1, 5):
-            levels = {k for k in range(6)
-                      for c in oracle.bases[k] if oracle.chain_weight(c) == w}
-            assert levels == {w - 1, w}
+            chains = [c for t in range(-1, 12) for c in oracle._chains(t, w)]
+            assert {len(tail) + (r0 is not None) for r0, tail in chains} == {w}
+            assert {len(tail) for _, tail in chains} == {w - 1, w}
 
     def test_unrestricted_negative_degrees_refused(self):
         oracle = NormalizedHochschild(Zm1, max_level=4)
@@ -100,54 +101,103 @@ class TestBruteOracle:
 
 
 class TestOracleWork:
-    """Work counts of the oracle, in place of timings: each face-sum block
-    is built once per instance, and each query is one call of generic
-    homology with at most two eliminations, both cokernels."""
+    """Work counts of the oracle, in place of timings: a weight's chains
+    and each face-sum block are built once per instance, and each query is
+    one call of generic homology with at most two eliminations, a rank on
+    C's free rows and a cokernel."""
 
     M = GradedModule(((0, 0), (1, 2), (2, 0)))
+    TORSION = GradedModule(((0, 2), (1, 4), (2, 2)))
 
-    def test_each_block_is_built_once_per_instance(self, monkeypatch):
-        faces, eliminations, cokernels, calls = Counter(), [], [], []
+    @staticmethod
+    def _count(monkeypatch):
+        """Record every face taken, elimination run, cokernel and rank
+        taken, and generic homology call, by the oracle's queries."""
+        seen = {"faces": Counter(), "eliminations": [], "cokernels": [],
+                "ranks": [], "calls": []}
         boundary = NormalizedHochschild._boundary
         eliminate = matrices._eliminate
         generic = cyclic.homology_with_orders
+        rank = abgroups.rank
 
         def counted_boundary(self, k, c):
-            faces[c] += 1
+            seen["faces"][c] += 1
             return boundary(self, k, c)
 
         def counted_eliminate(*args, **kwargs):
-            eliminations.append(args[0])
+            seen["eliminations"].append(args[0])
             return eliminate(*args, **kwargs)
 
         def counted_cokernel(m):
-            cokernels.append(m)
+            seen["cokernels"].append(m)
             return cokernel_invariants(m)
 
+        def counted_rank(m):
+            seen["ranks"].append((m, seen["calls"][-1][3]))
+            return rank(m)
+
         def counted_homology(*args):
-            calls.append(args)
+            seen["calls"].append(args)
             return generic(*args)
 
         monkeypatch.setattr(NormalizedHochschild, "_boundary", counted_boundary)
         monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
         monkeypatch.setattr(abgroups, "cokernel_invariants", counted_cokernel)
+        monkeypatch.setattr(abgroups, "rank", counted_rank)
         monkeypatch.setattr(cyclic, "homology_with_orders", counted_homology)
+        return seen
+
+    def test_each_block_is_built_once_per_instance(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        eliminations, cokernels, ranks = (
+            seen["eliminations"], seen["cokernels"], seen["ranks"])
         oracle = NormalizedHochschild(self.M, max_level=4)
         queries = 0
         for weights, most in (([1, 2, 3, 4], 1), ([None], 2)):
             for w in weights:
                 for t in range(-1, 15 if w else 4):
                     for _ in range(2):  # a repeated query builds nothing new
-                        before = len(eliminations), len(cokernels)
+                        before = len(eliminations), len(cokernels), len(ranks)
                         oracle.homology(t, weight=w)
                         queries += 1
                         assert len(eliminations) - before[0] <= 2, (t, w)
+                        assert len(cokernels) - before[1] <= 1, (t, w)
                         assert (len(eliminations) - before[0]
-                                == len(cokernels) - before[1]), (t, w)
+                                == len(cokernels) - before[1]
+                                + len(ranks) - before[2]), (t, w)
             # restricted sweeps face each chain once; the unrestricted
             # sweep builds its own blocks, so at most once more
-            assert max(faces.values()) == most
-        assert len(calls) == queries
+            assert max(seen["faces"].values()) == most
+        assert len(seen["calls"]) == queries
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_a_restricted_query_builds_only_its_weight(self, w):
+        oracle = NormalizedHochschild(self.M, max_level=4)
+        oracle.homology(w, weight=w)
+        assert list(oracle._weights) == [w]
+        # 3^(w-1) tails for each of 3 module leads, and 3^w unit-led tails
+        built = [c for block in oracle._weights[w].values() for c in block]
+        assert len(built) == len(set(built)) == 2 * 3 ** w
+
+    def test_rank_sees_only_the_free_rows_of_c(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        oracle = NormalizedHochschild(self.M, max_level=4)
+        for w in (1, 2, 3, 4, None):
+            for t in range(-1, 15 if w else 4):
+                oracle.homology(t, weight=w)
+        assert seen["ranks"]
+        for m, orders_below in seen["ranks"]:
+            assert all(col and all(orders_below[i] == 0 for i in col)
+                       for col in m.columns)
+
+    def test_no_rank_elimination_when_c_is_all_torsion(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        oracle = NormalizedHochschild(self.TORSION, max_level=4)
+        for w in (1, 2, 3, 4):
+            for t in range(-1, 15):
+                oracle.homology(t, weight=w)
+        assert not seen["ranks"]
+        assert len(seen["eliminations"]) == len(seen["cokernels"])
 
     def test_mixed_queries_answer_as_fresh_instances(self):
         queries = [(t, w) for t in range(-1, 4) for w in (1, 2, 3, None)]
