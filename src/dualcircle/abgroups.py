@@ -10,10 +10,11 @@ Those three atoms are exactly what the homology tables downstream need;
 anything else is refused loudly.  ``from_fg`` turns a computed group into
 an expression; nothing converts back.
 
-A ``GradedGroup`` holds finitely many nonzero degrees and the range in
+A ``GradedGroup`` is one cell per degree of a finite window, the range in
 which its values are certified.  ``les_fiber`` assembles the fiber of a
-map of graded groups from one ``MapDescriptor`` per degree, of which there
-are two kinds: the zero map and the transfer row ``row_powers``.
+map of graded groups from a dict of one ``MapDescriptor`` per degree, of
+which there are two kinds: the zero map and the transfer row
+``row_powers``.
 """
 
 from __future__ import annotations
@@ -290,50 +291,38 @@ class DegreeOutOfRange(Exception):
 
 
 class GradedGroup(Frozen):
-    """Integer-graded GroupExpr values with finite support: ``explicit``
-    holds the (degree, group) pairs.  ``known_range`` bounds where values
-    are certified; queries outside it raise instead of silently returning 0."""
+    """Integer-graded GroupExpr values on the finite window ``known_range``
+    = (lo, hi): ``cells`` holds one value per degree, the one in degree d at
+    ``cells[d - lo]``.  Queries outside the window raise instead of silently
+    returning 0."""
 
-    __slots__ = ("explicit", "known_range")
-
-    @classmethod
-    def from_dict(cls, values: dict[int, GroupExpr],
-                  known_range=(None, None)) -> "GradedGroup":
-        items = tuple(sorted((d, g) for d, g in values.items() if not g.is_zero()))
-        return cls(items, tuple(known_range))
+    __slots__ = ("known_range", "cells")
 
     @classmethod
-    def zero(cls) -> "GradedGroup":
-        return cls((), (None, None))
+    def from_dict(cls, values: dict[int, GroupExpr], known_range) -> "GradedGroup":
+        """The window ``known_range`` holding ``values``: 0 in a degree they
+        omit, and a degree outside the window is dropped."""
+        lo, hi = known_range
+        return cls((lo, hi), tuple([values.get(d, _ZERO_EXPR) for d in range(lo, hi + 1)]))
 
     def at(self, degree: int) -> GroupExpr:
         lo, hi = self.known_range
-        if (lo is not None and degree < lo) or (hi is not None and degree > hi):
+        if not lo <= degree <= hi:
             raise DegreeOutOfRange(degree, self.known_range)
-        for d, g in self.explicit:
-            if d == degree:
-                return g
-        return GroupExpr.zero()
-
-    def shift(self, k: int) -> "GradedGroup":
-        """Degree shift: result at d equals self at d - k."""
-        items = tuple((d + k, g) for d, g in self.explicit)
-        lo, hi = self.known_range
-        known = (None if lo is None else lo + k, None if hi is None else hi + k)
-        return GradedGroup(items, known)
+        return self.cells[degree - lo]
 
     def wedge(self, other: "GradedGroup", lo: int, hi: int) -> "GradedGroup":
-        values = {d: self.at(d).plus(other.at(d)) for d in range(lo, hi + 1)}
-        return GradedGroup.from_dict(values, known_range=(lo, hi))
+        return GradedGroup((lo, hi), tuple([self.at(d).plus(other.at(d))
+                                            for d in range(lo, hi + 1)]))
 
     def countable_sum(self, lo: int, hi: int) -> "GradedGroup":
-        values = {d: self.at(d).countable_sum() for d in range(lo, hi + 1)}
-        return GradedGroup.from_dict(values, known_range=(lo, hi))
+        return GradedGroup((lo, hi), tuple([self.at(d).countable_sum()
+                                            for d in range(lo, hi + 1)]))
 
-def graded_from_fg(values: dict[int, FGAbGroup], known_range=(None, None)) -> GradedGroup:
+
+def graded_from_fg(values: dict[int, FGAbGroup], known_range) -> GradedGroup:
     return GradedGroup.from_dict(
-        {d: GroupExpr.from_fg(g) for d, g in values.items()},
-        known_range=known_range)
+        {d: GroupExpr.from_fg(g) for d, g in values.items()}, known_range)
 
 
 # ---------------------------------------------------------------------------
@@ -503,33 +492,11 @@ def descriptor_kernel_cokernel(desc: MapDescriptor, domain: GroupExpr,
     raise StructuralError(f"unknown descriptor kind {desc.kind!r}")
 
 
-class GradedMapData(Frozen):
-    """Degreewise descriptors for a map of graded groups, as (degree,
-    descriptor) pairs.  Degrees without a descriptor must have zero domain
-    or zero codomain."""
-
-    __slots__ = ("descriptors",)
-
-    @classmethod
-    def from_dict(cls, d: dict[int, MapDescriptor]) -> "GradedMapData":
-        return cls(tuple(sorted(d.items())))
-
-    @classmethod
-    def zero(cls) -> "GradedMapData":
-        return cls(())
-
-    def at(self, degree: int) -> MapDescriptor | None:
-        for d, desc in self.descriptors:
-            if d == degree:
-                return desc
-        return None
-
-
-def _kernel_cokernel_at(w: GradedGroup, b: GradedGroup, f: GradedMapData,
+def _kernel_cokernel_at(w: GradedGroup, b: GradedGroup, f: dict[int, MapDescriptor],
                         degree: int) -> tuple[GroupExpr, GroupExpr]:
     dom = w.at(degree)
     cod = b.at(degree)
-    desc = f.at(degree)
+    desc = f.get(degree)
     if desc is None:
         if dom.is_zero():
             return GroupExpr.zero(), cod
@@ -540,20 +507,21 @@ def _kernel_cokernel_at(w: GradedGroup, b: GradedGroup, f: GradedMapData,
     return descriptor_kernel_cokernel(desc, dom, cod)
 
 
-def les_fiber(w: GradedGroup, b: GradedGroup, f: GradedMapData,
+def les_fiber(w: GradedGroup, b: GradedGroup, f: dict[int, MapDescriptor],
               lo: int, hi: int) -> GradedGroup:
-    """Homology of the fiber F of a map W -> B, assembled degreewise from
+    """Homology of the fiber F of a map f: W -> B, assembled degreewise from
     ... -> H_n(F) -> H_n(W) -> H_n(B) -> H_{n-1}(F) -> ...
 
-    In each degree, H_n(F) is an extension of ker(f_n) by coker(f_{n+1});
-    the solver only accepts the degenerate cases (one side zero) and raises
-    ``IndeterminateExtension`` otherwise.
+    ``f`` maps a degree to its descriptor; a degree without one must have a
+    zero domain or a zero codomain.  In each degree, H_n(F) is an extension
+    of ker(f_n) by coker(f_{n+1}); the solver only accepts the degenerate
+    cases (one side zero) and raises ``IndeterminateExtension`` otherwise.
     """
-    values: dict[int, GroupExpr] = {}
+    cells = []
     for n in range(lo, hi + 1):
         ker_n, _ = _kernel_cokernel_at(w, b, f, n)
         _, coker_up = _kernel_cokernel_at(w, b, f, n + 1)
         if not ker_n.is_zero() and not coker_up.is_zero():
             raise IndeterminateExtension(n)
-        values[n] = ker_n.plus(coker_up)
-    return GradedGroup.from_dict(values, known_range=(lo, hi))
+        cells.append(ker_n.plus(coker_up))
+    return GradedGroup((lo, hi), tuple(cells))

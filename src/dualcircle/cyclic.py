@@ -310,6 +310,16 @@ class NormalizedHochschild:
         _, orders_below = self._faces_from(total_degree - 1, weight)
         return homology_with_orders(d_out, d_in, orders_here, orders_below)
 
+    def weight_homology(self, w: int, lo: int, hi: int) -> dict[int, FGAbGroup]:
+        """The nonzero groups of weight w in total degrees lo..hi; builds
+        only that weight's chains."""
+        out = {}
+        for t in range(lo, hi + 1):
+            h = self.homology(t, weight=w)
+            if not h.is_trivial():
+                out[t] = h
+        return out
+
     def _faces_from(self, t: int, weight: int | None) -> tuple[SparseMatrix, list[int]]:
         """The face-sum matrix from total degree t to t - 1 and the orders
         of the degree-t chains, of one weight or (None) of all, built once
@@ -337,15 +347,8 @@ def brute_hochschild_weights(m: GradedModule, max_weight: int,
     """Weight-separated oracle homology: result[w][t] for weights
     1..max_weight and total degrees in the window."""
     oracle = NormalizedHochschild(m, max_level=max_weight)
-    out: dict[int, dict[int, FGAbGroup]] = {}
-    for w in range(1, max_weight + 1):
-        row: dict[int, FGAbGroup] = {}
-        for t in range(degree_lo, degree_hi + 1):
-            h = oracle.homology(t, weight=w)
-            if not h.is_trivial():
-                row[t] = h
-        out[w] = row
-    return out
+    return {w: oracle.weight_homology(w, degree_lo, degree_hi)
+            for w in range(1, max_weight + 1)}
 
 
 def brute_hochschild(m: GradedModule, degree_bound: int) -> GradedGroup:

@@ -8,8 +8,9 @@ from importlib import resources
 
 from .abgroups import FGAbGroup, GroupExpr, UnsupportedAtom
 from .checks import _int_input, _lookup, _need, _require, _verdict, _window
-from .cyclic import (GradedModule, brute_hochschild, brute_hochschild_weights,
-                     cell_weight_homology_fg, thh_homology_square_zero, weight_homology_fg)
+from .cyclic import (GradedModule, NormalizedHochschild, brute_hochschild,
+                     brute_hochschild_weights, cell_weight_homology_fg,
+                     thh_homology_square_zero, weight_homology_fg)
 from .report import CheckResult, Report, RunConfig, UsageError
 
 
@@ -96,7 +97,7 @@ def _parse_hh_weight(inputs: dict) -> dict:
     m = _hh_module(args["fx"], name)
     lo, hi = _window(inputs, _hh_degree_window(args["fx"]))
     return {**args, "name": name, "m": m, "w": w, "lo": lo, "hi": hi,
-            "oracle": brute_hochschild_weights(m, w, lo, hi)[w]}
+            "oracle": NormalizedHochschild(m, max_level=w).weight_homology(w, lo, hi)}
 
 
 def hh_dual_numbers(fixtures, fx) -> CheckResult:

@@ -63,18 +63,6 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(result.items()))
 
 
-def padic_valuation(n: int, p: int) -> int:
-    """Largest e with p^e dividing n.  Requires n != 0."""
-    if n == 0:
-        raise ValueError("p-adic valuation of 0 is infinite")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def _pack(a: array, w: int) -> int:
     """The int whose little-endian bytes are a's coefficients, w bytes each.
 

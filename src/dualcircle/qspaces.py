@@ -185,12 +185,15 @@ def hom_pinf_q(g: GroupExpr, p: int) -> SymbolicQSpace:
     return out
 
 
-def bousfield_pi_q(pi: GradedGroup, p: int, n: int) -> SymbolicQSpace:
-    """Rationalized homotopy of the p-completion in degree n, read off the
-    split short exact sequence
+def bousfield_pi_q(g: GradedGroup, p: int, n: int) -> SymbolicQSpace:
+    """Rationalized homotopy of the p-completion of X in degree n, read off
+    the split short exact sequence
 
-        0 -> Ext(Z/p^oo, pi_n) -> pi_n(X^_p) -> Hom(Z/p^oo, pi_{n-1}) -> 0
+        0 -> Ext(Z/p^oo, pi_n X) -> pi_n(X^_p) -> Hom(Z/p^oo, pi_{n-1} X) -> 0
 
-    ``pi`` must be defined at degrees n and n-1 (its known_range enforces
-    this)."""
-    return ext_pinf_q(pi.at(n), p).plus(hom_pinf_q(pi.at(n - 1), p))
+    with ``g`` in place of pi_* X.  ``g`` may also be the homology of X in
+    degrees where the two agree modulo torsion prime to p, since both
+    functors vanish rationally on that torsion (``tc.completed_pi_q``
+    enforces that window).  ``g`` must be defined at degrees n and n-1 (its
+    known_range enforces this)."""
+    return ext_pinf_q(g.at(n), p).plus(hom_pinf_q(g.at(n - 1), p))

@@ -15,7 +15,7 @@ with no rule raises ``EvaluationUnsupported`` instead of approximating.
 
 from __future__ import annotations
 
-from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
+from .abgroups import GradedGroup, GroupExpr, MapDescriptor, les_fiber
 from .frozen import Frozen
 
 
@@ -93,8 +93,8 @@ class WedgeCircleTransfer(Frozen):
     def codomain(self):
         return Shift(-1, SuspCircle())
 
-    def graded_data(self) -> GradedMapData:
-        return GradedMapData.from_dict({0: MapDescriptor.row_powers(self.p)})
+    def graded_data(self) -> dict[int, MapDescriptor]:
+        return {0: MapDescriptor.row_powers(self.p)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ composites can be compared exactly.
 E is the fiber of the wedge of circle transfers out of the p-power cyclic
 classifying spaces (``spectra.WedgeCircleTransfer``), evaluated by the long
 exact sequence.  Table 1 is the integral homology of the sphere, the
-suspended stunted projective spectrum and E; table 2 reads rational
-homotopy of the p-completions off those homology rows; and
-``coassembly_conclusion`` assembles the rational square in degree 4i into
-a verdict.
+suspended stunted projective spectrum and E.  Table 2 completes those
+homology rows: inside the window n <= 2p - 6, homotopy agrees with
+homology modulo torsion prime to p, which rational completion kills, so
+``completed_pi_q`` reads each cell straight off a homology row and refuses
+a degree past the window.  ``coassembly_conclusion`` assembles the
+rational square in degree 4i from the same cells into a verdict.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .abgroups import GradedGroup, GradedMapData, GroupExpr, MapDescriptor, les_fiber
+from .abgroups import GradedGroup, GroupExpr, MapDescriptor, les_fiber
 from .frozen import Frozen
-from .primes import is_prime, padic_valuation
+from .primes import is_prime
 from .qspaces import SymbolicQSpace, bousfield_pi_q
 from .spectra import (
     CPInfShift,
+    Shift,
     Sphere,
     Wedge,
     WedgeCircleTransfer,
@@ -242,7 +245,7 @@ def e_homology_with_descriptor(p: int, degree0: MapDescriptor,
     transfer = WedgeCircleTransfer(p)
     w = homology_graded(transfer.domain, lo - 1, hi + 1)
     b = homology_graded(transfer.codomain, lo - 1, hi + 1)
-    return les_fiber(w, b, GradedMapData.from_dict({0: degree0}), lo, hi)
+    return les_fiber(w, b, {0: degree0}, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -253,30 +256,20 @@ def hurewicz_cap(p: int) -> int:
     return 2 * p - 6
 
 
-def homotopy_from_homology(h: GradedGroup, p: int, lo: int, hi: int) -> GradedGroup:
-    """Read homotopy groups off homology, valid modulo torsion prime to p
-    and only in degrees <= 2p - 6; the result's known_range enforces the
-    window.  Torsion prime to p is dropped (lossy, by design); the values
-    fed through here never contain any."""
+def completed_pi_q(h: GradedGroup, p: int, n: int) -> SymbolicQSpace:
+    """Rational homotopy of the p-completion in degree n, read off the
+    homology row ``h``; only for n <= 2p - 6, where homotopy agrees with
+    homology modulo torsion prime to p.  That torsion needs no filtering:
+    Ext(Z/p^oo, -) and Hom(Z/p^oo, -) vanish on it rationally, as they do
+    on every finite group.
+
+    >>> str(completed_pi_q(e_homology(7, -3, 8), 7, 0))
+    'A'
+    """
     cap = hurewicz_cap(p)
-    top = min(hi, cap)
-    values: dict[int, GroupExpr] = {}
-    for d in range(lo, top + 1):
-        g = h.at(d)
-        values[d] = GroupExpr._make(
-            [(kind, param, mult) for kind, param, mult in g.atoms
-             if _atom_is_p_primary_or_free(kind, param, p)])
-    return GradedGroup.from_dict(values, known_range=(lo, top))
-
-
-def _atom_is_p_primary_or_free(kind: str, param, p: int) -> bool:
-    if kind in ("Z", "CountableFree"):
-        return True
-    if kind == "Zmod":
-        return param == p ** padic_valuation(param, p)
-    if kind in ("TorsionTower", "CountableTowerSum"):
-        return param == p
-    return True
+    if n > cap:
+        raise HurewiczRangeError(n, cap)
+    return bousfield_pi_q(h, p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +322,26 @@ def dual_smash_row(row) -> dict[int, SymbolicQSpace]:
     return {n: row(n).plus(row(n + 1)) for n in range(TABLE2_LO, TABLE2_HI + 1)}
 
 
+TC_SPHERE_MODEL = Wedge((Sphere(), CPInfShift()))
+
+
 def tc_sphere_model_homology(lo: int, hi: int) -> GradedGroup:
     """Integral homology of the wedge modelling the p-complete cyclic
     homology of the sphere: sphere wedge suspended stunted projective."""
-    return homology_graded(Wedge((Sphere(), CPInfShift())), lo, hi)
+    return homology_graded(TC_SPHERE_MODEL, lo, hi)
+
+
+def dual_tc_sphere_model_homology(lo: int, hi: int) -> GradedGroup:
+    """Integral homology of the dual circle (a sphere wedge a desuspended
+    sphere) smashed with that model: degree n picks up degrees n and n+1."""
+    return homology_graded(Wedge((TC_SPHERE_MODEL, Shift(-1, TC_SPHERE_MODEL))), lo, hi)
 
 
 def tc_dual_circle_model_homology(p: int, lo: int, hi: int) -> GradedGroup:
     """Integral homology of sphere + suspended stunted projective + a
     countable wedge of copies of E."""
-    base = homology_graded(Wedge((Sphere(), CPInfShift())), lo, hi)
     e_part = e_homology(p, lo, hi).countable_sum(lo, hi)
-    return base.wedge(e_part, lo, hi)
+    return tc_sphere_model_homology(lo, hi).wedge(e_part, lo, hi)
 
 
 class Table2(Frozen):
@@ -356,9 +357,9 @@ class Table2(Frozen):
 def table2(p: int, truncate_out_of_range: bool = False) -> Table2:
     """The six-row rational homotopy table over degrees -2..6.
 
-    Completed rows are only valid in degrees <= 2p - 6; for p < 7 the
-    higher columns are marked out of range (None) when truncation is
-    allowed, and raise otherwise.
+    Completed rows are read off homology, so they hold only in degrees
+    <= 2p - 6; for p < 7 the higher columns are marked out of range (None)
+    when truncation is allowed, and raise otherwise.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -366,44 +367,18 @@ def table2(p: int, truncate_out_of_range: bool = False) -> Table2:
     if cap < TABLE2_HI and not truncate_out_of_range:
         raise HurewiczRangeError(TABLE2_HI, cap)
     degrees = tuple(range(TABLE2_LO, TABLE2_HI + 1))
-    top = min(TABLE2_HI, cap)
 
-    # integral homotopy models (known only through the window cap)
-    lo_h = TABLE2_LO - 1
-    hi_h = TABLE2_HI + 1
-    tcs_h = tc_sphere_model_homology(lo_h, hi_h)
-    tcs_pi = homotopy_from_homology(tcs_h, p, lo_h, hi_h)
-    dual_tcs_h = tcs_h.shift(-1).wedge(tcs_h, lo_h, hi_h - 1)
-    dual_tcs_pi = homotopy_from_homology(dual_tcs_h, p, lo_h, hi_h - 1)
-    e_h = e_homology(p, lo_h, hi_h)
-    e_pi = homotopy_from_homology(e_h, p, lo_h, hi_h)
-    tcd_h = tc_dual_circle_model_homology(p, lo_h, hi_h)
-    tcd_pi = homotopy_from_homology(tcd_h, p, lo_h, hi_h)
+    def row(cell) -> dict:
+        return {n: (cell(n) if n <= cap else None) for n in degrees}
 
-    def completed_row(pi: GradedGroup):
-        def value(n: int):
-            if n > top:
-                return None
-            return bousfield_pi_q(pi, p, n)
-        return value
-
-    def input_row(fn):
-        def value(n: int):
-            if n > top:
-                return None
-            return fn(n)
-        return value
-
-    k_row = input_row(k_sphere_rational)
-    dual_k = dual_smash_row(k_sphere_rational)
-    rows = {
-        "K(S)": {n: k_row(n) for n in degrees},
-        "DS^1 ^ K(S)": {n: (dual_k[n] if n <= top else None) for n in degrees},
-        "TC(S)^_p": {n: completed_row(tcs_pi)(n) for n in degrees},
-        "(DS^1 ^ TC(S))^_p": {n: completed_row(dual_tcs_pi)(n) for n in degrees},
-        "E^_p": {n: completed_row(e_pi)(n) for n in degrees},
-        "TC(DS^1)^_p": {n: completed_row(tcd_pi)(n) for n in degrees},
-    }
+    rows = {"K(S)": row(k_sphere_rational),
+            "DS^1 ^ K(S)": row(dual_smash_row(k_sphere_rational).get)}
+    lo, hi = TABLE2_LO - 1, TABLE2_HI  # a completed cell in degree n reads n and n - 1
+    for label, h in (("TC(S)^_p", tc_sphere_model_homology(lo, hi)),
+                     ("(DS^1 ^ TC(S))^_p", dual_tc_sphere_model_homology(lo, hi)),
+                     ("E^_p", e_homology(p, lo, hi)),
+                     ("TC(DS^1)^_p", tc_dual_circle_model_homology(p, lo, hi))):
+        rows[label] = row(lambda n: completed_pi_q(h, p, n))
     return Table2(p, cap, degrees, rows)
 
 
@@ -411,38 +386,25 @@ def table2_wedge_check(t: Table2) -> bool:
     """Independent recomputation of the dual-circle row as the normalized
     symbolic wedge of the component rows: the sphere and projective-space
     contributions plus a countable sum of the E row."""
-    p = t.p
-    top = min(TABLE2_HI, t.cap)
-    sphere_pi = homotopy_from_homology(
-        homology_graded(Sphere(), TABLE2_LO - 1, TABLE2_HI + 1), p,
-        TABLE2_LO - 1, TABLE2_HI + 1)
-    cp_pi = homotopy_from_homology(
-        homology_graded(CPInfShift(), TABLE2_LO - 1, TABLE2_HI + 1), p,
-        TABLE2_LO - 1, TABLE2_HI + 1)
-    for n in t.degrees:
-        if n > top:
-            continue
-        expected = t.cell("TC(DS^1)^_p", n)
-        e_cell = t.cell("E^_p", n)
-        combo = bousfield_pi_q(sphere_pi, p, n) \
-            .plus(bousfield_pi_q(cp_pi, p, n)) \
-            .plus(e_cell.countable_sum())
-        if combo != expected:
-            return False
-    return True
+    lo, hi = TABLE2_LO - 1, TABLE2_HI
+    sphere = homology_graded(Sphere(), lo, hi)
+    cp = homology_graded(CPInfShift(), lo, hi)
+    return all(
+        completed_pi_q(sphere, t.p, n).plus(completed_pi_q(cp, t.p, n),
+                                            t.cell("E^_p", n).countable_sum())
+        == t.cell("TC(DS^1)^_p", n)
+        for n in t.degrees if n <= t.cap)
 
 
 def dual_tc_shift_sum_check(t: Table2) -> bool:
     """The smashed row must also equal the shift-sum of the completed
     sphere row, wherever both cells sit inside the window."""
-    top = min(TABLE2_HI, t.cap)
     base = t.rows["TC(S)^_p"]
-    tcs_h = tc_sphere_model_homology(TABLE2_LO - 1, TABLE2_HI + 1)
-    tcs_pi = homotopy_from_homology(tcs_h, t.p, TABLE2_LO - 1, TABLE2_HI + 1)
+    past = tc_sphere_model_homology(TABLE2_HI, TABLE2_HI + 1)  # for the cell past the table
     for n in t.degrees:
-        if n > top or n + 1 > t.cap:
+        if n + 1 > t.cap:
             continue
-        upper = base[n + 1] if n + 1 <= top else bousfield_pi_q(tcs_pi, t.p, n + 1)
+        upper = base[n + 1] if n + 1 <= TABLE2_HI else completed_pi_q(past, t.p, n + 1)
         if t.cell("(DS^1 ^ TC(S))^_p", n) != base[n].plus(upper):
             return False
     return True
@@ -578,13 +540,10 @@ def coassembly_conclusion(i: int, p: int, p_regular: bool) -> CoassemblyVerdict:
 
     # the four corners at degree 4i
     top_right = k_sphere_rational(degree).plus(k_sphere_rational(degree + 1))
-    tcd_h = tc_dual_circle_model_homology(p, degree - 2, degree + 1)
-    tcd_pi = homotopy_from_homology(tcd_h, p, degree - 2, degree + 1)
-    bottom_left = bousfield_pi_q(tcd_pi, p, degree)
-    tcs_h = tc_sphere_model_homology(degree - 2, degree + 2)
-    dual_tcs_h = tcs_h.shift(-1).wedge(tcs_h, degree - 2, degree + 1)
-    dual_tcs_pi = homotopy_from_homology(dual_tcs_h, p, degree - 2, degree + 1)
-    bottom_right = bousfield_pi_q(dual_tcs_pi, p, degree)
+    bottom_left = completed_pi_q(
+        tc_dual_circle_model_homology(p, degree - 1, degree), p, degree)
+    bottom_right = completed_pi_q(
+        dual_tc_sphere_model_homology(degree - 1, degree), p, degree)
 
     square = {
         "top_left": "pi^Q of K of the dual circle (unknown)",

@@ -8,7 +8,6 @@ from dualcircle.abgroups import (
     ChainComplex,
     FGAbGroup,
     GradedGroup,
-    GradedMapData,
     GroupExpr,
     IndeterminateExtension,
     MapDescriptor,
@@ -172,28 +171,44 @@ class TestGradedGroup:
         assert gg.at(2).is_zero()
         with pytest.raises(DegreeOutOfRange):
             gg.at(3)
+        with pytest.raises(DegreeOutOfRange):
+            gg.at(-2)
 
-    def test_shift_and_wedge(self):
-        gg = GradedGroup.from_dict({0: GroupExpr.free(1)})
-        assert gg.shift(2).at(2) == GroupExpr.free(1)
+    def test_wedge_adds_degreewise(self):
+        gg = GradedGroup.from_dict({0: GroupExpr.free(1)}, known_range=(-1, 2))
         w = gg.wedge(gg, -1, 1)
+        assert w.known_range == (-1, 1)
         assert w.at(0) == GroupExpr.free(2)
+        assert w.at(1).is_zero()
 
-def _graded(values, known=(None, None)):
+    def test_one_cell_per_degree_of_the_window(self):
+        gg = GradedGroup.from_dict({5: GroupExpr.cyclic(3), 9: GroupExpr.free(1)},
+                                   known_range=(3, 7))
+        assert gg.cells == (GroupExpr.zero(), GroupExpr.zero(), GroupExpr.cyclic(3),
+                            GroupExpr.zero(), GroupExpr.zero())
+        assert [gg.at(d) for d in range(3, 8)] == list(gg.cells)
+
+    def test_the_window_is_required(self):
+        with pytest.raises(TypeError):
+            GradedGroup.from_dict({0: GroupExpr.free(1)})
+
+
+def _graded(values, known=(-3, 5)):
     return GradedGroup.from_dict(values, known_range=known)
 
 
 class TestLesFiber:
     def test_zero_base_gives_total_space(self):
         w = _graded({0: GroupExpr.free(2), 3: GroupExpr.cyclic(4)})
-        fiber = les_fiber(w, GradedGroup.zero(), GradedMapData.zero(), -1, 4)
+        fiber = les_fiber(w, _graded({}), {}, -1, 4)
+        assert fiber.known_range == (-1, 4)
         assert fiber.at(0) == GroupExpr.free(2)
         assert fiber.at(3) == GroupExpr.cyclic(4)
 
     def test_countable_row_example(self):
         w = _graded({0: GroupExpr.countable_free()})
         b = _graded({0: GroupExpr.free(1), -1: GroupExpr.free(1)})
-        f = GradedMapData.from_dict({0: MapDescriptor.row_powers(5)})
+        f = {0: MapDescriptor.row_powers(5)}
         fiber = les_fiber(w, b, f, -2, 0)
         assert fiber.at(-2) == GroupExpr.free(1)
         assert fiber.at(-1).is_zero()
@@ -203,14 +218,14 @@ class TestLesFiber:
         w = _graded({0: GroupExpr.free(1)})
         b = _graded({1: GroupExpr.free(1)})
         with pytest.raises(IndeterminateExtension) as err:
-            les_fiber(w, b, GradedMapData.zero(), 0, 0)
+            les_fiber(w, b, {}, 0, 0)
         assert err.value.degree == 0
 
     def test_missing_descriptor_is_an_error(self):
         w = _graded({0: GroupExpr.free(1)})
         b = _graded({0: GroupExpr.free(1)})
         with pytest.raises(StructuralError):
-            les_fiber(w, b, GradedMapData.zero(), 0, 0)
+            les_fiber(w, b, {}, 0, 0)
 
 
 def _reference_homology_with_orders(d_out, d_in, orders_here, orders_below):

@@ -12,7 +12,6 @@ from dualcircle.primes import (
     irregular_indices,
     is_prime,
     is_regular_prime,
-    padic_valuation,
 )
 
 
@@ -79,14 +78,6 @@ def test_factorint():
     assert factorint(97) == {97: 1}
     with pytest.raises(ValueError):
         factorint(0)
-
-
-def test_padic_valuation():
-    assert padic_valuation(12, 2) == 2
-    assert padic_valuation(12, 3) == 1
-    assert padic_valuation(7, 3) == 0
-    with pytest.raises(ValueError):
-        padic_valuation(0, 2)
 
 
 def test_bernoulli_small_values():

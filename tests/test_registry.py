@@ -15,7 +15,7 @@ import pytest
 
 from dualcircle import checks, hh_checks, operad_checks, tc, tc_checks
 from dualcircle.cli import main
-from dualcircle.cyclic import GradedModule
+from dualcircle.cyclic import GradedModule, NormalizedHochschild
 from dualcircle.operads import CubePoint, OperadPoint, SuspensionActionMap, ZeroMapVerdict
 from dualcircle.operads import compose, is_member
 from dualcircle.qspaces import SymbolicQSpace
@@ -143,3 +143,42 @@ def test_a_failure_replays_from_its_payload_alone(kind, tmp_path, capsys, monkey
         code, replayed = _run(capsys, argv)
         assert code == 0, argv
         assert [c["status"] for c in replayed["checks"]] == ["pass"]
+
+
+# kind -> a wrong model of the table-2 rows that the cross-check must catch
+WRONG_MODELS = {
+    # the dual-circle row without its countable wedge of copies of E
+    "table2-wedge": (tc, "tc_dual_circle_model_homology",
+                     lambda f: lambda p, lo, hi: tc.tc_sphere_model_homology(lo, hi)),
+    # the smashed row built with the suspension in place of the desuspension
+    "table2-shift-sum": (tc, "Shift", lambda f: lambda k, inner: f(-k, inner)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_MODELS))
+def test_a_table2_cross_check_catches_a_wrong_model(kind, capsys, monkeypatch):
+    module, name, wrap = WRONG_MODELS[kind]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, report = _run(capsys, TABLE2)
+    assert code == 1
+    failed = {c["payload"]["check"] for c in report["checks"] if c["status"] == "fail"}
+    # the reference catches both; of the two cross-checks only the one that
+    # recomputes the broken row does
+    assert failed == {"table2", kind}
+
+
+def test_a_weight_replay_builds_only_its_weight(tmp_path, capsys, monkeypatch):
+    built = set()
+    weight_chains = NormalizedHochschild._weight_chains
+
+    def recorded(self, w):
+        built.add(w)
+        return weight_chains(self, w)
+
+    monkeypatch.setattr(NormalizedHochschild, "_weight_chains", recorded)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps({"check": "hh-weight", "route": "oracle", "inputs": {
+        "module": "Z^2", "weight": 5, "lo": -6, "hi": 6, "fixtures": None}}))
+    code, report = _run(capsys, ["hh", "verify", "--replay", str(path)])
+    assert code == 0 and [c["status"] for c in report["checks"]] == ["pass"]
+    assert built == {5}

@@ -1,15 +1,17 @@
 import pytest
 
-from dualcircle.abgroups import GroupExpr, MapDescriptor
+from dualcircle.abgroups import GradedGroup, GroupExpr, MapDescriptor
 from dualcircle.qspaces import SymbolicQSpace
 from dualcircle.tc import (
     HurewiczRangeError,
     NormalMap,
     check_fr_commute,
     coassembly_conclusion,
+    completed_pi_q,
     diff_table1,
     diff_table2,
     dual_tc_shift_sum_check,
+    dual_tc_sphere_model_homology,
     e_homology,
     e_homology_with_descriptor,
     expected_table1,
@@ -20,6 +22,8 @@ from dualcircle.tc import (
     table1,
     table2,
     table2_wedge_check,
+    tc_dual_circle_model_homology,
+    tc_sphere_model_homology,
 )
 
 Z = GroupExpr.free(1)
@@ -150,6 +154,42 @@ class TestTables:
         from dualcircle.tc import TABLE1_ROW_LABELS, TABLE2_ROW_LABELS
         assert tuple(table1(3)) == TABLE1_ROW_LABELS
         assert tuple(table2(7).rows) == TABLE2_ROW_LABELS
+
+
+class TestCompletedPiQ:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_refuses_the_first_degree_past_the_window(self, p):
+        cap = 2 * p - 6
+        h = e_homology(p, cap - 1, cap + 1)
+        assert isinstance(completed_pi_q(h, p, cap), SymbolicQSpace)
+        with pytest.raises(HurewiczRangeError) as err:
+            completed_pi_q(h, p, 2 * p - 5)
+        assert (err.value.degree, err.value.cap) == (2 * p - 5, cap)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_finite_groups_and_towers_prime_to_p_change_no_cell(self, p):
+        """What rational completion kills, so no homology cell needs filtering:
+        Z/q, the q-tower and its countable sum for a prime q != p, and Z/p^k."""
+        lo, hi = -3, 2 * p - 6
+        extras = [GroupExpr.cyclic(p ** k) for k in (1, 2, 3)]
+        for q in (2, 3, 5, 7, 13):
+            if q != p:
+                tower = GroupExpr.torsion_tower(q)
+                extras += [GroupExpr.cyclic(q), tower, tower.countable_sum()]
+        rows = [e_homology(p, lo, hi), tc_sphere_model_homology(lo, hi),
+                dual_tc_sphere_model_homology(lo, hi),
+                tc_dual_circle_model_homology(p, lo, hi)]
+        for h in rows:
+            cells = {d: h.at(d) for d in range(lo, hi + 1)}
+            for d in range(lo, hi + 1):
+                for extra in extras:
+                    bumped = GradedGroup.from_dict(
+                        {**cells, d: cells[d].plus(extra)}, (lo, hi))
+                    # degree n reads the cells in n and n - 1
+                    for n in (d, d + 1):
+                        if lo < n <= hi:
+                            assert completed_pi_q(bumped, p, n) == \
+                                completed_pi_q(h, p, n), (h, d, extra, n)
 
 
 class TestCoassembly:

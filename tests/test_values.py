@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from dualcircle.abgroups import (ChainComplex, FGAbGroup, GradedGroup, GradedMapData,
-                                 GroupExpr, MapDescriptor)
+from dualcircle.abgroups import (ChainComplex, FGAbGroup, GradedGroup, GroupExpr,
+                                 MapDescriptor)
 from dualcircle.cyclic import EquivariantCellComplex, GradedModule, lambda_cell_model
 from dualcircle.matrices import IntMatrix, SparseMatrix, SmithDecomposition, smith_normal_form
 from dualcircle.operads import CubePoint, OperadPoint, SuspensionActionMap
@@ -32,7 +32,6 @@ VALUES = {
     GradedGroup: lambda: GradedGroup.from_dict({0: GroupExpr.free(2)}, (0, 3)),
     ChainComplex: lambda: ChainComplex({0: 1, 1: 1}, {1: IntMatrix.from_rows([[2]])}),
     MapDescriptor: lambda: MapDescriptor.row_powers(5),
-    GradedMapData: lambda: GradedMapData.from_dict({0: MapDescriptor.row_powers(5)}),
     GradedModule: lambda: GradedModule(((0, 0), (1, 2))),
     EquivariantCellComplex: _cell_model,
     IntMatrix: lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
