@@ -20,7 +20,7 @@ which there are two kinds: the zero map and the transfer row
 from __future__ import annotations
 
 from .frozen import Frozen
-from .matrices import IntMatrix, SparseMatrix, _divisibility_chain, cokernel_invariants, rank
+from .matrices import IntMatrix, _divisibility_chain, cokernel_invariants, rank
 from .primes import factorint
 
 
@@ -326,62 +326,15 @@ def graded_from_fg(values: dict[int, FGAbGroup], known_range) -> GradedGroup:
 
 
 # ---------------------------------------------------------------------------
-# chain complexes of free abelian groups
+# homology of complexes of finitely generated abelian groups
 
 
-class ChainComplex(Frozen):
-    """Bounded complex of free abelian groups.
-
-    ``boundaries[d]`` is the matrix of the map from degree d to degree d-1;
-    ``ranks[d]`` the rank of the degree-d group.  Consecutive boundaries
-    must compose to zero.
-    """
-
-    __slots__ = ("ranks", "boundaries")
-
-    def __init__(self, ranks: dict[int, int], boundaries: dict[int, IntMatrix]):
-        for d, m in boundaries.items():
-            if m.cols != ranks.get(d, 0) or m.rows != ranks.get(d - 1, 0):
-                raise StructuralError(f"boundary at degree {d} has wrong shape")
-        for d, m in boundaries.items():
-            n = boundaries.get(d + 1)
-            if n is not None and not m.mul(n).is_zero():
-                raise StructuralError(f"boundary composite at degree {d + 1} is nonzero")
-        super().__init__(ranks, boundaries)
-
-    def boundary(self, d: int) -> IntMatrix:
-        m = self.boundaries.get(d)
-        if m is not None:
-            return m
-        return IntMatrix.zero(self.ranks.get(d - 1, 0), self.ranks.get(d, 0))
-
-
-def homology_at(complex_: ChainComplex, degree: int) -> FGAbGroup:
-    """H_degree = ker(boundary_degree) / im(boundary_{degree+1}) in
-    invariant-factor form.
-
-    >>> rp2 = ChainComplex({0: 1, 1: 1, 2: 1},
-    ...                    {1: IntMatrix.from_rows([[0]]),
-    ...                     2: IntMatrix.from_rows([[2]])})
-    >>> [str(homology_at(rp2, d)) for d in (0, 1, 2)]
-    ['Z', 'Z/2', '0']
-    """
-    rank = complex_.ranks.get(degree, 0)
-    return homology_with_orders(
-        d_out=complex_.boundary(degree),
-        d_in=complex_.boundary(degree + 1),
-        orders_here=[0] * rank,
-        orders_below=[0] * complex_.ranks.get(degree - 1, 0),
-    )
-
-
-def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
-                         d_in: IntMatrix | SparseMatrix | None,
+def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
                          orders_here, orders_below) -> FGAbGroup:
     """Homology at the middle of A -> B -> C where the groups are direct
     sums of cyclic groups (order 0 meaning Z), B is described by
     ``orders_here``, C by ``orders_below``, and the maps are given by
-    integer matrices on generators, dense or sparse.
+    integer matrices on generators.
 
     With B = Z^n / R_B and C = Z^m / R_C (R holding o e_i per nonzero
     order o), the complex is the cokernel of the injective chain map of
@@ -408,9 +361,7 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
     n_b = len(orders_here)
     if n_b == 0:
         return FGAbGroup.zero()
-    out = None if d_out is None else SparseMatrix.of(d_out)
-    if out is not None and (out.rows == 0 or out.is_zero()):
-        out = None
+    out = None if d_out is None or d_out.is_zero() else d_out
     if out is not None:
         if out.cols != n_b:
             raise StructuralError("outgoing boundary has wrong width")
@@ -423,10 +374,10 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
     if d_in is not None and d_in.cols:
         if d_in.rows != n_b:
             raise StructuralError("incoming boundary has wrong height")
-        killed.extend(col for col in SparseMatrix.of(d_in).columns if col)
+        killed.extend(col for col in d_in.columns if col)
     killed.extend({i: o} for i, o in enumerate(orders_here) if o)
     if out is None:
-        free, torsion = cokernel_invariants(SparseMatrix(n_b, tuple(killed)))
+        free, torsion = cokernel_invariants(IntMatrix(n_b, tuple(killed)))
         return FGAbGroup(free, tuple(torsion))
 
     slot: dict[int, int] = {}  # row i of C -> its row in F_1(C), after B's
@@ -451,8 +402,8 @@ def homology_with_orders(d_out: IntMatrix | SparseMatrix | None,
         lifted.append(lift)
     on_free = [c for c in ({i: x for i, x in col.items() if i not in slot}
                            for col in out.columns) if c]  # d_out on C's free rows
-    rank_b = len(slot) + (rank(SparseMatrix(out.rows, tuple(on_free))) if on_free else 0)
-    free, torsion = cokernel_invariants(SparseMatrix(n_b + len(slot), tuple(lifted)))
+    rank_b = len(slot) + (rank(IntMatrix(out.rows, tuple(on_free))) if on_free else 0)
+    free, torsion = cokernel_invariants(IntMatrix(n_b + len(slot), tuple(lifted)))
     return FGAbGroup(free - rank_b, tuple(torsion))
 
 

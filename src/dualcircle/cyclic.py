@@ -28,7 +28,10 @@ its homology, each from its own source:
   on first use, for generic homology (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
-a fixture zoo and on generated modules.
+a fixture zoo and on generated modules.  Every matrix here is a
+column-sparse ``IntMatrix`` written column by column: the rotation, the
+cell model's action and boundary and the oracle's face sums hold at most
+a few entries per column, never an n x n grid.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .abgroups import (
     homology_with_orders,
 )
 from .frozen import Frozen
-from .matrices import IntMatrix, SparseMatrix, cokernel_invariants
+from .matrices import IntMatrix, cokernel_invariants
 
 
 class UnsupportedModule(Exception):
@@ -166,16 +169,12 @@ def rotation_orbits(n: int, m: GradedModule,
 
 
 def rotation_matrix(n: int, m: GradedModule, include_simplicial_sign: bool) -> IntMatrix:
-    """Dense matrix of the cyclic rotation on M^(x)n: the last tensor factor
-    moves to the front with its Koszul sign, optionally multiplied by the
-    simplicial sign (-1)^(n-1)."""
+    """Matrix of the cyclic rotation on M^(x)n, one signed column per basis
+    element: the last tensor factor moves to the front with its Koszul
+    sign, optionally multiplied by the simplicial sign (-1)^(n-1)."""
     target, sign = signed_rotation(n, m)
-    size = len(target)
     simplicial = -1 if (include_simplicial_sign and n % 2 == 0) else 1
-    rows = [[0] * size for _ in range(size)]
-    for j, (i, s) in enumerate(zip(target, sign)):
-        rows[i][j] = simplicial * s
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(len(target), tuple([{i: simplicial * s} for i, s in zip(target, sign)]))
 
 
 def _collect(n: int, parts) -> dict[int, FGAbGroup]:
@@ -238,7 +237,7 @@ class NormalizedHochschild:
         self.module = m
         self.max_level = max_level
         self._weights: dict[int, dict[int, list[tuple]]] = {}
-        self._faces: dict[tuple[int, int | None], tuple[SparseMatrix, list[int]]] = {}
+        self._faces: dict[tuple[int, int | None], tuple[IntMatrix, list[int]]] = {}
 
     def _weight_chains(self, w: int) -> dict[int, list[tuple]]:
         """The chains of weight w by total degree, built once: one per word
@@ -320,7 +319,7 @@ class NormalizedHochschild:
                 out[t] = h
         return out
 
-    def _faces_from(self, t: int, weight: int | None) -> tuple[SparseMatrix, list[int]]:
+    def _faces_from(self, t: int, weight: int | None) -> tuple[IntMatrix, list[int]]:
         """The face-sum matrix from total degree t to t - 1 and the orders
         of the degree-t chains, of one weight or (None) of all, built once
         per instance."""
@@ -329,7 +328,7 @@ class NormalizedHochschild:
             here, below = self._chains(t, weight), self._chains(t - 1, weight)
             pos = {cell: r for r, cell in enumerate(below)}
             # from a list: a tuple grown from a generator can keep a larger block
-            matrix = SparseMatrix(len(below), tuple([
+            matrix = IntMatrix(len(below), tuple([
                 {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
                 for c in here]))
             self._faces[key] = matrix, [self.chain_order(c) for c in here]
@@ -396,13 +395,13 @@ class EquivariantCellComplex(Frozen):
                 raise StructuralError("boundaries do not square to zero")
             act_here = self.actions[d]
             act_below = self.actions[d - 1]
-            if act_below.mul(bnd).entries != bnd.mul(act_here).entries:
+            if act_below.mul(bnd) != bnd.mul(act_here):
                 raise StructuralError(f"action does not commute with the boundary at {d}")
         for d, act in self.actions.items():
             power = IntMatrix.identity(self.cells[d])
             for _ in range(self.group_order):
                 power = act.mul(power)
-            if power.entries != IntMatrix.identity(self.cells[d]).entries:
+            if power != IntMatrix.identity(self.cells[d]):
                 raise StructuralError(f"action power at dimension {d} is not the identity")
 
 
@@ -419,11 +418,10 @@ def lambda_cell_model(n: int) -> EquivariantCellComplex:
     if n < 1:
         raise ValueError("n must be at least 1")
     eps = 1 if n % 2 == 1 else -1
-    action = IntMatrix.from_rows([
-        [eps if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
-    boundary = IntMatrix.from_rows([
-        [eps * ((1 if i == (j + 1) % n else 0) - (1 if i == j else 0))
-         for j in range(n)] for i in range(n)])
+    # cell j goes to cell j + 1, and bounds the difference of the two
+    action = IntMatrix(n, tuple([{(j + 1) % n: eps} for j in range(n)]))
+    boundary = IntMatrix(n, tuple([{j: -eps, (j + 1) % n: eps} if n > 1 else {}
+                                   for j in range(n)]))
     return EquivariantCellComplex(
         group_order=n,
         cells={n - 1: n, n: n},
@@ -488,7 +486,7 @@ def cell_weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
                 pos = (pos - 1) % size
                 sign *= signs[pos]
             columns.append({i: x for i, x in entries.items() if x})
-        free, torsion = cokernel_invariants(SparseMatrix(size, tuple(columns)))
+        free, torsion = cokernel_invariants(IntMatrix(size, tuple(columns)))
         coker = [gcd(t, o) for t in torsion] + [o] * free
         parts.append((d, coker if o else [0] * free, coker))
     return _collect(n, parts)

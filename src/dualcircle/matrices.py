@@ -1,14 +1,15 @@
 """Exact integer matrices and Smith normal form.
 
 All entries are Python ints, so torsion coefficients like p**37 cost
-nothing but digits.  One sparse elimination core (``_eliminate``) serves
-the kernel, rank, cokernel and Smith routines: it row-reduces a list of
-sparse rows, optionally mirroring its operations on transform rows.  The
-kernel of m is read off the left transform of m's transpose, the rank and
-the cokernel track no transform, and the Smith routine tracks both sides.
-A matrix may be given densely (``IntMatrix``) or by sparse columns
-(``SparseMatrix``); the kernel and cokernel helpers answer in the form
-they were given.
+nothing but digits.  ``IntMatrix`` is the one matrix type: it keeps its
+columns as sparse dicts, the form in which callers build it and in which
+elimination reads it, and a dense grid only on request.  One
+sparse elimination core (``_eliminate``) serves the kernel, rank,
+cokernel and Smith routines: it row-reduces a list of sparse rows,
+optionally mirroring its operations on transform rows.  The kernel of m
+is read off the left transform of m's transpose, whose rows are m's
+columns; the rank and the cokernel track no transform, and the Smith
+routine tracks both sides.
 """
 
 from __future__ import annotations
@@ -20,79 +21,14 @@ from .frozen import Frozen
 
 
 class IntMatrix(Frozen):
-    """A rows x cols integer matrix, ``entries`` a tuple of row tuples."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        if len(entries) != rows:
-            raise ValueError("row count does not match entry grid")
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("column count does not match entry grid")
-        super().__init__(rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        grid = tuple(tuple(int(x) for x in row) for row in rows)
-        n_rows = len(grid)
-        n_cols = len(grid[0]) if grid else 0
-        return cls(n_rows, n_cols, grid)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag, rows=None, cols=None) -> "IntMatrix":
-        diag = list(diag)
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        return cls(rows, cols, tuple(
-            tuple(diag[i] if i == j and i < len(diag) else 0 for j in range(cols))
-            for i in range(rows)))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        grid = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries)
-        if not grid:
-            grid = ()
-        return IntMatrix(self.rows, other.cols, grid if self.rows else ())
-
-    def apply(self, vector) -> tuple[int, ...]:
-        vec = tuple(vector)
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
-
-    def diagonal_entries(self) -> list[int]:
-        return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
-
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
-
-
-class SparseMatrix(Frozen):
     """A rows x len(columns) integer matrix kept by columns: ``columns[j]``
     maps the row of each nonzero entry of column j to that entry.
 
     Columns are the form elimination wants: the kernel of m is computed
     on the rows of m's transpose, and a block [A | B] is the concatenation
-    of the column tuples.  The dicts are never mutated.
+    of the column tuples.  A column never stores a zero, so two matrices
+    are equal exactly when their fields are, and the dicts are never
+    mutated.  The constructor trusts its input; ``from_rows`` checks it.
     """
 
     __slots__ = ("rows", "columns")
@@ -101,25 +37,84 @@ class SparseMatrix(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", columns)
 
+    def __hash__(self):
+        return hash((self.rows, tuple([frozenset(col.items()) for col in self.columns])))
+
     @property
     def cols(self) -> int:
         return len(self.columns)
 
-    @classmethod
-    def of(cls, m: "IntMatrix | SparseMatrix") -> "SparseMatrix":
-        if isinstance(m, SparseMatrix):
-            return m
-        if m.rows == 0:  # no entries to read the columns from
-            return cls(0, ({},) * m.cols)
-        return cls(m.rows, tuple({i: x for i, x in enumerate(col) if x}
-                                 for col in zip(*m.entries)))
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense grid, a tuple of row tuples."""
+        return tuple([tuple([col.get(i, 0) for col in self.columns])
+                      for i in range(self.rows)])
 
-    def dense(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(col.get(i, 0) for col in self.columns) for i in range(self.rows)))
+    @classmethod
+    def from_rows(cls, rows) -> "IntMatrix":
+        grid = [[int(x) for x in row] for row in rows]
+        n_cols = len(grid[0]) if grid else 0
+        columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
+        for i, row in enumerate(grid):
+            if len(row) != n_cols:
+                raise ValueError("rows of unequal length")
+            for j, x in enumerate(row):
+                if x:
+                    columns[j][i] = x
+        return cls(len(grid), tuple(columns))
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "IntMatrix":
+        return cls(rows, ({},) * cols)
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls(n, tuple([{j: 1} for j in range(n)]))
+
+    def mul(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        out = []
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for k, y in col.items():
+                _subtract(acc, self.columns[k], -y)
+            out.append(acc)
+        return IntMatrix(self.rows, tuple(out))
+
+    def apply(self, vector) -> tuple[int, ...]:
+        vec = tuple(vector)
+        if len(vec) != self.cols:
+            raise ValueError("vector length does not match column count")
+        out = [0] * self.rows
+        for y, col in zip(vec, self.columns):
+            if y:
+                for i, x in col.items():
+                    out[i] += x * y
+        return tuple(out)
+
+    def column(self, j: int) -> tuple[int, ...]:
+        col = self.columns[j]
+        return tuple([col.get(i, 0) for i in range(self.rows)])
 
     def is_zero(self) -> bool:
         return not any(self.columns)
+
+    def diagonal_entries(self) -> list[int]:
+        return [self.columns[i].get(i, 0) for i in range(min(self.rows, self.cols))]
+
+    def __str__(self):
+        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+
+
+def _transpose(vectors, n: int) -> list[dict[int, int]]:
+    """The n sparse vectors whose entry j is entry i of vectors[j]: a
+    matrix's rows from its columns, or back."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -313,7 +308,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     [2, 4]
     """
     r, c = m.rows, m.cols
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    rows = _transpose(m.columns, r)
     u = [{i: 1} for i in range(r)]
     vt = [{j: 1} for j in range(c)]  # the rows of V transposed
     pivots = sorted(_eliminate(rows, u, vt, split=True),
@@ -340,11 +335,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         _subtract(vt[t], vt[s], y * b // g)
 
     _divisibility_chain(diag, mix)
-    return SmithDecomposition(
-        IntMatrix.diagonal(diag, r, c),
-        IntMatrix(r, r, tuple(tuple(row.get(k, 0) for k in range(r)) for row in u)),
-        IntMatrix(c, c, tuple(tuple(col.get(k, 0) for col in vt) for k in range(c))),
-    )
+    d = tuple([{t: x} for t, x in enumerate(diag)] + [{}] * (c - len(diag)))
+    return SmithDecomposition(IntMatrix(r, d), IntMatrix(r, tuple(_transpose(u, r))),
+                              IntMatrix(c, tuple(vt)))
 
 
 def _combination(p: dict, x: int, q: dict, y: int) -> dict:
@@ -354,43 +347,37 @@ def _combination(p: dict, x: int, q: dict, y: int) -> dict:
     return out
 
 
-def kernel_basis(m: IntMatrix | SparseMatrix) -> IntMatrix | SparseMatrix:
-    """Columns form a basis of the integer kernel lattice of m, in the form
-    m was given.
+def kernel_basis(m: IntMatrix) -> IntMatrix:
+    """Columns form a basis of the integer kernel lattice of m.
 
     The rows of m's transpose are brought to echelon form; a unimodular
     left transform T has T m^T = E, and the rows of T whose rows of E
     ended zero span exactly the vectors x with m x = 0.
     """
-    cols = SparseMatrix.of(m).columns
-    rows = [dict(col) for col in cols]
+    rows = [dict(col) for col in m.columns]
     left = [{t: 1} for t in range(len(rows))]
     fixed = {i for i, _ in _eliminate(rows, left)}
-    kernel = SparseMatrix(len(rows), tuple(
-        left[t] for t in range(len(rows)) if t not in fixed))
-    return kernel if isinstance(m, SparseMatrix) else kernel.dense()
+    return IntMatrix(len(rows), tuple([left[t] for t in range(len(rows)) if t not in fixed]))
 
 
-def rank(m: IntMatrix | SparseMatrix) -> int:
+def rank(m: IntMatrix) -> int:
     """The rank of m: the pivot count of an echelon form of its columns."""
-    return len(_eliminate([dict(col) for col in SparseMatrix.of(m).columns]))
+    return len(_eliminate([dict(col) for col in m.columns]))
 
 
-def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:
+def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
     """(free rank, invariant factors >= 2) of Z^rows / im(m)."""
-    sparse = SparseMatrix.of(m)
-    rows = [dict(col) for col in sparse.columns]  # m^T: same invariants
+    rows = [dict(col) for col in m.columns]  # m^T: same invariants
     diag = [abs(rows[i][j]) for i, j in _eliminate(rows, split=True)]
     chain = _divisibility_chain(sorted(d for d in diag if d != 1))
-    return sparse.rows - len(diag), [d for d in chain if d != 1]
+    return m.rows - len(diag), [d for d in chain if d != 1]
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the column lattice of m (image of Z^cols):
     the first rank columns of m V, which equal those of U^-1 D."""
     snf = smith_normal_form(m)
-    rank = snf.rank
-    return IntMatrix(m.rows, rank, tuple(row[:rank] for row in m.mul(snf.v).entries))
+    return IntMatrix(m.rows, m.mul(snf.v).columns[:snf.rank])
 
 
 class NoIntegralSolution(Exception):

@@ -48,7 +48,7 @@ def _over_common_denominator(pairs) -> tuple[tuple[int, ...], int]:
     den = lcm(*(d for _, d in pairs))
     nums = [n * (den // d) for n, d in pairs]
     g = gcd(den, *nums)
-    return tuple(n // g for n in nums), den // g
+    return tuple([n // g for n in nums]), den // g
 
 
 class _Rationals(Frozen):

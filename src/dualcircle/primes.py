@@ -22,16 +22,26 @@ from array import array
 from math import isqrt
 
 
+# the largest number is_prime tests: trial division up to its square root
+# takes about 0.1 s there, and 100 times as long for every factor 10^4 above
+PRIME_TEST_BOUND = 10**12
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for CLI-sized inputs)."""
+    """Deterministic trial-division primality test; a number above
+    ``PRIME_TEST_BOUND`` raises ``ValueError`` instead of taking hours."""
+    if n > PRIME_TEST_BOUND:
+        raise ValueError(f"{n} is above {PRIME_TEST_BOUND}, the largest number "
+                         "the primality test accepts")
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    root = isqrt(n)
     d = 3
-    while d <= isqrt(n):
+    while d <= root:
         if n % d == 0:
             return False
         d += 2

@@ -20,6 +20,9 @@ plus the countable-sum rules used when a wedge of countably many identical
 summands is completed as a whole:
 
     (+)^oo Qp = A        (+)^oo B = B_oo
+
+A countable sum of Q is refused: no cell that the tables sum countably
+holds Q.
 """
 
 from __future__ import annotations
@@ -29,28 +32,25 @@ from .frozen import Frozen
 
 
 class SymbolicQSpace(Frozen):
-    """A formal sum: Q^q (Q^oo when ``q_countable``), Qp^qp, A when ``a``,
-    B^b, and B_oo when ``binf``; ``make`` applies the absorption rules."""
+    """A formal sum: Q^q, Qp^qp, A when ``a``, B^b, and B_oo when
+    ``binf``; ``make`` applies the absorption rules."""
 
-    __slots__ = ("q", "q_countable", "qp", "a", "b", "binf")
+    __slots__ = ("q", "qp", "a", "b", "binf")
 
-    def __init__(self, q: int, q_countable: bool, qp: int, a: bool, b: int, binf: bool):
+    def __init__(self, q: int, qp: int, a: bool, b: int, binf: bool):
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "q_countable", q_countable)
         object.__setattr__(self, "qp", qp)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "binf", binf)
 
     @classmethod
-    def make(cls, q=0, q_countable=False, qp=0, a=False, b=0, binf=False) -> "SymbolicQSpace":
+    def make(cls, q=0, qp=0, a=False, b=0, binf=False) -> "SymbolicQSpace":
         if binf:
             b = 0
         if a or b or binf:
             qp = 0
-        if q_countable:
-            q = 0
-        return cls(q, q_countable, qp, a, b, binf)
+        return cls(q, qp, a, b, binf)
 
     @classmethod
     def zero(cls):
@@ -77,35 +77,28 @@ class SymbolicQSpace(Frozen):
         return cls.make(binf=True)
 
     def plus(self, *others: "SymbolicQSpace") -> "SymbolicQSpace":
-        q, qc, qp, a, b, binf = (self.q, self.q_countable, self.qp,
-                                 self.a, self.b, self.binf)
+        q, qp, a, b, binf = self.q, self.qp, self.a, self.b, self.binf
         for o in others:
             q += o.q
-            qc = qc or o.q_countable
             qp += o.qp
             a = a or o.a
             b += o.b
             binf = binf or o.binf
-        return SymbolicQSpace.make(q, qc, qp, a, b, binf)
+        return SymbolicQSpace.make(q, qp, a, b, binf)
 
     def countable_sum(self) -> "SymbolicQSpace":
-        return SymbolicQSpace.make(
-            q=0,
-            q_countable=self.q_countable or self.q > 0,
-            qp=0,
-            a=self.a or self.qp > 0,
-            b=0,
-            binf=self.binf or self.b > 0,
-        )
+        """The countable sum, by the rules above; a rational line has none
+        here, since no table cell that is summed countably holds Q."""
+        if self.q:
+            raise UnsupportedAtom("countable sum of Q atoms has no representation here")
+        return SymbolicQSpace.make(a=self.a or self.qp > 0, binf=self.binf or self.b > 0)
 
     def is_zero(self) -> bool:
         return self == SymbolicQSpace.zero()
 
     def __str__(self):
         parts = []
-        if self.q_countable:
-            parts.append("Q^oo")
-        elif self.q == 1:
+        if self.q == 1:
             parts.append("Q")
         elif self.q > 1:
             parts.append(f"Q^{self.q}")
@@ -125,9 +118,7 @@ class SymbolicQSpace(Frozen):
 
     def to_json_obj(self):
         tags = []
-        if self.q_countable:
-            tags.append({"atom": "Q^oo", "multiplicity": "1"})
-        elif self.q:
+        if self.q:
             tags.append({"atom": "Q", "multiplicity": str(self.q)})
         if self.qp:
             tags.append({"atom": "Qp", "multiplicity": str(self.qp)})

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +24,8 @@ OPERAD_OUTPUTS = json.loads(
 # COLUMNS=80, frozen from the parser that built every command on each call
 CLI_USAGE = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text())
 ROOT = Path(__file__).resolve().parents[1]
+# a prime far above the largest number the primality test accepts
+BIG_PRIME = "1000000000000000003"
 
 
 def run(capsys, *argv):
@@ -227,6 +230,23 @@ class TestTCVerbs:
     def test_table1_composite_prime_usage_error(self, capsys):
         code = main(["tc", "table1", "--p", "6"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tc", "table1", "--p", BIG_PRIME], ["tc", "table2", "--p", BIG_PRIME],
+        ["tc", "check-fr", "--p", BIG_PRIME, "--n", "2"],
+        ["tc", "coassembly", "--i", "1", "--p", BIG_PRIME],
+        ["tc", "table1", "--p", "5", "--replay"], ["tc", "table2", "--p", "5", "--replay"],
+        ["tc", "coassembly", "--i", "1", "--p", "5", "--replay"]])
+    def test_a_prime_too_large_to_test_is_refused_at_once(self, tmp_path, capsys, argv):
+        if argv[-1] == "--replay":
+            path = tmp_path / "payload.json"
+            path.write_text(json.dumps({"check": "table1", "inputs": {"p": BIG_PRIME}}))
+            argv = argv + [str(path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "above 1000000000000" in err
 
     def test_check_fr(self, capsys):
         code, out = run(capsys, "tc", "check-fr", "--p", "2", "--n", "3")

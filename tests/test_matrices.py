@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dualcircle.matrices import (
     IntMatrix,
     NoIntegralSolution,
-    SparseMatrix,
     cokernel_invariants,
     image_lattice_basis,
     kernel_basis,
@@ -49,6 +48,54 @@ def det(m: IntMatrix) -> int:
     out = sign * prod(a[i][i] for i in range(n))
     assert out.denominator == 1
     return int(out)
+
+
+def dense_product(a, b):
+    """The product of two row grids, the schoolbook way."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]) if b else 0)) for i in range(len(a)))
+
+
+class TestAgainstDenseGrids:
+    """The column-sparse layout against products written on row grids."""
+
+    @given(matrices_up_to_5)
+    @settings(max_examples=200, deadline=None)
+    def test_from_rows_keeps_the_grid(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert m.entries == tuple(map(tuple, rows))
+        assert (m.rows, m.cols) == (len(rows), len(rows[0]))
+        assert all(0 not in col.values() for col in m.columns)
+        assert [m.column(j) for j in range(m.cols)] == [tuple(c) for c in zip(*rows)]
+
+    @given(matrices_up_to_5, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mul_and_apply_match_dense_products(self, rows, data):
+        m = IntMatrix.from_rows(rows)
+        other = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+                                   min_size=m.cols, max_size=m.cols))
+        assert m.mul(IntMatrix.from_rows(other)).entries == dense_product(rows, other)
+        vec = [row[0] for row in other]
+        assert m.apply(vec) == tuple(row[0] for row in dense_product(rows, other))
+
+    def test_a_product_that_cancels_is_the_zero_matrix(self):
+        a = IntMatrix.from_rows([[1, 1], [2, 2], [-3, -3]])
+        b = IntMatrix.from_rows([[1, -2, 0], [-1, 2, 0]])
+        product = a.mul(b)
+        assert product.is_zero()
+        assert product == IntMatrix.zero(3, 3)
+        assert hash(product) == hash(IntMatrix.zero(3, 3))
+        assert product.entries == ((0, 0, 0),) * 3
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_shape_mismatches_are_refused(self):
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2).mul(IntMatrix.identity(3))
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2).apply((1, 2, 3))
 
 
 class TestSmith:
@@ -190,14 +237,13 @@ class TestAgainstDeterminantalDivisors:
         divisors = determinantal_divisors(rows)
         rank = sum(1 for d in divisors if d)
         snf_factors = smith_normal_form(m).invariant_factors()
-        for form in (m, SparseMatrix.of(m)):
-            free, torsion = cokernel_invariants(form)
-            assert free == m.rows - rank
-            coker_factors = [1] * (rank - len(torsion)) + torsion
-            for factors in (snf_factors, coker_factors):
-                assert len(factors) == rank
-                for k in range(1, rank + 1):
-                    assert prod(factors[:k]) == divisors[k - 1], (k, factors, divisors)
+        free, torsion = cokernel_invariants(m)
+        assert free == m.rows - rank
+        coker_factors = [1] * (rank - len(torsion)) + torsion
+        for factors in (snf_factors, coker_factors):
+            assert len(factors) == rank
+            for k in range(1, rank + 1):
+                assert prod(factors[:k]) == divisors[k - 1], (k, factors, divisors)
         k = kernel_basis(m)
         assert k.cols == m.cols - rank
         assert m.mul(k).is_zero()

@@ -73,6 +73,13 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0)
 
 
+def test_is_prime_refuses_numbers_above_its_bound():
+    assert is_prime(999999999989)  # the largest prime below 10^12
+    assert primes.PRIME_TEST_BOUND == 10**12
+    with pytest.raises(ValueError, match="above"):
+        is_prime(10**12 + 39)
+
+
 def test_factorint():
     assert factorint(360) == {2: 3, 3: 2, 5: 1}
     assert factorint(97) == {97: 1}

@@ -39,3 +39,31 @@ def test_every_tracer_target_resolves_and_is_patched():
         tracer.uninstall()
     assert unpatched == []
     assert all(_binding(*t) is originals[t] for t in targets)
+
+
+def test_every_work_counter_hook_counts_a_real_call():
+    """The hooks read the shapes of the matrices and modules they see, so a
+    renamed field breaks them only in a traced run unless they run here."""
+    tracer_module = _load_tracer()
+    for module, _, _ in tracer_module.TARGETS:
+        importlib.import_module(f"dualcircle.{module}")
+    from dualcircle import cyclic, matrices
+
+    m = matrices.IntMatrix.from_rows([[2, 4], [6, 8]])
+    module = cyclic.GradedModule(((0, 0), (1, 3)))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        m.mul(m)
+        matrices.smith_normal_form(m)
+        cyclic.weight_homology_fg(2, module)
+        assert not cyclic.NormalizedHochschild(module, 1).homology(0, weight=1).is_trivial()
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats
+    assert set(tracer_module.HOOK_COUNTERS) <= set(stats)
+    assert all(stats[name] > 0 for name in tracer_module.HOOK_COUNTERS)
+    assert stats["matrices.IntMatrix.mul.flops"] == 2 * 2 * 2 * 2
+    assert stats["matrices.smith_normal_form.cells"] == 4
+    assert stats["cyclic.max_tensor_basis"] == 2 ** 2
+    assert stats["cyclic.NormalizedHochschild.homology.nonzero"] == 1
