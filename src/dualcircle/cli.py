@@ -18,8 +18,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .report import Report, RunConfig, UsageError
 
@@ -65,42 +65,89 @@ _COMMON = {
 }
 
 
-def _with_options(parser: argparse.ArgumentParser, options: dict):
-    """``parser`` given a verb's ``options`` and ``_COMMON``."""
-    for flag, keywords in {**options, **_COMMON}.items():
-        parser.add_argument(flag, **keywords)
-    return parser
+def build_parser():
+    """The whole command tree as an ``argparse`` parser, whose help and usage
+    errors list every command."""
+    import argparse  # only help and usage errors need it
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, whose help and usage errors list every command."""
     top = argparse.ArgumentParser(prog="dualcircle", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="group", required=True)
     for name, (group_help, verbs) in COMMANDS.items():
         verb_sub = sub.add_parser(name, help=group_help).add_subparsers(
             dest="verb", required=True)
         for verb_name, (verb_help, options) in verbs.items():
-            _with_options(verb_sub.add_parser(verb_name, help=verb_help), options)
+            parser = verb_sub.add_parser(verb_name, help=verb_help)
+            for flag, keywords in {**options, **_COMMON}.items():
+                parser.add_argument(flag, **keywords)
     return top
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed as ``build_parser()`` parses it.  When it starts with
-    a known group and verb, only that verb's parser is built, since building
-    every command costs more than most ``tc`` verbs compute; it equals the
-    subparser to which the tree hands the rest of ``argv``.  Extra
-    arguments, or no verb, go to the whole tree, whose usage errors name
-    every group."""
+def _read_argv(argv) -> dict | None:
+    """The options of ``argv`` by name, read from its verb's ``COMMANDS``
+    entry and ``_COMMON``; None for help, any error, ``--``, and a value
+    that starts with "-" but is no negative integer."""
     group, verb = (list(argv) + [None, None])[:2]
     options = COMMANDS.get(group, ("", {}))[1].get(verb, ("", None))[1]
-    if options is not None:
-        parser = _with_options(argparse.ArgumentParser(prog=f"dualcircle {group} {verb}"),
-                               options)
-        args, extra = parser.parse_known_args(argv[2:])
-        if not extra:
-            args.group, args.verb = group, verb
-            return args
-    return build_parser().parse_args(argv)
+    if options is None:
+        return None
+    options = {**options, **_COMMON}
+    dests = {flag: keywords.get("dest") or flag[2:].replace("-", "_")
+             for flag, keywords in options.items()}
+    values = {dests[flag]: (False if "action" in keywords else None)
+              for flag, keywords in options.items()}
+    values.update(group=group, verb=verb)
+    seen = set()
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if not token.startswith("--") or token == "--":
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            # a unique prefix abbreviates an option, as argparse's allow_abbrev
+            matches = [f for f in (*options, "--help") if f.startswith(flag)]
+            if len(matches) != 1 or matches[0] == "--help":
+                return None
+            flag = matches[0]
+        keywords = options[flag]
+        if "action" in keywords:  # a switch takes no value
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                # to argparse, a "-" token is an option unless a negative integer
+                if value is None or value.startswith("-") and not value[1:].isdecimal():
+                    return None
+            elif value == "--":  # argparse drops this value even after "="
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[dests[flag]] = value
+        seen.add(flag)
+    if any(keywords.get("required") and flag not in seen
+           for flag, keywords in options.items()):
+        return None
+    return values
+
+
+def parse_args(argv):
+    """``argv`` parsed as ``build_parser()`` parses it.  A group, a verb and
+    its options are read straight from ``COMMANDS``: exact flags,
+    ``--flag=value``, unique prefixes, ``int`` values (negative ones too),
+    choices, switches, required options, and the last of repeated flags.
+    Anything else, such as help, a usage error or ``--``, goes to the whole
+    tree, which prints the help or the error and exits; only then is
+    ``argparse`` loaded."""
+    values = _read_argv(argv)
+    if values is None:
+        return build_parser().parse_args(argv)
+    return SimpleNamespace(**values)
 
 
 def _config_from_args(args) -> RunConfig:

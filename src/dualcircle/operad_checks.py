@@ -177,7 +177,13 @@ def _random_point(bits, min_arity=1, suboperad="O") -> OperadPoint:
     nums = [one + _below(bits, 13) * (12, 6, 4, 3)[_below(bits, 4)]
             for _ in range(arity - 1)]
     g = gcd(12, *nums)
-    return OperadPoint._trusted(tuple(n // g for n in nums), 12 // g)
+    if g > 1:
+        nums = [n // g for n in nums]
+    return OperadPoint._trusted(tuple(nums), 12 // g)
+
+
+# the circle coordinates k/100, k = 1..99, that the soundness section draws
+_S_VALUES = tuple(Fraction(k, 100) for k in range(1, 100))
 
 
 def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
@@ -219,7 +225,7 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
     def sound():
         for _ in range(200):
             o = _random_point(bits, min_arity=2, suboperad="Oprime")
-            yield zero_action(o, [Fraction(1 + _below(bits, 99), 100) for _ in range(100)])
+            yield zero_action(o, [_S_VALUES[_below(bits, 99)] for _ in range(100)])
         for _ in range(200):
             arity = 2 + _below(bits, 3)
             yield zero_action_witness(OperadPoint.from_pairs(

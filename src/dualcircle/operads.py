@@ -25,7 +25,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .frozen import Frozen
+from .frozen import Frozen, _set
+
+_new = object.__new__
 
 
 class ArityMismatch(Exception):
@@ -61,15 +63,15 @@ class _Rationals(Frozen):
         nums, den = _over_common_denominator(
             (f.numerator, f.denominator) for f in map(Fraction, values))
         self._validate(nums, den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     @classmethod
     def _trusted(cls, nums: tuple[int, ...], den: int):
         """An instance of coordinates already valid and in lowest terms."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        self = _new(cls)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
         return self
 
     def __eq__(self, other):
@@ -214,8 +216,8 @@ class CubePoint(Frozen):
             for c in coords:
                 if not (0 < c < 1):
                     raise DomainError(f"interior coordinate {c} not in (0,1)")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "label_copies", label_copies)
+        _set(self, "coords", coords)
+        _set(self, "label_copies", label_copies)
 
     @property
     def is_basepoint(self) -> bool:

@@ -439,12 +439,6 @@ _TABLE2_VOCAB = {
 }
 
 
-def table1_reference_degrees() -> tuple[int, int]:
-    """The degree window [lo, hi] that the table-1 reference covers."""
-    lo, hi = _load_fixture()["table1"]["degrees"]
-    return lo, hi
-
-
 def expected_table1(p: int) -> dict[str, dict[int, GroupExpr]]:
     fx = _load_fixture()["table1"]
     lo, hi = fx["degrees"]
@@ -463,10 +457,13 @@ def expected_table2() -> dict[str, dict[int, SymbolicQSpace]]:
     return out
 
 
-def diff_table1(p: int, computed: dict[str, GradedGroup], lo: int, hi: int) -> list[str]:
-    """Cell-for-cell comparison against the embedded reference; returns a
-    list of mismatch descriptions (empty on exact agreement)."""
-    expected = expected_table1(p)
+def diff_table1(p: int, computed: dict[str, GradedGroup], lo: int, hi: int,
+                expected: dict[str, dict[int, GroupExpr]] | None = None) -> list[str]:
+    """Cell-for-cell comparison against ``expected``, by default the
+    embedded reference ``expected_table1(p)``; returns a list of mismatch
+    descriptions (empty on exact agreement)."""
+    if expected is None:
+        expected = expected_table1(p)
     problems = []
     for label, row in expected.items():
         for d, cell in row.items():

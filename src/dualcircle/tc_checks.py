@@ -11,20 +11,33 @@ from .primes import irregular_indices
 from .report import CheckResult, Report, RunConfig, TableBlock
 from .tc import (check_fr_commute, coassembly_conclusion, diff_table1, diff_table2,
                  dual_tc_shift_sum_check, e_homology_with_descriptor, expected_table1,
-                 frobenius_general, frobenius_map, restriction_map, table1,
-                 table1_reference_degrees, table2, table2_wedge_check)
+                 frobenius_general, frobenius_map, restriction_map, table1, table2,
+                 table2_wedge_check)
 
 
-def _table1_reference(lo: int, hi: int) -> tuple[int, int]:
-    """The degrees of the table-1 reference; a usage error if [lo, hi] misses them."""
-    ref_lo, ref_hi = table1_reference_degrees()
+# the degrees of a table-1 window at most; the table takes time linear in them
+MAX_DEGREES = 1024
+
+
+def _reference_degrees(reference: dict) -> tuple[int, int]:
+    """The degrees ref_lo..ref_hi that the table-1 ``reference`` covers."""
+    degrees = next(iter(reference.values()))
+    return min(degrees), max(degrees)
+
+
+def _table1_window(lo: int, hi: int, reference: dict) -> tuple[int, int]:
+    """The reference degrees; a usage error if [lo, hi] holds more than
+    ``MAX_DEGREES`` degrees or misses them."""
+    _require(hi - lo < MAX_DEGREES,
+             f"table1 takes at most {MAX_DEGREES} degrees, got {lo}..{hi}")
+    ref_lo, ref_hi = _reference_degrees(reference)
     _require(hi >= ref_lo and lo <= ref_hi, f"degrees {lo}..{hi} miss the table1 "
              f"reference, which covers degrees {ref_lo}..{ref_hi}")
     return ref_lo, ref_hi
 
 
-def table1_vs_reference(p, lo, hi, rows) -> CheckResult:
-    problems = diff_table1(p, rows, lo, hi)
+def table1_vs_reference(p, lo, hi, rows, reference) -> CheckResult:
+    problems = diff_table1(p, rows, lo, hi, reference)
     cells = {label: {str(d): row.at(d).to_json_obj() for d in range(lo, hi + 1)}
              for label, row in rows.items()}
     return _verdict("table1 vs reference", not problems, lambda: {
@@ -34,9 +47,10 @@ def table1_vs_reference(p, lo, hi, rows) -> CheckResult:
 
 def _parse_table1(inputs: dict) -> dict:
     p = _prime(inputs)
-    lo, hi = _window(inputs, table1_reference_degrees())
-    _table1_reference(lo, hi)
-    return {"p": p, "lo": lo, "hi": hi, "rows": table1(p, lo, hi)}
+    reference = expected_table1(p)
+    lo, hi = _window(inputs, _reference_degrees(reference))
+    _table1_window(lo, hi, reference)
+    return {"p": p, "lo": lo, "hi": hi, "rows": table1(p, lo, hi), "reference": reference}
 
 
 def table2_vs_reference(t) -> CheckResult:
@@ -77,7 +91,8 @@ def negative_control(p) -> CheckResult:
 def run_tc_table1(config: RunConfig) -> Report:
     config.validate(need_prime=True)
     lo, hi = config.min_deg, config.max_deg
-    ref_lo, ref_hi = _table1_reference(lo, hi)
+    reference = expected_table1(config.p)
+    ref_lo, ref_hi = _table1_window(lo, hi, reference)
     report = Report("tc table1", config)
     rows = table1(config.p, lo, hi)
     report.tables.append(TableBlock(
@@ -89,7 +104,7 @@ def run_tc_table1(config: RunConfig) -> Report:
     if uncompared:
         report.add_skip(f"{uncompared} cells outside the reference degrees "
                         f"{ref_lo}..{ref_hi}", {"cells": str(uncompared)})
-    report.checks.append(table1_vs_reference(config.p, lo, hi, rows))
+    report.checks.append(table1_vs_reference(config.p, lo, hi, rows, reference))
     return report
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
-from dualcircle.tc_checks import MAX_LEVEL
+from dualcircle.tc_checks import MAX_DEGREES, MAX_LEVEL
 from dualcircle.cli import COMMANDS, build_parser, main, parse_args
 from dualcircle.report import RunConfig, UsageError
 
@@ -226,6 +227,44 @@ class TestTCVerbs:
         # degrees 5 and 6 of three rows
         assert checks[0]["payload"] == {"cells": "6"}
         assert set(checks[1]["payload"]["cells"]["E"]) == {"3", "4", "5", "6"}
+
+    @pytest.mark.parametrize("lo, hi", [(-1000000, 1000000), (4 - MAX_DEGREES, 4),
+                                        (-2, MAX_DEGREES - 2)])
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_table1_window_wider_than_the_cap_is_refused_at_once(self, tmp_path, capsys,
+                                                                 lo, hi, replay):
+        argv = ["tc", "table1", "--p", "5", "--min-deg", str(lo), "--max-deg", str(hi)]
+        if replay:
+            path = tmp_path / "payload.json"
+            path.write_text(json.dumps({"check": "table1", "inputs": {
+                "p": "5", "lo": str(lo), "hi": str(hi)}}))
+            argv = ["tc", "table1", "--p", "5", "--replay", str(path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"at most {MAX_DEGREES} degrees" in err
+
+    def test_table1_window_at_the_cap_runs(self, capsys):
+        code, out = run(capsys, "tc", "table1", "--p", "5", "--min-deg",
+                        str(5 - MAX_DEGREES), "--max-deg", "4", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["checks"][-1]["payload"]["cells"]["E"]) == MAX_DEGREES
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_table1_reads_its_reference_once(self, tmp_path, capsys, monkeypatch, replay):
+        from dualcircle import tc
+
+        reads = []
+        load = tc._load_fixture
+        monkeypatch.setattr(tc, "_load_fixture", lambda: reads.append(1) or load())
+        argv = ["tc", "table1", "--p", "5"]
+        if replay:
+            path = tmp_path / "payload.json"
+            path.write_text(json.dumps({"check": "table1", "inputs": {"p": "5"}}))
+            argv += ["--replay", str(path)]
+        assert main(argv) == 0
+        assert len(reads) == 1
 
     def test_table1_composite_prime_usage_error(self, capsys):
         code = main(["tc", "table1", "--p", "6"])
@@ -709,6 +748,33 @@ def representative_argv(group, verb):
     return argv + ["--format", "csv", "--config", "c.txt"]
 
 
+# heads of fuzzed argv: every verb, alone and with its required options, and
+# some that name no verb.  No head puts --format or --config where main
+# refuses it before parsing.
+FUZZ_HEADS = [[group, verb, *given] for group, (_, verbs) in COMMANDS.items()
+              for verb, (_, options) in verbs.items()
+              for given in ([], [w for flag, keywords in options.items()
+                                 if keywords.get("required") for w in (flag, "3")])] + [
+    ["tc", "table3"], ["operad", "-h"], ["hh", "--max-w=2"]]
+FUZZ_FLAGS = ["--p", "--n", "--i", "--tri", "--trials", "--seed", "--min", "--min-deg",
+              "--max-deg", "--ma", "--m", "--no", "--no-truncate", "--assume", "--check",
+              "--c", "--conf", "--replay", "--rep", "--fix", "--max-w", "--max-d", "--form",
+              "--format", "--he", "--s", "---p", "-h", "-p", "--"]
+FUZZ_VALUES = ["5", "7", "2", "0", "-3", "", "1_0", " 5", "xml", "json", "csv", "c.txt",
+               "x", "-", "-\u0663", "-1.5", "--", "-h", "--p=5"]
+
+
+def fuzzed_argv(rng) -> list[str]:
+    """A head and up to four items: a flag and a value, flag=value, a flag
+    alone, or a value alone."""
+    argv = list(rng.choice(FUZZ_HEADS))
+    for _ in range(rng.randrange(5)):
+        flag, value, r = rng.choice(FUZZ_FLAGS), rng.choice(FUZZ_VALUES), rng.random()
+        argv += ([flag, value] if r < 0.5 else [f"{flag}={value}"] if r < 0.75
+                 else [flag] if r < 0.9 else [value])
+    return argv
+
+
 class TestParser:
     @pytest.mark.parametrize("case", CLI_USAGE, ids=lambda c: " ".join(c["argv"]) or "-")
     def test_help_and_usage_bytes_are_frozen(self, capsys, monkeypatch, case):
@@ -752,6 +818,31 @@ class TestParser:
                 parse(line.split())
             seen.append((exc.value.code, *capsys.readouterr()))
         assert seen[0] == seen[1]
+
+    def test_fuzzed_argv_parse_as_the_full_tree(self, capsys, monkeypatch):
+        """An argv that ``COMMANDS`` settles parses as the full tree parses
+        it; main prints for any other what the full tree prints."""
+        monkeypatch.setenv("COLUMNS", "80")
+        full = build_parser()
+        # one tree for all the refused argv: building it costs more than parsing
+        monkeypatch.setattr(cli, "build_parser", lambda: full)
+        rng = random.Random(18)
+        accepted = 0
+        for _ in range(20000):
+            argv = fuzzed_argv(rng)
+            try:
+                expected = vars(full.parse_args(argv))
+            except SystemExit as exc:
+                expected = (exc.code, *capsys.readouterr())
+            read = cli._read_argv(argv)
+            if read is not None:
+                accepted += 1
+                assert read == expected, argv
+            elif isinstance(expected, dict):
+                assert vars(parse_args(argv)) == expected, argv
+            else:
+                assert (main(argv), *capsys.readouterr()) == expected, argv
+        assert accepted > 2000  # 2468 of the 20000
 
     @pytest.mark.parametrize("source", ["docstring", "README"])
     def test_every_option_is_documented_on_its_verb_line(self, source):

@@ -13,6 +13,7 @@ from dualcircle.operads import (
     DomainError,
     OperadPoint,
     SuspensionActionMap,
+    ZeroMapVerdict,
     action_map,
     compose,
     compose_action_maps,
@@ -21,6 +22,7 @@ from dualcircle.operads import (
     is_zero_map,
     nullhomotopy_point,
 )
+from dualcircle.report import RunConfig
 
 
 def pt(*coords):
@@ -343,3 +345,20 @@ class TestDrawStream:
     def test_points_drawn_with_one_bit_more_are_caught(self, monkeypatch):
         monkeypatch.setattr(operad_checks, "_below", wide_below)
         assert not points_match_reference()
+
+    def test_s_values_are_the_hundredths(self):
+        assert len(operad_checks._S_VALUES) == 99
+        for k, s in enumerate(operad_checks._S_VALUES):
+            assert s == Fraction(k + 1, 100)
+
+    # the first zero-action payload when no action reads as zero, frozen from
+    # the suite that built Fraction(1 + k, 100) for each draw k
+    @pytest.mark.parametrize("seed, inputs", [
+        (3, {"point": ["1", "7"], "s": "63/100"}),
+        (11, {"point": ["6", "11/2"], "s": "39/100"})])
+    def test_zero_action_payload_is_frozen(self, monkeypatch, seed, inputs):
+        monkeypatch.setattr(operad_checks, "is_zero_map",
+                            lambda m: ZeroMapVerdict(False, None))
+        report = operad_checks.run_operad_check(RunConfig(seed=seed, trials=20))
+        failed = next(c for c in report.checks if c.status == "fail")
+        assert failed.payload == {"check": "zero-action", "inputs": inputs}

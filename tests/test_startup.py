@@ -1,5 +1,6 @@
 """What start-up loads: each verb, run in a fresh interpreter, loads only
-the modules it runs, never ``dataclasses`` or ``inspect``; and the package
+the modules it runs, never ``dataclasses`` or ``inspect``, nor ``argparse``
+or ``gettext``, which only help and usage errors need; and the package
 namespace loads its public names on first use."""
 
 import json
@@ -42,10 +43,17 @@ def test_a_verb_loads_only_the_modules_it_runs(verb):
     loaded = _loaded("import contextlib, io\nfrom dualcircle import cli\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    assert cli.main({verb.split()!r}) == 0")
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert not {"dataclasses", "inspect", "argparse", "gettext"} & set(loaded)
     package = {m.removeprefix("dualcircle.") for m in loaded if m.startswith("dualcircle.")}
     assert not package & VERBS[verb]
     assert "checks" in package
+
+
+def test_help_loads_argparse():
+    loaded = _loaded("import contextlib, io\nfrom dualcircle import cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    assert cli.main(['tc', 'table1', '--help']) == 0")
+    assert "argparse" in loaded
 
 
 def test_a_bare_import_loads_no_submodule():
