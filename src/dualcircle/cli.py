@@ -85,7 +85,8 @@ def build_parser():
 def _read_argv(argv) -> dict | None:
     """The options of ``argv`` by name, read from its verb's ``COMMANDS``
     entry and ``_COMMON``; None for help, any error, ``--``, and a value
-    that starts with "-" but is no negative integer."""
+    that starts with "-" but is no negative integer.  A value "--" after
+    "=" raises ``UsageError``: argparse would read it as an empty list."""
     group, verb = (list(argv) + [None, None])[:2]
     options = COMMANDS.get(group, ("", {}))[1].get(verb, ("", None))[1]
     if options is None:
@@ -119,8 +120,8 @@ def _read_argv(argv) -> dict | None:
                 # to argparse, a "-" token is an option unless a negative integer
                 if value is None or value.startswith("-") and not value[1:].isdecimal():
                     return None
-            elif value == "--":  # argparse drops this value even after "="
-                return None
+            elif value == "--":
+                raise UsageError(f"argument {flag}: expected one argument")
             if "type" in keywords:
                 try:
                     value = keywords["type"](value)
@@ -141,8 +142,9 @@ def parse_args(argv):
     its options are read straight from ``COMMANDS``: exact flags,
     ``--flag=value``, unique prefixes, ``int`` values (negative ones too),
     choices, switches, required options, and the last of repeated flags.
-    Anything else, such as help, a usage error or ``--``, goes to the whole
-    tree, which prints the help or the error and exits; only then is
+    A value "--" given as ``--flag=--`` raises ``UsageError``.  Anything
+    else, such as help, a usage error or ``--``, goes to the whole tree,
+    which prints the help or the error and exits; only then is
     ``argparse`` loaded."""
     values = _read_argv(argv)
     if values is None:
@@ -203,11 +205,9 @@ def main(argv=None) -> int:
               f"'dualcircle tc table1 --p 5 {misplaced[0]} ...'", file=sys.stderr)
         return 2
     try:
-        args = parse_args(argv)
-    except SystemExit as exc:
+        report = _dispatch(parse_args(argv))
+    except SystemExit as exc:  # argparse printed help or a usage error
         return 2 if exc.code not in (0, None) else 0
-    try:
-        report = _dispatch(args)
     except (UsageError, OSError, ValueError) as exc:  # tc.HurewiczRangeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,16 +12,19 @@ factors and carries the sign
     (simplicial cyclic sign (-1)^(n-1)) * (Koszul sign of the rotation).
 
 Since tau_n permutes the tensor basis up to sign, the complex splits into
-one block per rotation orbit, of length L dividing n.  Three routes compute
-its homology, each from its own source:
+one block per rotation orbit, of length L dividing n.  ``rotation_orbits``
+lists the orbits in one pass, reading each basis element's degree, order
+and Koszul sign off degrees and orders built factor by factor.  Three
+routes compute its homology, each from its own source:
 
 * the weight route reads each orbit's groups off a closed form in the
   orbit's total sign tau_n^L = +-1 and its order (``weight_homology_fg``);
 * the cell route takes an equivariant cell model of the weight-n attaching
   space (a simplex cross a circle, boundary collapsed) tensored over the
-  cyclic group, whose sign comes from the cell orientations, builds each
-  orbit's sparse L x L block and reads both its kernel and its cokernel
-  off one generic elimination of that block (``cell_weight_homology_fg``);
+  cyclic group, whose sign comes from the cell orientations, builds the
+  sparse L x L block of each distinct orbit sign sequence, eliminates it
+  once per call, and reads each orbit's kernel and cokernel off that
+  elimination with the orbit's own order (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
   from the simplicial face maps of the ring; it builds each weight's chains
   and each (total degree, weight) block of its face-sum differential once,
@@ -104,45 +107,37 @@ class GradedModule(Frozen):
 # tensor powers and the cyclic rotation
 
 
-def _tensor_basis(m: GradedModule, n: int) -> list[tuple[int, ...]]:
-    """Basis tuples of generator indices for M^(x)n, in lexicographic order."""
-    g = len(m.generators)
-    basis: list[tuple[int, ...]] = [()]
+def _tensor_grading(m: GradedModule, n: int) -> tuple[list[int], list[int]]:
+    """The internal degree and the order of each basis element of M^(x)n,
+    in lexicographic order, built one tensor factor at a time."""
+    degrees, orders = [0], [0]
     for _ in range(n):
-        basis = [t + (i,) for t in basis for i in range(g)]
-    return basis
+        degrees = [d + e for d in degrees for e, _ in m.generators]
+        orders = [gcd(o, order) for o in orders for _, order in m.generators]
+    return degrees, orders
 
 
-def _tensor_order(m: GradedModule, t: tuple[int, ...]) -> int:
-    o = 0
-    for i in t:
-        o = gcd(o, m.generators[i][1])
-    return o
-
-
-def _tensor_degree(m: GradedModule, t: tuple[int, ...]) -> int:
-    return sum(m.generators[i][0] for i in t)
-
-
-def signed_rotation(n: int, m: GradedModule) -> tuple[list[int], list[int]]:
+def signed_rotation(n: int, m: GradedModule, degrees: list[int] | None = None,
+                    ) -> tuple[list[int], list[int]]:
     """The Koszul-signed cyclic rotation of M^(x)n as a signed permutation
     of the lexicographic basis: basis element j goes to ``sign[j]`` times
     basis element ``target[j]``.  The last tensor factor moves to the front
     and passes the others, so the sign is -1 exactly when the moved factor
-    and the rest both have odd degree.
+    and the rest both have odd degree.  ``degrees`` are the basis degrees
+    of ``_tensor_grading`` when the caller has them.
 
     >>> signed_rotation(2, GradedModule(((0, 0), (1, 0))))
     ([0, 2, 1, 3], [1, 1, 1, -1])
     """
+    if degrees is None:
+        degrees = _tensor_grading(m, n)[0]
     g = len(m.generators)
     front = g ** (n - 1)
-    target, sign = [], []
-    for j, t in enumerate(_tensor_basis(m, n)):
-        last = j % g
-        target.append(last * front + j // g)
-        deg_last = m.generators[last][0]
-        deg_rest = _tensor_degree(m, t) - deg_last
-        sign.append(-1 if (deg_last % 2) and (deg_rest % 2) else 1)
+    target = [last * front + rest for rest in range(front) for last in range(g)]
+    # the moved factor and the rest are both odd when the factor is odd
+    # and the whole tensor even
+    odd_last = [d % 2 for d, _ in m.generators] * front
+    sign = [-1 if odd and not deg % 2 else 1 for deg, odd in zip(degrees, odd_last)]
     return target, sign
 
 
@@ -152,19 +147,19 @@ def rotation_orbits(n: int, m: GradedModule,
     (basis indices from the least, in the order the rotation visits them;
     their Koszul signs; internal degree; order).  The elements of an orbit
     share degree and order, since they permute the same factors."""
-    target, sign = signed_rotation(n, m)
+    degrees, orders = _tensor_grading(m, n)
+    target, sign = signed_rotation(n, m, degrees)
     seen = [False] * len(target)
     orbits = []
-    for start, t in enumerate(_tensor_basis(m, n)):
+    for start in range(len(target)):
         if seen[start]:
             continue
-        orbit, j = [], start
-        while not seen[j]:
+        orbit, j = [start], target[start]
+        while j != start:
             seen[j] = True
             orbit.append(j)
             j = target[j]
-        orbits.append((orbit, [sign[j] for j in orbit],
-                       _tensor_degree(m, t), _tensor_order(m, t)))
+        orbits.append((orbit, [sign[j] for j in orbit], degrees[start], orders[start]))
     return orbits
 
 
@@ -386,24 +381,6 @@ class EquivariantCellComplex(Frozen):
                  orbit_reps: dict[int, tuple[int, ...]]):
         super().__init__(group_order, cells, boundaries, actions, orbit_reps)
 
-    def validate(self) -> None:
-        for d, bnd in self.boundaries.items():
-            if bnd.cols != self.cells.get(d, 0) or bnd.rows != self.cells.get(d - 1, 0):
-                raise StructuralError(f"boundary at dimension {d} has wrong shape")
-            upper = self.boundaries.get(d + 1)
-            if upper is not None and not bnd.mul(upper).is_zero():
-                raise StructuralError("boundaries do not square to zero")
-            act_here = self.actions[d]
-            act_below = self.actions[d - 1]
-            if act_below.mul(bnd) != bnd.mul(act_here):
-                raise StructuralError(f"action does not commute with the boundary at {d}")
-        for d, act in self.actions.items():
-            power = IntMatrix.identity(self.cells[d])
-            for _ in range(self.group_order):
-                power = act.mul(power)
-            if power != IntMatrix.identity(self.cells[d]):
-                raise StructuralError(f"action power at dimension {d} is not the identity")
-
 
 def lambda_cell_model(n: int) -> EquivariantCellComplex:
     """Cell model of the weight-n attaching space: the quotient of a
@@ -452,6 +429,23 @@ def _decompose_in_orbit(column: tuple[int, ...], action: IntMatrix,
     return coeffs
 
 
+def _orbit_block(coeffs: list[int], signs: list[int]) -> IntMatrix:
+    """The L x L block of sum_a coeffs[a] rot^-a on an orbit of length L
+    with Koszul signs ``signs``: rot e_orbit[k] = signs[k] e_orbit[k+1],
+    so rot^-1 steps back."""
+    size = len(signs)
+    columns = []
+    for col in range(size):
+        entries: dict[int, int] = {}
+        pos, sign = col, 1
+        for c in coeffs:
+            entries[pos] = entries.get(pos, 0) + c * sign
+            pos = (pos - 1) % size
+            sign *= signs[pos]
+        columns.append({i: x for i, x in entries.items() if x})
+    return IntMatrix(size, tuple(columns))
+
+
 def cell_weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
     """Homology of the cell model tensored over the cyclic group with
     M^(x)n, keyed by total degree.
@@ -461,9 +455,12 @@ def cell_weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
     computation derives the weight-complex sign table from the cell data
     rather than postulating it.  The attaching boundary, written as
     sum_a c_a g^a over the free orbit, acts on M^(x)n as sum_a c_a rot^-a.
-    That operator keeps each rotation orbit, so each orbit's L x L block B,
-    acting on (Z/o)^L, is eliminated on its own, once, over Z.  If B has
-    invariant factors d_i and cokernel rank f over Z, then
+    That operator keeps each rotation orbit, so each orbit's L x L block B
+    acts on (Z/o)^L on its own.  The coefficients are fixed for n, so B
+    depends only on the orbit's sign sequence: each distinct B is
+    eliminated once per call, over Z, and each orbit applies its own order
+    o to the result.  If B has invariant factors d_i and cokernel rank f
+    over Z, then
 
         coker = (+)_i Z/gcd(d_i, o) (+) (Z/o)^f,
 
@@ -473,20 +470,13 @@ def cell_weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
     cx = lambda_cell_model(n)
     coeffs = _decompose_in_orbit(cx.boundaries[n].column(cx.orbit_reps[n][0]),
                                  cx.actions[n - 1], cx.orbit_reps[n - 1][0], n)
+    blocks: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     parts = []
-    for orbit, signs, d, o in rotation_orbits(n, m):
-        size = len(orbit)
-        columns = []
-        for col in range(size):
-            # rot e_orbit[k] = signs[k] e_orbit[k+1], so rot^-1 steps back
-            entries: dict[int, int] = {}
-            pos, sign = col, 1
-            for c in coeffs:
-                entries[pos] = entries.get(pos, 0) + c * sign
-                pos = (pos - 1) % size
-                sign *= signs[pos]
-            columns.append({i: x for i, x in entries.items() if x})
-        free, torsion = cokernel_invariants(IntMatrix(size, tuple(columns)))
+    for _, signs, d, o in rotation_orbits(n, m):
+        key = tuple(signs)
+        if key not in blocks:
+            blocks[key] = cokernel_invariants(_orbit_block(coeffs, signs))
+        free, torsion = blocks[key]
         coker = [gcd(t, o) for t in torsion] + [o] * free
         parts.append((d, coker if o else [0] * free, coker))
     return _collect(n, parts)

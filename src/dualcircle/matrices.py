@@ -164,18 +164,20 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
     has the least Markowitz cost (r - 1)(c - 1) in its row.  Rows wait in
     a heap keyed by (least absolute entry, length), and a column -> rows
     index follows every fill-in and cancellation, so no step rescans the
-    matrix.  A pivot that does not divide its column is replaced by the
-    least remainder, as in Euclid's algorithm, until the column is clear.
+    matrix.  A unit pivot clears its column in one pass, with quotients
+    x * a for a = +-1; a pivot that does not divide its column is replaced
+    by the least remainder, as in Euclid's algorithm, until the column is
+    clear.
 
     Without ``split`` the result is an echelon form: a pivot's column is
     empty in every row fixed after it, so the pivot rows are independent.
     With ``split`` each pivot row is also cleared by column operations,
     repeated on the rows of ``right`` (the transpose of the right
     transform).  Those touch the pivot row alone, because its column has
-    just been cleared; a remainder that the pivot does not divide becomes
-    the next pivot of the same row.  Every pivot row then ends holding its
-    pivot alone, so the matrix is diagonal up to the order of rows and
-    columns.
+    just been cleared; a unit pivot clears the row at once, and a
+    remainder that a larger pivot does not divide becomes the next pivot
+    of the same row.  Every pivot row then ends holding its pivot alone,
+    so the matrix is diagonal up to the order of rows and columns.
     """
     where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -224,27 +226,25 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
                 j, fewest = c, len(where[c])
         while True:
             # clear column j with pivot (i, j), Euclid-style
-            while True:
+            column = where[j]
+            while len(column) > 1:
                 a = row[j]
-                others = [k for k in where[j] if k != i]
-                if not others:
-                    break
                 unit = a == 1 or a == -1
-                for k in others:
+                for k in [k for k in column if k != i]:
                     x = rows[k][j]
                     q = x * a if unit else _nearest_quotient(x, a)
                     if q:
                         reduce_row(k, i, q)
-                others = [k for k in where[j] if k != i]
-                if not others:
-                    break
-                i = min(others, key=lambda k: (abs(rows[k][j]), len(rows[k])))
-                row = rows[i]
+                if len(column) > 1:  # never after a unit pivot
+                    i = min((k for k in column if k != i),
+                            key=lambda k: (abs(rows[k][j]), len(rows[k])))
+                    row = rows[i]
             if not split or len(row) == 1:
                 break
             a = row[j]
+            unit = a == 1 or a == -1
             for c in [c for c in row if c != j]:
-                q = _nearest_quotient(row[c], a)
+                q = row[c] * a if unit else _nearest_quotient(row[c], a)
                 if q:
                     x = row[c] - q * a
                     if x:

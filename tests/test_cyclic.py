@@ -209,23 +209,43 @@ class TestOracleWork:
             assert oracle.homology(t, weight=w) == fresh, (t, w)
 
 
+def validate(c: EquivariantCellComplex) -> None:
+    """The axioms of a cell complex with a cyclic action: boundaries of the
+    right shape that square to zero and commute with the action, whose
+    group-order-th power is the identity in every dimension."""
+    for d, bnd in c.boundaries.items():
+        assert bnd.cols == c.cells.get(d, 0) and bnd.rows == c.cells.get(d - 1, 0), \
+            f"boundary at dimension {d} has wrong shape"
+        upper = c.boundaries.get(d + 1)
+        assert upper is None or bnd.mul(upper).is_zero(), \
+            "boundaries do not square to zero"
+        assert c.actions[d - 1].mul(bnd) == bnd.mul(c.actions[d]), \
+            f"action does not commute with the boundary at {d}"
+    for d, act in c.actions.items():
+        power = IntMatrix.identity(c.cells[d])
+        for _ in range(c.group_order):
+            power = act.mul(power)
+        assert power == IntMatrix.identity(c.cells[d]), \
+            f"action power at dimension {d} is not the identity"
+
+
 class TestCellModel:
     def test_smallest_model(self):
         c = lambda_cell_model(1)
-        c.validate()
+        validate(c)
         assert c.cells == {0: 1, 1: 1}
         assert c.actions[0].entries == ((1,),)
         assert c.boundaries[1].is_zero()
 
     def test_binary_model_swaps_with_signs(self):
         c = lambda_cell_model(2)
-        c.validate()
+        validate(c)
         assert c.cells == {1: 2, 2: 2}
         assert c.actions[1].entries == ((0, -1), (-1, 0))
 
     def test_action_axioms_hold_up_to_weight_six(self):
         for n in range(1, 7):
-            lambda_cell_model(n).validate()
+            validate(lambda_cell_model(n))
 
     def test_cell_homology_matches_weight_homology(self):
         for name, m in FIXTURES.items():
@@ -242,8 +262,52 @@ class TestCellModel:
             actions={2: IntMatrix.identity(3), 3: c.actions[3]},
             orbit_reps=c.orbit_reps,
         )
-        with pytest.raises(Exception):
-            broken.validate()
+        with pytest.raises(AssertionError, match="does not commute"):
+            validate(broken)
+
+
+# The orbit listing as first written: basis tuples, with each tensor's
+# degree and order summed from its factors.  The one-pass listing must
+# reproduce it exactly.
+def tuple_basis(m, n):
+    g = len(m.generators)
+    basis = [()]
+    for _ in range(n):
+        basis = [t + (i,) for t in basis for i in range(g)]
+    return basis
+
+
+def tuple_signed_rotation(n, m):
+    g = len(m.generators)
+    front = g ** (n - 1)
+    target, sign = [], []
+    for j, t in enumerate(tuple_basis(m, n)):
+        last = j % g
+        target.append(last * front + j // g)
+        deg_last = m.generators[last][0]
+        deg_rest = sum(m.generators[i][0] for i in t) - deg_last
+        sign.append(-1 if (deg_last % 2) and (deg_rest % 2) else 1)
+    return target, sign
+
+
+def tuple_rotation_orbits(n, m):
+    target, sign = tuple_signed_rotation(n, m)
+    seen = [False] * len(target)
+    orbits = []
+    for start, t in enumerate(tuple_basis(m, n)):
+        if seen[start]:
+            continue
+        orbit, j = [], start
+        while not seen[j]:
+            seen[j] = True
+            orbit.append(j)
+            j = target[j]
+        order = 0
+        for i in t:
+            order = gcd(order, m.generators[i][1])
+        orbits.append((orbit, [sign[j] for j in orbit],
+                       sum(m.generators[i][0] for i in t), order))
+    return orbits
 
 
 generated_modules = st.lists(
@@ -294,6 +358,19 @@ class TestOrbitKernel:
                                 for d in range(1, n + 1) if n % d == 0) // n
                 assert len(rotation_orbits(n, m)) == necklaces, (g, n)
 
+    def test_orbits_match_the_tuple_listing(self):
+        rng = random.Random(19)
+        modules = [GradedModule(tuple((rng.randint(-3, 3), rng.choice((0, 2, 3, 4, 6)))
+                                      for _ in range(1 + k % 3))) for k in range(30)]
+        # every generator count, both parities and free and torsion orders
+        assert {len(m.generators) for m in modules} == {1, 2, 3}
+        gens = {g for m in modules for g in m.generators}
+        assert {d % 2 for d, _ in gens} == {0, 1} and {o for _, o in gens} >= {0, 2, 3}
+        for m in modules:
+            for n in range(1, 7):
+                assert cyclic.signed_rotation(n, m) == tuple_signed_rotation(n, m), (m, n)
+                assert rotation_orbits(n, m) == tuple_rotation_orbits(n, m), (m, n)
+
     def test_rotation_has_full_order(self):
         for m in (Z0, Zm1, Z1, FIXTURES["Z^2"]):
             for n in (1, 2, 3, 4):
@@ -315,20 +392,30 @@ class TestOrbitKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("homology_with_orders called")
 
-        calls = []
+        blocks = []
 
         def counted(m):
-            calls.append((m.rows, m.cols))
+            blocks.append(m)
             return cokernel_invariants(m)
 
         monkeypatch.setattr(cyclic, "homology_with_orders", refuse)
         monkeypatch.setattr(cyclic, "cokernel_invariants", counted)
-        m = GradedModule(((0, 0), (1, 2), (2, 0)))
-        for n in (1, 4, 6):
-            calls.clear()
-            assert cell_weight_homology_fg(n, m) == weight_homology_fg(n, m)
-            sizes = [(len(orbit), len(orbit)) for orbit, *_ in rotation_orbits(n, m)]
-            assert calls == sizes, n
+        # Z/2 and Z/3 in one degree give orbits with one sign sequence and
+        # different orders, which share a block but not its groups
+        for gens in [((0, 0), (1, 2), (2, 0)), ((0, 2), (0, 3)),
+                     ((0, 2), (0, 3), (1, 0))]:
+            m = GradedModule(gens)
+            for n in (1, 4, 6):
+                blocks.clear()
+                assert cell_weight_homology_fg(n, m) == weight_homology_fg(n, m)
+                orbits = rotation_orbits(n, m)
+                orders: dict[tuple[int, ...], set[int]] = {}
+                for _, signs, _, o in orbits:
+                    orders.setdefault(tuple(signs), set()).add(o)
+                assert sorted((b.rows, b.cols) for b in blocks) == \
+                    sorted((len(k), len(k)) for k in orders), (gens, n)
+                assert len(set(blocks)) == len(blocks), (gens, n)
+                assert max(len(os) for os in orders.values()) > 1, (gens, n)
 
     def test_cell_route_does_not_use_the_weight_route(self, monkeypatch):
         def refuse(*args, **kwargs):
