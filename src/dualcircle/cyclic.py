@@ -232,31 +232,30 @@ class NormalizedHochschild:
         self.module = m
         self.max_level = max_level
         self._weights: dict[int, dict[int, list[tuple]]] = {}
+        self._orders: dict[int, dict[int, list[int]]] = {}  # beside _weights
         self._faces: dict[tuple[int, int | None], tuple[IntMatrix, list[int]]] = {}
 
     def _weight_chains(self, w: int) -> dict[int, list[tuple]]:
         """The chains of weight w by total degree, built once: one per word
         r0 m_1 ... m_(w-1) of generators at level w - 1, and one unit-led
-        per word at level w unless max_level truncates it."""
+        per word at level w unless max_level truncates it.  Both chains of
+        a word have its order, the gcd of its letters' orders, kept in
+        ``_orders`` at the chain's place."""
         if w not in self._weights:
-            degrees = [d for d, _ in self.module.generators]
-            words = [((), 0)]  # (word, its internal degree), lexicographic
+            gens = self.module.generators
+            words = [((), 0, 0)]  # (word, its internal degree, its order), lexicographic
             for _ in range(w):
-                words = [(u + (i,), d + e) for u, d in words for i, e in enumerate(degrees)]
+                words = [(u + (i,), d + e, gcd(o, q))
+                         for u, d, o in words for i, (e, q) in enumerate(gens)]
             blocks = self._weights[w] = {}
-            for u, d in words if w else ():
+            orders = self._orders[w] = {}
+            for u, d, o in words if w else ():
                 blocks.setdefault(w - 1 + d, []).append((u[0], u[1:]))
-            for u, d in words if w <= self.max_level else ():
+                orders.setdefault(w - 1 + d, []).append(o)
+            for u, d, o in words if w <= self.max_level else ():
                 blocks.setdefault(w + d, []).append((None, u))
+                orders.setdefault(w + d, []).append(o)
         return self._weights[w]
-
-    def chain_order(self, c: tuple) -> int:
-        gens = self.module.generators
-        r0, tail = c
-        o = 0 if r0 is None else gens[r0][1]
-        for i in tail:
-            o = gcd(o, gens[i][1])
-        return o
 
     def _boundary(self, k: int, c: tuple) -> list[tuple[tuple, int]]:
         """The nonzero faces of a level-k chain, with their signs.  Faces
@@ -326,13 +325,18 @@ class NormalizedHochschild:
             matrix = IntMatrix(len(below), tuple([
                 {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
                 for c in here]))
-            self._faces[key] = matrix, [self.chain_order(c) for c in here]
+            self._faces[key] = matrix, self._chain_orders(t, weight)
         return self._faces[key]
 
     def _chains(self, t: int, weight: int | None) -> list[tuple]:
         if weight is not None:
             return self._weight_chains(weight).get(t, [])
         return [c for w in range(self.max_level + 2) for c in self._weight_chains(w).get(t, [])]
+
+    def _chain_orders(self, t: int, weight: int | None) -> list[int]:
+        """The orders of ``_chains(t, weight)``, in its order, once it is built."""
+        weights = range(self.max_level + 2) if weight is None else (weight,)
+        return [o for w in weights for o in self._orders[w].get(t, [])]
 
 
 def brute_hochschild_weights(m: GradedModule, max_weight: int,

@@ -6,13 +6,18 @@ all of B_2, ..., B_{p-3} mod p off one power-series quotient and
 certifies the quotient with one more product, so it stays fast for primes
 below 10^5.  Series are multiplied by Kronecker substitution on Python
 ints, with little-endian slots only as wide as the coefficient bound
-needs (at most 7 bytes below 10^5).  The quotient comes from a Newton
-inverse of half the length and one correction step (Karp and Markstein's
-division), after Buhler, Crandall, Ernvall, Metsankyla and Shokrollahi,
-"Irregular primes and cyclotomic invariants to 12 million" (2001).  The
-package holds no second route to Bernoulli numbers: the exact recurrence
-and the power-sum congruence that cross-check the modular method live in
-the test suite.
+needs (at most 7 bytes below 10^5), evaluated at the two points +-2^(4w)
+for w-byte slots: the even- and odd-index halves of a series are packed
+apart, so each of the two int products has operands of half the length
+(Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comput. 44 (2009)).  The quotient comes from a
+Newton inverse of half the length, whose precisions are halved down from
+the top so that no step overshoots, and one correction step (Karp and
+Markstein's division), after Buhler, Crandall, Ernvall, Metsankyla and
+Shokrollahi, "Irregular primes and cyclotomic invariants to 12 million"
+(2001).  The package holds no second route to Bernoulli numbers: the
+exact recurrence and the power-sum congruence that cross-check the
+modular method live in the test suite.
 """
 
 from __future__ import annotations
@@ -95,23 +100,36 @@ def _mul(a: array, b: array, p: int, m: int) -> array:
     """The first m coefficients of a * b, reduced mod p, for entries of a
     and b in [0, p) and m <= len(a) + len(b) - 1.
 
-    Kronecker substitution: each series is packed into one int with a
-    w-byte little-endian slot per coefficient, so one int product gives
-    every coefficient at once.  No slot carries into the next: product
-    coefficient k is a sum of at most min(len a, len b) terms, each at
-    most (p-1)^2, and w is the least byte count with
+    Kronecker substitution at two points (Harvey's KS2): each series is
+    split into its even-index and odd-index halves E and O, each half is
+    packed into one int with a w-byte little-endian slot per coefficient,
+    and a(+-x) = E +- (O << 4w) for x = 2^(4w).  The two int products
+    H+- = a(+-x) b(+-x) give (H+ + H-)/2, the even product coefficients in
+    w-byte slots, and (H+ - H-)/(2x), the odd ones.  Each product has
+    operands of half the length, so the two cost about 2 (1/2)^1.58 of
+    one full-length Karatsuba product.  No slot carries into the next:
+    product coefficient k is a sum of at most min(len a, len b) terms,
+    each at most (p-1)^2, and w is the least byte count with
     min(len a, len b) * (p-1)^2 < 2^(8w).  That bound is at least p - 1,
-    so every entry of a and b fits its slot too.  At the regularity
-    test's full length (p-1)/2, w is at most 5 for p < 10^4 and at most 7
-    below 10^5, against the 8 bytes of an array word; fewer bytes make the
-    int product shorter.  Unpacking copies byte lanes back into 8-byte
-    words, whose high 8 - w bytes stay zero.
+    so every entry of a and b fits its slot too; the entries need not fit
+    in 4w bits.  At the regularity test's full length (p-1)/2, w is at
+    most 5 for p < 10^4 and at most 7 below 10^5, against the 8 bytes of
+    an array word; fewer bytes make the int products shorter.  Unpacking
+    copies byte lanes back into 8-byte words, even and odd coefficients
+    alternately, whose high 8 - w bytes stay zero.
     """
     w = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7 >> 3
-    data = (_pack(a, w) * _pack(b, w)).to_bytes(w * (len(a) + len(b) - 1), "little")
+    x = 4 * w
+    ea, oa = _pack(a[0::2], w), _pack(a[1::2], w) << x
+    eb, ob = _pack(b[0::2], w), _pack(b[1::2], w) << x
+    plus, minus = (ea + oa) * (eb + ob), (ea - oa) * (eb - ob)
+    n = len(a) + len(b) - 1  # coefficients of a * b: n - n // 2 even, n // 2 odd
+    even = ((plus + minus) >> 1).to_bytes(w * (n - n // 2), "little")
+    odd = ((plus - minus) >> (x + 1)).to_bytes(w * (n // 2), "little")
     raw = bytearray(8 * m)
     for k in range(w):
-        raw[k::8] = data[k:w * m:w]
+        raw[k::16] = even[k:w * (m - m // 2):w]
+        raw[8 + k::16] = odd[k:w * (m // 2):w]
     slots = array("Q", raw)
     if sys.byteorder == "big":
         slots.byteswap()
@@ -119,14 +137,25 @@ def _mul(a: array, b: array, p: int, m: int) -> array:
 
 
 def _series_inverse(s: array, p: int) -> array:
-    """1/s mod (p, y^len(s)) by Newton iteration b <- b (2 - s b); s[0] = 1."""
+    """1/s mod (p, y^len(s)) for s[0] = 1, by Newton iteration.
+
+    The precisions n, ceil(n/2), ..., 1 are fixed from the top, so no step
+    computes coefficients past n.  A step from b = 1/s mod y^k to
+    precision m, k = ceil(m/2), reads the high half of s b:
+    s b = 1 + y^k e mod y^m, and b (1 - y^k e) = 1/s mod y^m as 2k >= m,
+    so the new coefficients k..m-1 are -(b e mod y^(m-k)), an (m-k) by
+    (m-k) product.
+    """
+    steps = []
+    m = len(s)
+    while m > 1:
+        steps.append(m)
+        m -= m // 2
     b = array("Q", [1])
-    m = 1
-    while m < len(s):
-        m = min(2 * m, len(s))
-        e = array("Q", [-c % p for c in _mul(s[:m], b, p, m)])
-        e[0] = (e[0] + 2) % p
-        b = _mul(b, e, p, m)
+    for m in reversed(steps):
+        k = len(b)
+        e = _mul(s[:m], b, p, m)[k:]
+        b += array("Q", [-c % p for c in _mul(b[:m - k], e, p, m - k)])
     return b
 
 
@@ -160,16 +189,19 @@ def irregular_indices(p: int) -> list[int]:
     x coth x = cosh x / (sinh x / x) = sum_j 4^j B_{2j} y^j / (2j)!, where
     the numerator has coefficients 1/(2j)! and the denominator 1/(2j+1)!.
     Both are taken mod p to n = (p-1)/2 terms and divided with
-    ``_series_quotient`` (Newton inversion to half length, one correction
-    step, Kronecker products).  For 2j <= p-3, p divides neither
-    4^j nor (2j)! nor the denominator of B_{2j} (whose prime factors q
-    satisfy (q-1) | 2j), so p divides the numerator of B_{2j} exactly when
-    coefficient j of the quotient vanishes mod p.
+    ``_series_quotient``: a Newton inverse to half length on precisions
+    halved down from n/2, one correction step, and Kronecker products
+    evaluated at two points, each an int product of half-length operands.
+    For 2j <= p-3, p divides neither 4^j nor (2j)! nor the denominator of
+    B_{2j} (whose prime factors q satisfy (q-1) | 2j), so p divides the
+    numerator of B_{2j} exactly when coefficient j of the quotient
+    vanishes mod p.
 
     The inverse factorials need no modular inversion: Wilson's theorem
     gives (p-2)! = 1 mod p, and 1/(k-1)! = k/k! sweeps down from there.
-    The quotient q is certified by checking s q = c mod (p, y^n); a
-    failure raises ``ArithmeticError``.
+    The quotient q is certified by checking s q = c mod (p, y^n), a
+    product of its own that reuses none of the quotient's; a failure
+    raises ``ArithmeticError``.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

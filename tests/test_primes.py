@@ -141,26 +141,76 @@ def test_perturbed_series_inverse_fails_the_certificate(monkeypatch):
         irregular_indices(691)
 
 
+def test_a_wrong_correction_product_fails_the_certificate(monkeypatch):
+    # corrupt only _series_quotient's third product, the correction b r
+    # that gives the quotient's high half; the certificate s q = c is a
+    # product of its own and must catch it
+    exact_mul, exact_inverse = primes._mul, primes._series_inverse
+    products = None  # _mul calls since the half-length inverse returned
+
+    def inverse(s, p):
+        nonlocal products
+        b = exact_inverse(s, p)
+        products = 0
+        return b
+
+    def mul(a, b, p, m):
+        nonlocal products
+        out = exact_mul(a, b, p, m)
+        if products is not None:
+            products += 1
+            if products == 3:  # after q0 = c b and s q0
+                out[len(out) // 2] = (out[len(out) // 2] + 1) % p
+        return out
+
+    monkeypatch.setattr(primes, "_series_inverse", inverse)
+    monkeypatch.setattr(primes, "_mul", mul)
+    with pytest.raises(ArithmeticError):
+        irregular_indices(691)
+    assert products == 4  # the certificate ran on the uncorrupted _mul
+
+
 @pytest.mark.parametrize("p", [5, 691, 9973, 99991])
 def test_mul_matches_the_schoolbook_product(p):
     rng = random.Random(p)
+    cases = []
     for la in range(1, 65):
         lb = rng.randint(1, 64)
         a = array("Q", [rng.randrange(p) for _ in range(la)])
         b = array("Q", [rng.randrange(p) for _ in range(lb)])
         full = la + lb - 1
-        for m in {rng.randint(1, full), full}:
-            assert list(primes._mul(a, b, p, m)) == schoolbook_mul(a, b, p, m), (la, lb, m)
+        cases.append((a, b, {rng.randint(1, full), full}))
+    # lengths 1..3 at every m: empty odd halves, and odd and even m
+    for la in (1, 2, 3):
+        for lb in (1, 2, 3):
+            a = array("Q", [rng.randrange(p) for _ in range(la)])
+            b = array("Q", [rng.randrange(p) for _ in range(lb)])
+            cases.append((a, b, range(1, la + lb)))
+    for a, b, ms in cases:
+        for m in ms:
+            assert list(primes._mul(a, b, p, m)) == schoolbook_mul(a, b, p, m), \
+                (len(a), len(b), m)
 
 
-def test_mul_at_the_slot_bound():
-    # every coefficient below m sits at its largest value, (k+1) (p-1)^2,
-    # which fills 49 of the 56 bits of a 7-byte slot
-    p = 99991
+@pytest.mark.parametrize("p, slot_bytes", [(7, 1), (9973, 5), (99991, 7)])
+def test_mul_at_the_slot_bound(p, slot_bytes):
+    # every coefficient below m sits at its largest value, (k+1) (p-1)^2;
+    # at p = 99991 the top one fills 49 of the 56 bits of a 7-byte slot
     m = (p - 1) // 2
+    assert (m * (p - 1) ** 2).bit_length() + 7 >> 3 == slot_bytes
     top = array("Q", [p - 1]) * m
     assert list(primes._mul(top, top, p, m)) == [(k + 1) * (p - 1) ** 2 % p
                                                  for k in range(m)]
+
+
+def test_series_inverse_at_every_length_up_to_70():
+    # odd lengths take the ceil(m/2) Newton steps
+    p = 691
+    rng = random.Random(p)
+    for n in range(1, 71):
+        s = array("Q", [1] + [rng.randrange(p) for _ in range(n - 1)])
+        assert schoolbook_mul(s, primes._series_inverse(s, p), p, n) == \
+            [1] + [0] * (n - 1), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 63, 64])
