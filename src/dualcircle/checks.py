@@ -20,7 +20,11 @@ import re
 from importlib import import_module
 
 from .primes import is_prime
-from .report import CheckResult, Report, RunConfig, UsageError
+from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
+
+# the degrees of a table1 or replayed hh-weight window at most; each takes
+# time linear in them
+MAX_DEGREES = 1024
 
 
 def _verdict(name: str, holds: bool, failure, passed: dict | None = None) -> CheckResult:
@@ -71,7 +75,8 @@ def _prime(inputs: dict) -> int:
 
 
 def _window(inputs: dict, default: tuple[int, int]) -> tuple[int, int]:
-    """The degree window [inputs.lo, inputs.hi], or ``default`` if it names none."""
+    """The degree window [inputs.lo, inputs.hi], or ``default`` if it names
+    none; its width is the caller's to cap with ``MAX_DEGREES``."""
     if "lo" not in inputs and "hi" not in inputs:
         return default
     lo, hi = _int_input(inputs, "lo"), _int_input(inputs, "hi")
@@ -136,8 +141,7 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     """Re-run the check of a FAIL payload file on the payload's inputs
     alone: ``config`` sets only the output format, and the report echoes
     the default options apart from that format and the payload's prime."""
-    with open(payload_path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(read_bounded(payload_path, "replay payload"))
     _require(isinstance(payload, dict), "replay payload is not a JSON object")
     kind = payload.get("check")
     _require(isinstance(kind, str) and kind in CHECKS,

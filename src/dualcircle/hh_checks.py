@@ -7,11 +7,11 @@ import json
 from importlib import resources
 
 from .abgroups import FGAbGroup, GroupExpr, UnsupportedAtom
-from .checks import _int_input, _lookup, _need, _require, _verdict, _window
+from .checks import MAX_DEGREES, _int_input, _lookup, _need, _require, _verdict, _window
 from .cyclic import (GradedModule, NormalizedHochschild, brute_hochschild,
                      brute_hochschild_weights, cell_weight_homology_fg,
                      thh_homology_square_zero, weight_homology_fg)
-from .report import CheckResult, Report, RunConfig, UsageError
+from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
 
 
 def _parse_fixtures(inputs: dict) -> dict:
@@ -24,8 +24,7 @@ def _parse_fixtures(inputs: dict) -> dict:
         return {"fixtures": None, "fx": json.loads(resources.files("dualcircle").joinpath(
             "fixtures/hh_fixtures.json").read_text())}
     try:
-        with open(path) as fh:
-            return {"fixtures": path, "fx": json.load(fh)}
+        return {"fixtures": path, "fx": json.loads(read_bounded(path, "fixture file"))}
     except OSError as exc:
         raise UsageError(f"cannot read fixture file: {exc}") from exc
 
@@ -96,6 +95,8 @@ def _parse_hh_weight(inputs: dict) -> dict:
              f"file's max_weight {cap}")
     m = _hh_module(args["fx"], name)
     lo, hi = _window(inputs, _hh_degree_window(args["fx"]))
+    _require(hi - lo < MAX_DEGREES,
+             f"hh-weight takes at most {MAX_DEGREES} degrees, got {lo}..{hi}")
     return {**args, "name": name, "m": m, "w": w, "lo": lo, "hi": hi,
             "oracle": NormalizedHochschild(m, max_level=w).weight_homology(w, lo, hi)}
 

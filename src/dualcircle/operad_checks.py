@@ -94,8 +94,12 @@ def associativity(outer, inners, deepest, comp=None) -> CheckResult:
         "inputs": {**_composite_inputs(outer, inners), "deepest": _coords(*deepest)}})
 
 
+# the arity-1 point, frozen and so shared by every unit check
+_UNIT = OperadPoint(())
+
+
 def unit(point, comp=None) -> CheckResult:
-    comp, e = comp or compose, OperadPoint(())
+    comp, e = comp or compose, _UNIT
     holds = comp(e, [point]) == point and comp(point, [e] * point.arity) == point
     return _verdict("unit replay", holds, lambda: {
         "check": "unit", "inputs": {"point": _coords(point)[0]}})
@@ -153,8 +157,10 @@ def nullhomotopy_endpoints() -> CheckResult:
 
 def _below(bits, n: int) -> int:
     """What ``random.Random.randrange(n)`` returns, drawn from ``bits``, the
-    generator's ``getrandbits``: the same stream, kept fixed for every seed
-    even if a later ``randint`` or ``choice`` draws differently."""
+    generator's ``getrandbits``: k = n.bit_length() bits, redrawn while
+    they read n or more.  It keeps the stream fixed for every seed even if a
+    later ``randint`` or ``choice`` draws differently.  The hot loops,
+    ``_random_point`` and the s-values of ``sound``, run this loop inline."""
     k = n.bit_length()
     r = bits(k)
     while r >= n:
@@ -162,20 +168,39 @@ def _below(bits, n: int) -> int:
     return r
 
 
+# _TWELFTHS[i][n]: the shift n/d as twelfths, for d = (1, 2, 3, 4)[i] and
+# n in 0..12.  Every d divides 12, so a shift n/d is n(12/d) twelfths.
+_TWELFTHS = tuple(tuple(n * (12 // d) for n in range(13)) for d in (1, 2, 3, 4))
+
+# the strict-diagonal point of each arity 1..4, at index arity - 1
+_STRICT = tuple(OperadPoint._trusted((0,) * a, 1) for a in range(4))
+
+
 def _random_point(bits, min_arity=1, suboperad="O") -> OperadPoint:
     """A point of arity min_arity..4 whose shifts are rationals in [0, 3]
     with denominator 1..4: all 0 in A, and 1 more in Oprime.  ``bits`` is
-    the generator's ``getrandbits``."""
-    arity = min_arity + _below(bits, 5 - min_arity)
+    the generator's ``getrandbits``; each draw is ``_below``'s, inline."""
+    span = 5 - min_arity
+    k = span.bit_length()
+    r = bits(k)
+    while r >= span:
+        r = bits(k)
+    arity = min_arity + r
     if suboperad == "A":
-        return OperadPoint._trusted((0,) * (arity - 1), 1)
-    # every denominator d in 1..4 divides 12, so a shift n/d is n(12/d)
-    # twelfths and 1 + n/d twelve more: nonnegative numerators by
-    # construction.  Operands evaluate left to right, so n is drawn before
-    # d, as the generator's randint and choice once drew them.
+        return _STRICT[arity - 1]
+    # 1 + n/d is twelve twelfths more: nonnegative numerators by
+    # construction.  n is drawn before d, as the generator's randint and
+    # choice once drew them.
     one = 12 if suboperad == "Oprime" else 0
-    nums = [one + _below(bits, 13) * (12, 6, 4, 3)[_below(bits, 4)]
-            for _ in range(arity - 1)]
+    nums = []
+    for _ in range(arity - 1):
+        n = bits(4)  # _below(bits, 13)
+        while n >= 13:
+            n = bits(4)
+        d = bits(3)  # _below(bits, 4)
+        while d >= 4:
+            d = bits(3)
+        nums.append(one + _TWELFTHS[d][n])
     g = gcd(12, *nums)
     if g > 1:
         nums = [n // g for n in nums]
@@ -225,7 +250,13 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
     def sound():
         for _ in range(200):
             o = _random_point(bits, min_arity=2, suboperad="Oprime")
-            yield zero_action(o, [_S_VALUES[_below(bits, 99)] for _ in range(100)])
+            s_values = []
+            for _ in range(100):
+                k = bits(7)  # _below(bits, 99)
+                while k >= 99:
+                    k = bits(7)
+                s_values.append(_S_VALUES[k])
+            yield zero_action(o, s_values)
         for _ in range(200):
             arity = 2 + _below(bits, 3)
             yield zero_action_witness(OperadPoint.from_pairs(

@@ -134,16 +134,24 @@ def compose(outer: OperadPoint, inners: list[OperadPoint]) -> OperadPoint:
     """
     if len(inners) != outer.arity:
         raise ArityMismatch(outer.arity, len(inners))
-    den = lcm(outer.den, *[p.den for p in inners])
+    den = outer.den
+    for p in inners:
+        if den % p.den:
+            den = lcm(den, p.den)
     scale = den // outer.den
     nums = []
-    for t, inner in zip(outer.nums + (0,), inners):
+    # slot i < k: t_i + s^i_j for each j, then t_i plus the trailing zero
+    for t, inner in zip(outer.nums, inners):
         t *= scale
         k = den // inner.den
-        nums.extend([t + k * s for s in inner.nums])
+        if k == 1 and not t:
+            nums.extend(inner.nums)
+        else:
+            nums.extend([t + k * s for s in inner.nums])
         nums.append(t)
-    # the last slot is t_k + 0 with t_k = 0, so the convention is preserved
-    nums.pop()
+    # slot k: t_k = 0, and the last inner's trailing zero is the result's
+    k = den // inners[-1].den
+    nums.extend(inners[-1].nums if k == 1 else [k * s for s in inners[-1].nums])
     # No gcd is needed.  Let q^e exactly divide den.  Either some t_i has
     # q-part q^e in its denominator, and t_i is itself a slot (t_i plus the
     # trailing zero of inner i); or some s^i_j has it and t_i a smaller one,
@@ -259,13 +267,19 @@ def compose_action_maps(outer: SuspensionActionMap,
     """
     if len(inners) != outer.arity:
         raise ArityMismatch(outer.arity, len(inners))
-    den = lcm(outer.den, *[m.den for m in inners])
+    den = outer.den
+    for m in inners:
+        if den % m.den:
+            den = lcm(den, m.den)
     scale = den // outer.den
     nums = []
     for t, inner in zip(outer.nums, inners):
         t *= scale
         k = den // inner.den
-        nums.extend([t + k * s for s in inner.nums])
+        if k == 1 and not t:
+            nums.extend(inner.nums)
+        else:
+            nums.extend([t + k * s for s in inner.nums])
     return SuspensionActionMap._trusted(tuple(nums), den)
 
 

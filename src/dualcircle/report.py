@@ -18,6 +18,22 @@ class UsageError(Exception):
     pass
 
 
+# the most bytes a file named by --replay, --config or --fixtures may hold;
+# the largest packaged fixture file holds 3 KB
+MAX_FILE_BYTES = 1 << 20
+
+
+def read_bounded(path: str, what: str) -> str:
+    """The text of the ``what`` file at ``path``, read as UTF-8; a usage
+    error if it holds more than ``MAX_FILE_BYTES`` bytes, so that an endless
+    file such as /dev/zero is refused after reading that many."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise UsageError(f"{what} {path} holds more than {MAX_FILE_BYTES} bytes")
+    return data.decode()
+
+
 class RunConfig:
     """The options of a run, each an attribute."""
 
@@ -63,18 +79,18 @@ class RunConfig:
         1/true/yes/on or 0/false/no/off; 'format' names the fmt field.
         ``defaults`` are field values that the file may override."""
         cfg = cls(**defaults)
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"malformed config line: {raw.rstrip()}")
-                key, value = (s.strip() for s in line.split("=", 1))
-                key = "fmt" if key == "format" else key
-                if key not in cls.FIELDS:
-                    raise UsageError(f"unknown config key {key!r}")
-                setattr(cfg, key, _parse_config_value(key, value, type(cls.FIELDS[key])))
+        # lines split as a file opened in text mode splits them
+        for raw in io.StringIO(read_bounded(path, "config file"), newline=None):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"malformed config line: {raw.rstrip()}")
+            key, value = (s.strip() for s in line.split("=", 1))
+            key = "fmt" if key == "format" else key
+            if key not in cls.FIELDS:
+                raise UsageError(f"unknown config key {key!r}")
+            setattr(cfg, key, _parse_config_value(key, value, type(cls.FIELDS[key])))
         return cfg
 
 

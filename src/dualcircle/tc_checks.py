@@ -6,17 +6,13 @@ from __future__ import annotations
 import json
 
 from .abgroups import MapDescriptor
-from .checks import _int_input, _need, _prime, _require, _verdict, _window
+from .checks import MAX_DEGREES, _int_input, _need, _prime, _require, _verdict, _window
 from .primes import irregular_indices
 from .report import CheckResult, Report, RunConfig, TableBlock
 from .tc import (check_fr_commute, coassembly_conclusion, diff_table1, diff_table2,
                  dual_tc_shift_sum_check, e_homology_with_descriptor, expected_table1,
                  frobenius_general, frobenius_map, restriction_map, table1, table2,
                  table2_wedge_check)
-
-
-# the degrees of a table-1 window at most; the table takes time linear in them
-MAX_DEGREES = 1024
 
 
 def _reference_degrees(reference: dict) -> tuple[int, int]:

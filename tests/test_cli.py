@@ -15,7 +15,7 @@ from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
 from dualcircle.tc_checks import MAX_DEGREES, MAX_LEVEL
 from dualcircle.cli import COMMANDS, build_parser, main, parse_args
-from dualcircle.report import RunConfig, UsageError
+from dualcircle.report import MAX_FILE_BYTES, RunConfig, UsageError
 
 # sha256 of seeded operad-check output and the report of the bad_compose
 # negative control, frozen from the Fraction-based operad layer
@@ -368,6 +368,49 @@ class TestTCVerbs:
         assert "spectrum,H_-2" in out
 
 
+# each file option: a verb that takes it, a valid file for it, and what its
+# error line calls the file
+FILE_OPTIONS = {
+    "--replay": (["operad", "check"],
+                 json.dumps({"check": "nullhomotopy-endpoints", "inputs": {}}),
+                 "replay payload"),
+    "--config": (["tc", "table1", "--p", "5"], "seed = 3\n", "config file"),
+    "--fixtures": (["hh", "verify", "--max-weight", "1"],
+                   resources.files("dualcircle").joinpath(
+                       "fixtures/hh_fixtures.json").read_text(), "fixture file"),
+}
+
+
+class TestInputFileBound:
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    @pytest.mark.parametrize("pad, code", [(0, 0), (1, 2)])
+    def test_a_file_is_read_up_to_the_bound(self, tmp_path, capsys, option, pad, code):
+        verb, text, name = FILE_OPTIONS[option]
+        path = tmp_path / "file"
+        # trailing blanks, which every reader skips, fill the file to the bound
+        path.write_text(text + " " * (MAX_FILE_BYTES - len(text.encode()) + pad))
+        assert main([*verb, option, str(path)]) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                f"error: {name} {path} holds more than {MAX_FILE_BYTES} bytes\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    def test_an_endless_file_is_refused_with_one_line(self, option):
+        # a fresh process under a 1.5 GB address-space limit, so that an
+        # unbounded read ends in MemoryError instead of taking the machine
+        verb = FILE_OPTIONS[option][0]
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, "
+                "(1500000 * 1024,) * 2); from dualcircle.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, *verb, option, "/dev/zero"],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and "holds more than" in done.stderr
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -555,6 +598,25 @@ class TestReplay:
         assert main(["hh", "verify", "--replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "max_weight 5" in err
+
+    @pytest.mark.parametrize("lo, hi", [(-3, 100000), (-3, 10**18), (-10**30, 0),
+                                        (-3, MAX_DEGREES - 3)])
+    def test_replay_hh_weight_window_wider_than_the_cap_is_refused_at_once(
+            self, tmp_path, capsys, lo, hi):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "hh-weight", "inputs": {
+            "module": "Z/2", "weight": 1, "lo": lo, "hi": hi, "fixtures": None}}))
+        start = time.perf_counter()
+        assert main(["hh", "verify", "--replay", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"at most {MAX_DEGREES} degrees" in err
+
+    def test_replay_hh_weight_window_at_the_cap_runs(self, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps({"check": "hh-weight", "inputs": {
+            "module": "Z/2", "weight": 1, "lo": -3, "hi": MAX_DEGREES - 4}}))
+        assert main(["hh", "verify", "--replay", str(path)]) == 0
 
     @pytest.mark.parametrize("check", ["fr-commute", "restriction-deletion",
                                        "frobenius-routing"])

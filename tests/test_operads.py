@@ -232,6 +232,56 @@ open_unit = st.builds(lambda n, d: Fraction(n, n + d),
                       st.integers(1, 12), st.integers(1, 12))
 
 
+def fr(*coords):
+    return tuple(Fraction(c) for c in coords)
+
+
+# (outer shifts, inner shifts per slot), one case per branch of compose and
+# compose_action_maps
+COMPOSE_BRANCHES = {
+    # only the last slot, whose outer shift is the pinned zero
+    "outer of arity 1": (fr(), [fr("1/2", 3)]),
+    # inners 0 and 1 are over den 6 = lcm: with t = 0 inner 0 is copied, and
+    # inner 1 is shifted by t = 1/2
+    "inner at the lcm with t = 0": (fr(0, "1/2"), [fr("1/6", "5/6"), fr("1/6"), fr("1/2")]),
+    # every inner scaled by k > 1, the outer by 6
+    "inners with k > 1": (fr("1/6", 1), [fr("1/2"), fr("2/3", 1), fr("1/3", 2)]),
+    # den 1 -> 2 -> 6 -> 12 as the inners are read
+    "lcm growing across the inners": (fr(1, 2, 0), [fr("1/2"), fr("1/3"), fr("1/4"), fr(1)]),
+}
+
+
+class TestComposeBranches:
+    @pytest.mark.parametrize("case", COMPOSE_BRANCHES)
+    def test_compose(self, case):
+        outer, inners = COMPOSE_BRANCHES[case]
+        got = compose(OperadPoint(outer), [OperadPoint(s) for s in inners])
+        assert_canonical(got)
+        assert got.shifts == ref_compose(outer, inners)
+
+    @pytest.mark.parametrize("case", COMPOSE_BRANCHES)
+    def test_compose_action_maps(self, case):
+        outer, inners = COMPOSE_BRANCHES[case]
+        vectors = [s + (Fraction(0),) for s in [outer] + inners]
+        got = compose_action_maps(SuspensionActionMap(vectors[0]),
+                                  [SuspensionActionMap(v) for v in vectors[1:]])
+        assert_canonical(got)
+        assert got.shift_vector == ref_compose_vectors(vectors[0], vectors[1:])
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_one_inner_too_few_or_too_many(self, extra):
+        outer, inners = COMPOSE_BRANCHES["lcm growing across the inners"]
+        inners = (inners + [fr(2)])[:len(inners) + extra]
+        with pytest.raises(ArityMismatch) as err:
+            compose(OperadPoint(outer), [OperadPoint(s) for s in inners])
+        assert (err.value.expected, err.value.given) == (4, 4 + extra)
+        vectors = [s + (Fraction(0),) for s in [outer] + inners]
+        with pytest.raises(ArityMismatch) as err:
+            compose_action_maps(SuspensionActionMap(vectors[0]),
+                                [SuspensionActionMap(v) for v in vectors[1:]])
+        assert (err.value.expected, err.value.given) == (4, 4 + extra)
+
+
 class TestAgainstFractionReference:
     @given(shift_lists, st.data())
     @settings(max_examples=300, deadline=None)
@@ -283,8 +333,9 @@ class TestAgainstFractionReference:
         assert_canonical(action_map(p))
 
 
-# The operad suite draws on getrandbits through operad_checks._below; every seed
-# must keep drawing the points that randint and choice drew.
+# The operad suite draws on getrandbits with operad_checks._below's loop, run
+# inline in its hot paths; every seed must keep drawing the points that
+# randint and choice drew.
 
 def ref_random_point(rng, min_arity=1, suboperad="O"):
     arity = rng.randint(min_arity, 4)
@@ -320,16 +371,42 @@ def below_matches_randrange(below):
 SUITE_DRAWS = [(1, "O"), (1, "A"), (1, "Oprime"), (2, "Oprime")]
 
 
-def points_match_reference():
+def points_match_reference(bit_source=lambda rng: rng.getrandbits):
+    """Whether _random_point, drawing from ``bit_source(rng)``, draws what
+    ref_random_point draws and leaves the generator in the same state."""
     for seed in range(300):
         rng, ref = random.Random(seed), random.Random(seed)
+        bits = bit_source(rng)
         for min_arity, suboperad in SUITE_DRAWS * 3:
-            got = operad_checks._random_point(rng.getrandbits, min_arity, suboperad)
+            got = operad_checks._random_point(bits, min_arity, suboperad)
             if got != ref_random_point(ref, min_arity, suboperad):
                 return False
             if rng.getstate() != ref.getstate():
                 return False
     return True
+
+
+def ref_zero_action_draws(seed, trials):
+    """The (point, s-values) pairs of the suite's zero-action checks, drawn
+    in the suite's order by ref_random_point and randrange."""
+    ref = random.Random(seed)
+    for _ in range(trials):  # associativity and unit: a, its bs, their cs
+        a = ref_random_point(ref)
+        bs = [ref_random_point(ref) for _ in range(a.arity)]
+        for _ in range(sum(b.arity for b in bs)):
+            ref_random_point(ref)
+    for _ in range(trials):  # closure: an A composite, then an Oprime one
+        for suboperad in ("A", "Oprime"):
+            for _ in range(ref_random_point(ref, suboperad=suboperad).arity):
+                ref_random_point(ref, suboperad=suboperad)
+    for _ in range(trials):  # coalgebra compatibility
+        for _ in range(ref_random_point(ref).arity):
+            ref_random_point(ref)
+    draws = []
+    for _ in range(200):
+        point = ref_random_point(ref, 2, "Oprime")
+        draws.append((point, [Fraction(1 + ref.randrange(99), 100) for _ in range(100)]))
+    return draws
 
 
 class TestDrawStream:
@@ -342,9 +419,22 @@ class TestDrawStream:
     def test_points_match_the_randint_reference(self):
         assert points_match_reference()
 
-    def test_points_drawn_with_one_bit_more_are_caught(self, monkeypatch):
-        monkeypatch.setattr(operad_checks, "_below", wide_below)
-        assert not points_match_reference()
+    def test_points_drawn_with_one_bit_more_are_caught(self):
+        assert not points_match_reference(lambda rng: lambda k: rng.getrandbits(k + 1))
+
+    def test_suite_s_values_match_the_randrange_reference(self, monkeypatch):
+        recorded = []
+
+        def record(point, s_values, real=operad_checks.zero_action):
+            recorded.append((point, s_values))
+            return real(point, s_values)
+
+        monkeypatch.setattr(operad_checks, "zero_action", record)
+        for seed in range(50):
+            recorded.clear()
+            report = operad_checks.run_operad_check(RunConfig(seed=seed, trials=5))
+            assert report.exit_code == 0
+            assert recorded == ref_zero_action_draws(seed, trials=5)
 
     def test_s_values_are_the_hundredths(self):
         assert len(operad_checks._S_VALUES) == 99
