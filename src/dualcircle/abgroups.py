@@ -320,11 +320,6 @@ class GradedGroup(Frozen):
                                             for d in range(lo, hi + 1)]))
 
 
-def graded_from_fg(values: dict[int, FGAbGroup], known_range) -> GradedGroup:
-    return GradedGroup.from_dict(
-        {d: GroupExpr.from_fg(g) for d, g in values.items()}, known_range)
-
-
 # ---------------------------------------------------------------------------
 # homology of complexes of finitely generated abelian groups
 

@@ -22,8 +22,8 @@ from importlib import import_module
 from .primes import is_prime
 from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
 
-# the degrees of a table1 or replayed hh-weight window at most; each takes
-# time linear in them
+# the degrees of a table1, hh verify or replayed hh-weight window at most;
+# each takes time linear in them
 MAX_DEGREES = 1024
 
 

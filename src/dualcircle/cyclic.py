@@ -26,9 +26,10 @@ routes compute its homology, each from its own source:
   once per call, and reads each orbit's kernel and cokernel off that
   elimination with the orbit's own order (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
-  from the simplicial face maps of the ring; it builds each weight's chains
-  and each (total degree, weight) block of its face-sum differential once,
-  on first use, for generic homology (``NormalizedHochschild``).
+  from the simplicial face maps of the ring, asked one weight at a time;
+  it builds each weight's chains and each (total degree, weight) block of
+  its face-sum differential once, on first use, for generic homology
+  (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.  Every matrix here is a
@@ -46,7 +47,6 @@ from .abgroups import (
     GradedGroup,
     GroupExpr,
     StructuralError,
-    graded_from_fg,
     homology_with_orders,
 )
 from .frozen import Frozen
@@ -63,26 +63,6 @@ class GradedModule(Frozen):
     summand."""
 
     __slots__ = ("generators",)
-
-    def __init__(self, generators: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "generators", generators)
-
-    def __eq__(self, other):
-        if type(other) is not GradedModule:
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
-    @classmethod
-    def from_groups(cls, groups: dict[int, FGAbGroup]) -> "GradedModule":
-        gens = []
-        for degree in sorted(groups):
-            g = groups[degree]
-            gens.extend((degree, 0) for _ in range(g.free_rank))
-            gens.extend((degree, d) for d in g.torsion)
-        return cls(tuple(gens))
 
     @classmethod
     def single(cls, degree: int = 0, order: int = 0) -> "GradedModule":
@@ -224,8 +204,9 @@ class NormalizedHochschild:
     A chain is a pair (r0, tail) for the normalized chain (r0; m_1, ...,
     m_k): r0 is either the ring unit (None) or a module generator index,
     and the tail, whose length is the chain's level, is the tuple of module
-    generator indices.  A weight's chains are built on its first query
-    (every weight's for an unrestricted one).
+    generator indices.  Every face keeps the weight, the number of module
+    letters, so the complex is the direct sum of its weights and is asked
+    one weight at a time; a weight's chains are built on its first query.
     """
 
     def __init__(self, m: GradedModule, max_level: int):
@@ -233,14 +214,13 @@ class NormalizedHochschild:
         self.max_level = max_level
         self._weights: dict[int, dict[int, list[tuple]]] = {}
         self._orders: dict[int, dict[int, list[int]]] = {}  # beside _weights
-        self._faces: dict[tuple[int, int | None], tuple[IntMatrix, list[int]]] = {}
+        self._faces: dict[tuple[int, int], tuple[IntMatrix, list[int]]] = {}
 
     def _weight_chains(self, w: int) -> dict[int, list[tuple]]:
         """The chains of weight w by total degree, built once: one per word
         r0 m_1 ... m_(w-1) of generators at level w - 1, and one unit-led
-        per word at level w unless max_level truncates it.  Both chains of
-        a word have its order, the gcd of its letters' orders, kept in
-        ``_orders`` at the chain's place."""
+        per word at level w.  Both chains of a word have its order, the gcd
+        of its letters' orders, kept in ``_orders`` at the chain's place."""
         if w not in self._weights:
             gens = self.module.generators
             words = [((), 0, 0)]  # (word, its internal degree, its order), lexicographic
@@ -249,10 +229,10 @@ class NormalizedHochschild:
                          for u, d, o in words for i, (e, q) in enumerate(gens)]
             blocks = self._weights[w] = {}
             orders = self._orders[w] = {}
-            for u, d, o in words if w else ():
+            for u, d, o in words:
                 blocks.setdefault(w - 1 + d, []).append((u[0], u[1:]))
                 orders.setdefault(w - 1 + d, []).append(o)
-            for u, d, o in words if w <= self.max_level else ():
+            for u, d, o in words:
                 blocks.setdefault(w + d, []).append((None, u))
                 orders.setdefault(w + d, []).append(o)
         return self._weights[w]
@@ -278,26 +258,14 @@ class NormalizedHochschild:
             return [(front, 1 + sign)] if 1 + sign else []
         return [(front, 1), (rotated, sign)]
 
-    def homology(self, total_degree: int, weight: int | None = None) -> FGAbGroup:
-        """Homology of the truncated complex at a total degree, optionally
-        restricted to one weight.
-
-        Unrestricted queries require every module degree to be nonnegative
-        and enough levels (max_level >= total_degree + 1) to be exact;
-        weight-restricted queries only need max_level >= weight.
-        """
-        if weight is None:
-            if any(d < 0 for d, _ in self.module.generators):
-                raise UnsupportedModule(
-                    "unrestricted homology needs nonnegative module degrees; "
-                    "use the weight-restricted oracle instead")
-            if self.max_level < total_degree + 1:
-                raise UnsupportedModule(
-                    f"max_level {self.max_level} too small for degree {total_degree}")
-        elif self.max_level < weight:
+    def homology(self, total_degree: int, weight: int) -> FGAbGroup:
+        """Homology of weight ``weight`` at a total degree; the weight is
+        at least 1 and at most max_level."""
+        if weight < 1:
+            raise ValueError("weight must be at least 1")
+        if self.max_level < weight:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
-
         d_out, orders_here = self._faces_from(total_degree, weight)
         d_in, _ = self._faces_from(total_degree + 1, weight)
         _, orders_below = self._faces_from(total_degree - 1, weight)
@@ -313,61 +281,37 @@ class NormalizedHochschild:
                 out[t] = h
         return out
 
-    def _faces_from(self, t: int, weight: int | None) -> tuple[IntMatrix, list[int]]:
-        """The face-sum matrix from total degree t to t - 1 and the orders
-        of the degree-t chains, of one weight or (None) of all, built once
-        per instance."""
-        key = (t, weight)
+    def _faces_from(self, t: int, w: int) -> tuple[IntMatrix, list[int]]:
+        """The face-sum matrix of weight w from total degree t to t - 1 and
+        the orders of the degree-t chains, built once per instance."""
+        key = (t, w)
         if key not in self._faces:
-            here, below = self._chains(t, weight), self._chains(t - 1, weight)
+            chains = self._weight_chains(w)
+            here, below = chains.get(t, []), chains.get(t - 1, [])
             pos = {cell: r for r, cell in enumerate(below)}
             # from a list: a tuple grown from a generator can keep a larger block
             matrix = IntMatrix(len(below), tuple([
                 {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
                 for c in here]))
-            self._faces[key] = matrix, self._chain_orders(t, weight)
+            self._faces[key] = matrix, self._orders[w].get(t, [])
         return self._faces[key]
-
-    def _chains(self, t: int, weight: int | None) -> list[tuple]:
-        if weight is not None:
-            return self._weight_chains(weight).get(t, [])
-        return [c for w in range(self.max_level + 2) for c in self._weight_chains(w).get(t, [])]
-
-    def _chain_orders(self, t: int, weight: int | None) -> list[int]:
-        """The orders of ``_chains(t, weight)``, in its order, once it is built."""
-        weights = range(self.max_level + 2) if weight is None else (weight,)
-        return [o for w in weights for o in self._orders[w].get(t, [])]
-
-
-def brute_hochschild_weights(m: GradedModule, max_weight: int,
-                             degree_lo: int, degree_hi: int,
-                             ) -> dict[int, dict[int, FGAbGroup]]:
-    """Weight-separated oracle homology: result[w][t] for weights
-    1..max_weight and total degrees in the window."""
-    oracle = NormalizedHochschild(m, max_level=max_weight)
-    return {w: oracle.weight_homology(w, degree_lo, degree_hi)
-            for w in range(1, max_weight + 1)}
 
 
 def brute_hochschild(m: GradedModule, degree_bound: int) -> GradedGroup:
     """Total oracle homology in degrees 0..degree_bound of Z (+) M for
-    modules in nonnegative degrees (weight 0 contributes the unit Z in
-    degree 0).  Modules with negative degrees need the weight-separated
-    oracle; see ``brute_hochschild_weights``."""
-    if m.is_zero():
-        return graded_from_fg({0: FGAbGroup.free(1)},
-                              known_range=(0, degree_bound))
+    modules in nonnegative degrees: the unit Z in degree 0 plus weights
+    1..degree_bound + 1.  Weight w has no chain below total degree w - 1,
+    so no higher weight reaches the window."""
     if any(d < 0 for d, _ in m.generators):
         raise UnsupportedModule(
             "total homology with negative-degree generators is not finitely "
-            "assembled; use brute_hochschild_weights")
-    oracle = NormalizedHochschild(m, max_level=degree_bound + 2)
-    values = {}
-    for t in range(0, degree_bound + 1):
-        h = oracle.homology(t)
-        if not h.is_trivial():
-            values[t] = h
-    return graded_from_fg(values, known_range=(0, degree_bound))
+            "assembled; ask the oracle one weight at a time")
+    oracle = NormalizedHochschild(m, max_level=degree_bound + 1)
+    values = {0: GroupExpr.free(1)}
+    for w in range(1, degree_bound + 2):
+        for t, g in oracle.weight_homology(w, 0, degree_bound).items():
+            values[t] = values.get(t, GroupExpr.zero()).plus(GroupExpr.from_fg(g))
+    return GradedGroup.from_dict(values, known_range=(0, degree_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,45 @@ class TestHHVerb:
             assert captured.out == ""
             assert captured.err.count("\n") == 1 and ".".join(key) in captured.err
 
+    # a fixture window widened to 2 * 10^5 + 1 degrees no longer bounds the
+    # run: --max-degree D asks for 2D + 1 of them
+    @pytest.mark.parametrize("max_degree, code", [(100000, 2), (MAX_DEGREES // 2 - 1, 0)])
+    def test_own_degree_window_is_capped(self, tmp_path, capsys, max_degree, code):
+        path = self._broken_fixture(
+            tmp_path, lambda fx: fx.update(degree_window=[-10**5, 10**5]))
+        start = time.perf_counter()
+        assert main(["hh", "verify", "--fixtures", path, "--max-weight", "1",
+                     "--max-degree", str(max_degree)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert time.perf_counter() - start < 1
+            assert err.count("\n") == 1 and f"at most {MAX_DEGREES} degrees" in err
+        else:
+            assert err == ""
+
+    # ten generators ask for 10^5 words at weight 5; two ask for 2^(10^30)
+    # words at weight 10^30, a count never computed
+    @pytest.mark.parametrize("generators, weight", [(10, 5), (2, 10**30)])
+    def test_module_with_too_many_words_is_refused_at_once(self, tmp_path, capsys,
+                                                           generators, weight):
+        def add_big(fx):
+            fx["modules"] = {"big": [[0, 0]] * generators}
+            fx["max_weight"] = weight
+
+        path = self._broken_fixture(tmp_path, add_big)
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"check": "hh-weight", "inputs": {
+            "module": "big", "weight": weight, "fixtures": path}}))
+        for argv in (["--fixtures", path, "--max-weight", str(weight)],
+                     ["--replay", str(payload)]):
+            start = time.perf_counter()
+            assert main(["hh", "verify", *argv]) == 2
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert (f"module big at weight {weight} asks the oracle for "
+                    f"{generators}^{weight} words") in captured.err
+
 
 class TestTCVerbs:
     def test_table1(self, capsys):

@@ -16,7 +16,6 @@ from dualcircle.cyclic import (
     NormalizedHochschild,
     UnsupportedModule,
     brute_hochschild,
-    brute_hochschild_weights,
     cell_weight_homology_fg,
     lambda_cell_model,
     rotation_matrix,
@@ -38,7 +37,7 @@ FIXTURES = {
     "Z": Z0,
     "Z/2": GradedModule.single(0, 2),
     "Z/3": GradedModule.single(0, 3),
-    "Z^2": GradedModule.from_groups({0: FGAbGroup.free(2)}),
+    "Z^2": GradedModule(((0, 0), (0, 0))),
     "Z[1]": Z1,
     "Z[-1]": Zm1,
 }
@@ -70,34 +69,64 @@ class TestBruteOracle:
         assert h.at(0) == GroupExpr.free(2)
         assert h.at(1) == GroupExpr.free(1).plus(GroupExpr.cyclic(2))
 
+    # brute_hochschild(m, 4) in degrees 0..4, frozen from the oracle when it
+    # still summed every weight in one complex; weight 5 reaches degree 4 in
+    # all but Z[1], so a sum over weights 1..4 alone misses it
+    TOTALS = {
+        ((0, 0),): ["Z^2", "Z + Z/2", "Z", "Z + Z/2", "Z"],
+        ((0, 2),): ["Z + Z/2", "(Z/2)^2", "(Z/2)^2", "(Z/2)^2", "(Z/2)^2"],
+        ((1, 0),): ["Z", "Z", "Z", "Z", "Z"],
+        ((0, 0), (1, 3)): ["Z^2", "Z + Z/2 + Z/3", "Z + (Z/3)^2",
+                           "Z + Z/2 + (Z/3)^3", "Z + (Z/3)^4"],
+        ((0, 0), (0, 0)): ["Z^3", "Z^3 + (Z/2)^2", "Z^5", "Z^8 + (Z/2)^2", "Z^12"],
+        ((2, 0), (0, 4)): ["Z + Z/4", "Z/2 + Z/4", "Z + Z/2 + Z/4",
+                           "Z + Z/2 + (Z/4)^2", "Z/2 + (Z/4)^3"],
+    }
+
+    @pytest.mark.parametrize("gens", sorted(TOTALS))
+    def test_total_homology_is_frozen(self, gens):
+        h = brute_hochschild(GradedModule(gens), 4)
+        assert [str(h.at(d)) for d in range(5)] == self.TOTALS[gens]
+
     def test_oracle_matches_weight_complexes_on_all_fixtures(self):
         for name, m in FIXTURES.items():
-            per_weight = brute_hochschild_weights(m, 5, -6, 6)
             for n in range(1, 6):
                 expected = {t: g for t, g in weight_homology_fg(n, m).items()
                             if -6 <= t <= 6}
-                assert per_weight[n] == expected, (name, n)
+                oracle = NormalizedHochschild(m, max_level=n)
+                assert oracle.weight_homology(n, -6, 6) == expected, (name, n)
 
     def test_weight_pieces_live_on_two_levels(self):
         # a chain's level is its tail length, its weight that plus a module lead
         oracle = NormalizedHochschild(Z0, max_level=5)
         for w in range(1, 5):
-            chains = [c for t in range(-1, 12) for c in oracle._chains(t, w)]
+            chains = [c for block in oracle._weight_chains(w).values() for c in block]
             assert {len(tail) + (r0 is not None) for r0, tail in chains} == {w}
             assert {len(tail) for _, tail in chains} == {w - 1, w}
 
     def test_unrestricted_negative_degrees_refused(self):
-        oracle = NormalizedHochschild(Zm1, max_level=4)
-        with pytest.raises(UnsupportedModule):
-            oracle.homology(0)
         with pytest.raises(UnsupportedModule):
             brute_hochschild(Zm1, 2)
 
+    def test_the_oracle_answers_one_weight_at_a_time(self):
+        oracle = NormalizedHochschild(Z0, max_level=4)
+        with pytest.raises(TypeError):
+            oracle.homology(0)
+        for w in (0, -1):
+            with pytest.raises(ValueError):
+                oracle.homology(0, weight=w)
+        with pytest.raises(UnsupportedModule):
+            oracle.homology(0, weight=5)
+
     def test_truncation_stability(self):
+        # the total in degrees 0..4 sums weights 1..5; a deeper oracle's
+        # weights 6..8 add nothing there
         shallow = brute_hochschild(Z0, 4)
         deeper = NormalizedHochschild(Z0, max_level=8)
         for d in range(0, 5):
-            assert shallow.at(d) == GroupExpr.from_fg(deeper.homology(d))
+            total = GroupExpr.free(1 if d == 0 else 0).plus(*(
+                GroupExpr.from_fg(deeper.homology(d, weight=w)) for w in range(1, 9)))
+            assert shallow.at(d) == total, d
 
 
 class TestOracleWork:
@@ -153,21 +182,19 @@ class TestOracleWork:
             seen["eliminations"], seen["cokernels"], seen["ranks"])
         oracle = NormalizedHochschild(self.M, max_level=4)
         queries = 0
-        for weights, most in (([1, 2, 3, 4], 1), ([None], 2)):
-            for w in weights:
-                for t in range(-1, 15 if w else 4):
-                    for _ in range(2):  # a repeated query builds nothing new
-                        before = len(eliminations), len(cokernels), len(ranks)
-                        oracle.homology(t, weight=w)
-                        queries += 1
-                        assert len(eliminations) - before[0] <= 2, (t, w)
-                        assert len(cokernels) - before[1] <= 1, (t, w)
-                        assert (len(eliminations) - before[0]
-                                == len(cokernels) - before[1]
-                                + len(ranks) - before[2]), (t, w)
-            # restricted sweeps face each chain once; the unrestricted
-            # sweep builds its own blocks, so at most once more
-            assert max(seen["faces"].values()) == most
+        for w in (1, 2, 3, 4):
+            for t in range(-1, 15):
+                for _ in range(2):  # a repeated query builds nothing new
+                    before = len(eliminations), len(cokernels), len(ranks)
+                    oracle.homology(t, weight=w)
+                    queries += 1
+                    assert len(eliminations) - before[0] <= 2, (t, w)
+                    assert len(cokernels) - before[1] <= 1, (t, w)
+                    assert (len(eliminations) - before[0]
+                            == len(cokernels) - before[1]
+                            + len(ranks) - before[2]), (t, w)
+        # each chain is faced once, when its block is built
+        assert max(seen["faces"].values()) == 1
         assert len(seen["calls"]) == queries
 
     @pytest.mark.parametrize("w", [1, 2, 3])
@@ -182,8 +209,8 @@ class TestOracleWork:
     def test_rank_sees_only_the_free_rows_of_c(self, monkeypatch):
         seen = self._count(monkeypatch)
         oracle = NormalizedHochschild(self.M, max_level=4)
-        for w in (1, 2, 3, 4, None):
-            for t in range(-1, 15 if w else 4):
+        for w in (1, 2, 3, 4):
+            for t in range(-1, 15):
                 oracle.homology(t, weight=w)
         assert seen["ranks"]
         for m, orders_below in seen["ranks"]:
@@ -200,7 +227,7 @@ class TestOracleWork:
         assert len(seen["eliminations"]) == len(seen["cokernels"])
 
     def test_mixed_queries_answer_as_fresh_instances(self):
-        queries = [(t, w) for t in range(-1, 4) for w in (1, 2, 3, None)]
+        queries = [(t, w) for t in range(-1, 4) for w in (1, 2, 3)]
         queries += [(t, 4) for t in range(2, 13)]
         random.Random(7).shuffle(queries)
         oracle = NormalizedHochschild(self.M, max_level=4)
@@ -323,7 +350,7 @@ class TestOrbitKernel:
         degrees = [d for d, _ in gens]
         # every total degree weight n can reach: internal degree + level
         lo, hi = n * min(degrees) + n - 1, n * max(degrees) + n
-        oracle = brute_hochschild_weights(m, n, lo, hi)[n]
+        oracle = NormalizedHochschild(m, max_level=n).weight_homology(n, lo, hi)
         assert weight_homology_fg(n, m) == oracle
         assert cell_weight_homology_fg(n, m) == oracle
 

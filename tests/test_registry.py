@@ -1,7 +1,8 @@
 """Every kind of check in ``checks.CHECKS`` replays from its FAIL payload.
 
 For each kind, one library function is patched so that the check fails.
-The verb's FAIL payload is written out and replayed through two verbs whose
+The verb's FAIL payload equals the frozen one in ``data/fail_payloads.json``;
+it is written out and replayed through two verbs whose
 options differ from the failing run and from each other: both replays fail
 with the same payload, and the unpatched replay passes.
 """
@@ -21,6 +22,9 @@ from dualcircle.operads import compose, is_member
 from dualcircle.qspaces import SymbolicQSpace
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dualcircle"
+# the FAIL payload of each kind that the patches of CASES produce
+FAIL_PAYLOADS = json.loads(
+    (Path(__file__).parent / "data" / "fail_payloads.json").read_text())
 
 
 def _doubled(point):
@@ -123,6 +127,7 @@ def test_a_failure_replays_from_its_payload_alone(kind, tmp_path, capsys, monkey
     assert code == 1
     payload = next(c["payload"] for c in report["checks"]
                    if c["status"] == "fail" and c["payload"]["check"] == kind)
+    assert payload == FAIL_PAYLOADS[kind]
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
     config = tmp_path / "run.cfg"
