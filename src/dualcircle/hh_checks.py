@@ -60,20 +60,24 @@ def _hh_degree_window(fx: dict) -> tuple[int, int]:
     return _parse_fixture(fx, ("degree_window",), parse, "an integer pair [lo, hi], lo <= hi")
 
 
-def _hh_max_weight(fx: dict) -> int:
-    return _parse_fixture(fx, ("max_weight",), lambda w: _whole(w, 1), "an integer >= 1")
-
-
+# a fixture file's max_weight at most: a module of one generator passes the
+# word cap at any weight, and its cell route costs about w^2 per weight
+MAX_WEIGHT = 64
 # the words the oracle builds for one module at one weight at most
 MAX_WORDS = 10**4
 
 
+def _hh_max_weight(fx: dict) -> int:
+    w = _parse_fixture(fx, ("max_weight",), lambda w: _whole(w, 1), "an integer >= 1")
+    _require(w <= MAX_WEIGHT, f"fixture file max_weight is {w}, above {MAX_WEIGHT}")
+    return w
+
+
 def _require_words(name: str, m: GradedModule, w: int) -> None:
-    """Refuse module ``name`` at weight w if the oracle would build more than
-    ``MAX_WORDS`` words, g^w for g generators.  2^w passes the cap from
-    w = 14 on, so a larger weight is refused without raising g to it."""
+    """Refuse module ``name`` at weight w (at most ``MAX_WEIGHT``) if the
+    oracle would build more than ``MAX_WORDS`` words, g^w for g generators."""
     g = len(m.generators)
-    _require(g < 2 or (w < MAX_WORDS.bit_length() and g ** w <= MAX_WORDS),
+    _require(g ** w <= MAX_WORDS,
              f"module {name} at weight {w} asks the oracle for {g}^{w} words, "
              f"more than {MAX_WORDS}")
 

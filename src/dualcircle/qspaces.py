@@ -131,49 +131,27 @@ class SymbolicQSpace(Frozen):
         return tags
 
 
-def _ext_atom(kind: str, param, mult: int, p: int) -> SymbolicQSpace:
-    if kind == "Z":
-        return SymbolicQSpace.padic(mult)
-    if kind == "Zmod":
-        return SymbolicQSpace.zero()  # finite group tensored with Q
-    if kind == "CountableFree":
-        return SymbolicQSpace.ext_free_countable()
-    if kind == "TorsionTower":
-        return SymbolicQSpace.ext_tower(mult) if param == p else SymbolicQSpace.zero()
-    if kind == "CountableTowerSum":
-        return SymbolicQSpace.ext_tower_countable() if param == p else SymbolicQSpace.zero()
-    raise UnsupportedAtom(f"Ext(Z/p^oo, -) tensor Q undefined for atom {kind!r}")
-
-
-def _hom_atom(kind: str, param, mult: int, p: int) -> SymbolicQSpace:
-    # every supported atom is a direct sum of cyclic groups, hence reduced:
-    # it has no divisible subgroup, so any map out of Z/p^oo is zero
-    if kind in ("Z", "Zmod", "CountableFree", "TorsionTower", "CountableTowerSum"):
-        return SymbolicQSpace.zero()
-    raise UnsupportedAtom(f"Hom(Z/p^oo, -) tensor Q undefined for atom {kind!r}")
-
-
 def ext_pinf_q(g: GroupExpr, p: int) -> SymbolicQSpace:
-    """Ext(Z/p^oo, g) tensor Q, computed atomwise.
+    """Ext(Z/p^oo, g) tensor Q, read off the atoms of ``g`` in one pass: a
+    finite cyclic atom, and a tower at a prime other than p, add nothing.
+    ``GroupExpr`` admits no atom outside these five kinds.
 
     >>> str(ext_pinf_q(GroupExpr.free(1), 5))
     'Q_p'
     >>> str(ext_pinf_q(GroupExpr.countable_free(), 5))
     'A'
     """
-    out = SymbolicQSpace.zero()
+    qp, a, b, binf = 0, False, 0, False
     for kind, param, mult in g.atoms:
-        out = out.plus(_ext_atom(kind, param, mult, p))
-    return out
-
-
-def hom_pinf_q(g: GroupExpr, p: int) -> SymbolicQSpace:
-    """Hom(Z/p^oo, g) tensor Q; zero on every atom in scope, but unknown
-    atoms raise rather than silently vanishing."""
-    out = SymbolicQSpace.zero()
-    for kind, param, mult in g.atoms:
-        out = out.plus(_hom_atom(kind, param, mult, p))
-    return out
+        if kind == "Z":
+            qp += mult
+        elif kind == "CountableFree":
+            a = True
+        elif kind == "TorsionTower" and param == p:
+            b += mult
+        elif kind == "CountableTowerSum" and param == p:
+            binf = True
+    return SymbolicQSpace.make(qp=qp, a=a, b=b, binf=binf)
 
 
 def bousfield_pi_q(g: GradedGroup, p: int, n: int) -> SymbolicQSpace:
@@ -185,6 +163,9 @@ def bousfield_pi_q(g: GradedGroup, p: int, n: int) -> SymbolicQSpace:
     with ``g`` in place of pi_* X.  ``g`` may also be the homology of X in
     degrees where the two agree modulo torsion prime to p, since both
     functors vanish rationally on that torsion (``tc.completed_pi_q``
-    enforces that window).  ``g`` must be defined at degrees n and n-1 (its
-    known_range enforces this)."""
-    return ext_pinf_q(g.at(n), p).plus(hom_pinf_q(g.at(n - 1), p))
+    enforces that window).  Every atom of ``GroupExpr`` is a direct sum of
+    cyclic groups, hence reduced, so every map out of Z/p^oo into it is zero
+    and the Hom term vanishes; ``g`` must still be defined at degrees n and
+    n-1 (its known_range enforces this)."""
+    g.at(n - 1)
+    return ext_pinf_q(g.at(n), p)

@@ -1,13 +1,12 @@
 """Formal spectrum expressions with exact homology evaluation.
 
 Expressions are trees over a small alphabet of atoms (the sphere, the
-suspension spectrum of the circle, the stunted projective spectrum and its
-suspension) and constructors (shift, finite wedge, lazy countable wedge).
-Countable wedges are indexed families evaluated degreewise, so a homology
-query only ever touches the finitely many summand shapes that can
-contribute.  The one map is the wedge of circle transfers whose fiber is the
-spectrum E; ``fiber_homology`` evaluates such a fiber by the long exact
-sequence.
+suspension spectrum of the circle and the stunted projective spectrum) and
+constructors (shift, finite wedge, lazy countable wedge).  Countable wedges
+are indexed families evaluated degreewise, so a homology query only ever
+touches the finitely many summand shapes that can contribute.  The one map
+is the wedge of circle transfers whose fiber is the spectrum E;
+``fiber_homology`` evaluates such a fiber by the long exact sequence.
 
 Homology rules stay inside the atom alphabet of ``GroupExpr``; a query
 with no rule raises ``EvaluationUnsupported`` instead of approximating.
@@ -42,13 +41,6 @@ class SuspCircle(Frozen):
 class CPInf(Frozen):
     """Stunted complex projective spectrum with cells from dimension -2:
     one integral class in every even degree >= -2."""
-
-    __slots__ = ()
-
-
-class CPInfShift(Frozen):
-    """Suspension of the stunted projective spectrum: one integral class in
-    every odd degree >= -1 (the shift of the rule above by one)."""
 
     __slots__ = ()
 
@@ -109,8 +101,6 @@ def homology(expr, d: int) -> GroupExpr:
         return GroupExpr.free(1) if d in (0, 1) else GroupExpr.zero()
     if isinstance(expr, CPInf):
         return GroupExpr.free(1) if (d >= -2 and d % 2 == 0) else GroupExpr.zero()
-    if isinstance(expr, CPInfShift):
-        return homology(CPInf(), d - 1)
     if isinstance(expr, Shift):
         return homology(expr.inner, d - expr.k)
     if isinstance(expr, Wedge):

@@ -29,7 +29,7 @@ from .frozen import Frozen
 from .primes import is_prime
 from .qspaces import SymbolicQSpace, bousfield_pi_q
 from .spectra import (
-    CPInfShift,
+    CPInf,
     Shift,
     Sphere,
     Wedge,
@@ -112,33 +112,21 @@ class NormalMap(Frozen):
                 inclusion = (inclusion[0], shifted[1])
         return NormalMap.make(transfer, inclusion, self.relabels + other.relabels)
 
-    def describe(self, p: int) -> str:
-        parts = []
-        if self.transfer is not None:
-            a, b = self.transfer
-            parts.append(f"tr^(C_{p}^{a})_(C_{p}^{b})")
-        if self.inclusion is not None:
-            a, b = self.inclusion
-            parts.append(f"incl^(C_{p}^{a})->(C_{p}^{b})")
-        if self.relabels:
-            parts.append(f"relabel^{self.relabels}")
-        return " o ".join(parts) if parts else "id"
-
 
 class SummandRoute(Frozen):
-    """Where ``map`` sends summand ``source``: to summand ``target``, or
-    nowhere (None) when the summand is deleted."""
+    """Where ``map`` sends its summand: to summand ``target``, or nowhere
+    (None) when the summand is deleted."""
 
-    __slots__ = ("source", "target", "map")
+    __slots__ = ("target", "map")
 
-    def __init__(self, source: int, target: int | None, map: NormalMap):
-        object.__setattr__(self, "source", source)
+    def __init__(self, target: int | None, map: NormalMap):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "map", map)
 
 
 class LevelMap(Frozen):
-    """A map between tom Dieck levels, given by one route per summand."""
+    """A map between tom Dieck levels: ``routes[k]`` is the route of
+    summand k, for k = 0..level_from."""
 
     __slots__ = ("p", "level_from", "level_to", "routes")
 
@@ -149,26 +137,17 @@ class LevelMap(Frozen):
         object.__setattr__(self, "level_to", level_to)
         object.__setattr__(self, "routes", routes)
 
-    def route(self, source: int) -> SummandRoute:
-        for r in self.routes:
-            if r.source == source:
-                return r
-        raise KeyError(source)
-
     def then(self, other: "LevelMap") -> "LevelMap":
         if other.level_from != self.level_to or other.p != self.p:
             raise ValueError("level maps do not compose")
         routes = []
         for r in self.routes:
-            if r.target is None:
-                routes.append(SummandRoute(r.source, None, NormalMap.make()))
-                continue
-            nxt = other.route(r.target)
-            if nxt.target is None:
+            nxt = None if r.target is None else other.routes[r.target]
+            if nxt is None or nxt.target is None:
                 # a deleted composite is the zero route, canonically
-                routes.append(SummandRoute(r.source, None, NormalMap.make()))
+                routes.append(SummandRoute(None, NormalMap.make()))
             else:
-                routes.append(SummandRoute(r.source, nxt.target, r.map.then(nxt.map)))
+                routes.append(SummandRoute(nxt.target, r.map.then(nxt.map)))
         return LevelMap(self.p, self.level_from, other.level_to, tuple(routes))
 
 
@@ -181,7 +160,7 @@ def frobenius_route(p: int, n: int, h: int, k: int) -> SummandRoute:
         raise ValueError("subgroup exponents out of range")
     target = min(h, k)
     return SummandRoute(
-        k, target, NormalMap.make(transfer=(n - k, h - target), inclusion=(k, target)))
+        target, NormalMap.make(transfer=(n - k, h - target), inclusion=(k, target)))
 
 
 def frobenius_general(p: int, n: int, h: int) -> LevelMap:
@@ -195,8 +174,8 @@ def frobenius_map(p: int, n: int) -> LevelMap:
     """One Frobenius step: level n to level n-1.  Every orbit summand maps
     by a finite transfer; the top fixed-point summand maps by the inclusion.
 
-    >>> [r.map.describe(2) for r in frobenius_map(2, 1).routes]
-    ['tr^(C_2^1)_(C_2^0)', 'incl^(C_2^1)->(C_2^0)']
+    >>> [(r.target, r.map.transfer, r.map.inclusion) for r in frobenius_map(2, 1).routes]
+    [(0, (1, 0), None), (0, None, (1, 0))]
     """
     if n < 1:
         raise ValueError("Frobenius needs a positive level")
@@ -208,9 +187,8 @@ def restriction_map(p: int, n: int) -> LevelMap:
     relabels the remaining summands one step down."""
     if n < 1:
         raise ValueError("restriction needs a positive level")
-    routes = [SummandRoute(0, None, NormalMap.make())]
-    routes += [SummandRoute(i, i - 1, NormalMap.make(relabels=1))
-               for i in range(1, n + 1)]
+    routes = [SummandRoute(None, NormalMap.make())]
+    routes += [SummandRoute(i - 1, NormalMap.make(relabels=1)) for i in range(1, n + 1)]
     return LevelMap(p, n, n - 1, tuple(routes))
 
 
@@ -286,7 +264,7 @@ def table1(p: int, lo: int = -2, hi: int = 4) -> dict[str, GradedGroup]:
         raise ValueError(f"{p} is not prime")
     return {
         "S": homology_graded(Sphere(), lo, hi),
-        "SigmaCP^oo_-1": homology_graded(CPInfShift(), lo, hi),
+        "SigmaCP^oo_-1": homology_graded(Shift(1, CPInf()), lo, hi),
         "E": e_homology(p, lo, hi),
     }
 
@@ -322,7 +300,7 @@ def dual_smash_row(row) -> dict[int, SymbolicQSpace]:
     return {n: row(n).plus(row(n + 1)) for n in range(TABLE2_LO, TABLE2_HI + 1)}
 
 
-TC_SPHERE_MODEL = Wedge((Sphere(), CPInfShift()))
+TC_SPHERE_MODEL = Wedge((Sphere(), Shift(1, CPInf())))
 
 
 def tc_sphere_model_homology(lo: int, hi: int) -> GradedGroup:
@@ -388,7 +366,7 @@ def table2_wedge_check(t: Table2) -> bool:
     contributions plus a countable sum of the E row."""
     lo, hi = TABLE2_LO - 1, TABLE2_HI
     sphere = homology_graded(Sphere(), lo, hi)
-    cp = homology_graded(CPInfShift(), lo, hi)
+    cp = homology_graded(Shift(1, CPInf()), lo, hi)
     return all(
         completed_pi_q(sphere, t.p, n).plus(completed_pi_q(cp, t.p, n),
                                             t.cell("E^_p", n).countable_sum())
@@ -420,6 +398,27 @@ def _load_fixture() -> dict:
     return json.loads(text)
 
 
+def _expected(name: str, read) -> dict:
+    """The reference table ``name`` by row label, then degree, with each
+    cell word turned into a value by ``read``."""
+    fx = _load_fixture()[name]
+    lo = fx["degrees"][0]
+    return {label: {lo + i: read(cell) for i, cell in enumerate(cells)}
+            for label, cells in fx["rows"].items()}
+
+
+def _diff(name: str, expected: dict, got) -> list[str]:
+    """One line for each cell of ``expected`` that ``got(label, degree)``
+    differs from; a cell where ``got`` gives None is not compared."""
+    problems = []
+    for label, row in expected.items():
+        for d, cell in row.items():
+            value = got(label, d)
+            if value is not None and value != cell:
+                problems.append(f"{name}[{label}][{d}]: got {value}, expected {cell}")
+    return problems
+
+
 _TABLE1_VOCAB = {
     "0": lambda p: GroupExpr.zero(),
     "Z": lambda p: GroupExpr.free(1),
@@ -440,21 +439,11 @@ _TABLE2_VOCAB = {
 
 
 def expected_table1(p: int) -> dict[str, dict[int, GroupExpr]]:
-    fx = _load_fixture()["table1"]
-    lo, hi = fx["degrees"]
-    out = {}
-    for label, cells in fx["rows"].items():
-        out[label] = {lo + i: _TABLE1_VOCAB[cell](p) for i, cell in enumerate(cells)}
-    return out
+    return _expected("table1", lambda cell: _TABLE1_VOCAB[cell](p))
 
 
 def expected_table2() -> dict[str, dict[int, SymbolicQSpace]]:
-    fx = _load_fixture()["table2"]
-    lo, hi = fx["degrees"]
-    out = {}
-    for label, cells in fx["rows"].items():
-        out[label] = {lo + i: _TABLE2_VOCAB[cell] for i, cell in enumerate(cells)}
-    return out
+    return _expected("table2", lambda cell: _TABLE2_VOCAB[cell])
 
 
 def diff_table1(p: int, computed: dict[str, GradedGroup], lo: int, hi: int,
@@ -464,28 +453,12 @@ def diff_table1(p: int, computed: dict[str, GradedGroup], lo: int, hi: int,
     descriptions (empty on exact agreement)."""
     if expected is None:
         expected = expected_table1(p)
-    problems = []
-    for label, row in expected.items():
-        for d, cell in row.items():
-            if d < lo or d > hi:
-                continue
-            got = computed[label].at(d)
-            if got != cell:
-                problems.append(f"table1[{label}][{d}]: got {got}, expected {cell}")
-    return problems
+    return _diff("table1", expected,
+                 lambda label, d: computed[label].at(d) if lo <= d <= hi else None)
 
 
 def diff_table2(t: Table2) -> list[str]:
-    expected = expected_table2()
-    problems = []
-    for label, row in expected.items():
-        for d, cell in row.items():
-            got = t.cell(label, d)
-            if got is None:
-                continue
-            if got != cell:
-                problems.append(f"table2[{label}][{d}]: got {got}, expected {cell}")
-    return problems
+    return _diff("table2", expected_table2(), t.cell)
 
 
 # ---------------------------------------------------------------------------

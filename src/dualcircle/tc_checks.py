@@ -133,8 +133,8 @@ def fr_commute(p, n) -> CheckResult:
 
 
 def restriction_deletion(p, n) -> CheckResult:
-    deleted = [r for r in restriction_map(p, n).routes if r.target is None]
-    holds = len(deleted) == 1 and deleted[0].source == 0
+    routes = restriction_map(p, n).routes
+    holds = [k for k, r in enumerate(routes) if r.target is None] == [0]
     return _verdict("restriction deletes exactly one orbit summand", holds, lambda: {
         "check": "restriction-deletion", "inputs": {"p": str(p), "n": str(n)}})
 
@@ -145,7 +145,7 @@ def frobenius_routing(p, n) -> CheckResult:
         "check": "frobenius-routing", "inputs": {"p": str(p), "n": str(n)}})
 
 
-# the level n at most; the F/R checks take time about n^1.6
+# the level n at most; the F/R checks take time roughly proportional to n
 MAX_LEVEL = 2048
 
 

@@ -12,6 +12,7 @@ from dualcircle.abgroups import (
     MapDescriptor,
     StructuralError,
     DegreeOutOfRange,
+    UnsupportedAtom,
     homology_with_orders,
     les_fiber,
 )
@@ -73,6 +74,12 @@ class TestGroupExpr:
         g = GroupExpr.free(2).plus(GroupExpr.cyclic(12), GroupExpr.torsion_tower(3))
         again = GroupExpr._make(g.atoms)
         assert again == g
+
+    def test_make_refuses_an_unknown_atom_kind(self):
+        # so a rule read off the atoms, such as qspaces.ext_pinf_q, never
+        # meets a kind it has no case for
+        with pytest.raises(UnsupportedAtom):
+            GroupExpr._make([("Mystery", None, 1)])
 
     def test_countable_sum(self):
         assert GroupExpr.free(3).countable_sum() == GroupExpr.countable_free()

@@ -133,7 +133,7 @@ def test_criterion_8_fr_algebra():
         for h in range(5):
             level = frobenius_general(p, 4, h)
             for k in range(5):
-                r = level.route(k)
+                r = level.routes[k]
                 assert r.target == min(h, k)
                 assert r.map == NormalMap.make(
                     transfer=(4 - k, h - min(h, k)), inclusion=(k, min(h, k)))

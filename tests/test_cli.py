@@ -13,6 +13,7 @@ import pytest
 
 from dualcircle import cli
 from dualcircle.abgroups import FGAbGroup
+from dualcircle.hh_checks import MAX_WEIGHT
 from dualcircle.tc_checks import MAX_DEGREES, MAX_LEVEL
 from dualcircle.cli import COMMANDS, build_parser, main, parse_args
 from dualcircle.report import MAX_FILE_BYTES, RunConfig, UsageError
@@ -147,7 +148,9 @@ class TestHHVerb:
 
         path = self._broken_fixture(tmp_path, bogus)
         assert main(["hh", "verify", "--fixtures", path, "--max-weight", "1"]) == 2
-        assert "thh_dual_circle_shadow.-1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "thh_dual_circle_shadow.-1" in captured.err
 
     # values that once gave a vacuous PASS, a SKIP of weights 1..0, or a
     # FAIL against the frozen groups
@@ -194,9 +197,9 @@ class TestHHVerb:
         else:
             assert err == ""
 
-    # ten generators ask for 10^5 words at weight 5; two ask for 2^(10^30)
-    # words at weight 10^30, a count never computed
-    @pytest.mark.parametrize("generators, weight", [(10, 5), (2, 10**30)])
+    # ten generators ask for 10^5 words at weight 5, two for 2^64 at the
+    # largest weight a fixture file may hold
+    @pytest.mark.parametrize("generators, weight", [(10, 5), (2, MAX_WEIGHT)])
     def test_module_with_too_many_words_is_refused_at_once(self, tmp_path, capsys,
                                                            generators, weight):
         def add_big(fx):
@@ -216,6 +219,27 @@ class TestHHVerb:
             assert captured.out == "" and captured.err.count("\n") == 1
             assert (f"module big at weight {weight} asks the oracle for "
                     f"{generators}^{weight} words") in captured.err
+
+    # one generator passes the word cap at any weight, and the routes took
+    # 36 s to compare weights 1..1000 of it; no count is raised to 10^30
+    @pytest.mark.parametrize("weight", [MAX_WEIGHT + 1, 10**30])
+    def test_max_weight_above_the_cap_is_refused_at_once(self, tmp_path, capsys, weight):
+        def widen(fx):
+            fx["modules"] = {"Z": [[0, 0]]}
+            fx["max_weight"] = weight
+
+        path = self._broken_fixture(tmp_path, widen)
+        payload = tmp_path / "payload.json"
+        payload.write_text(json.dumps({"check": "hh-weight", "inputs": {
+            "module": "Z", "weight": weight, "fixtures": path}}))
+        for argv in (["--fixtures", path, "--max-weight", str(weight)],
+                     ["--replay", str(payload)]):
+            start = time.perf_counter()
+            assert main(["hh", "verify", *argv]) == 2
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert f"max_weight is {weight}, above {MAX_WEIGHT}" in captured.err
 
 
 class TestTCVerbs:

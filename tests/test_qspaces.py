@@ -3,14 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcircle.abgroups import GradedGroup, GroupExpr, UnsupportedAtom
-from dualcircle.qspaces import (
-    SymbolicQSpace,
-    _ext_atom,
-    _hom_atom,
-    bousfield_pi_q,
-    ext_pinf_q,
-    hom_pinf_q,
-)
+from dualcircle.qspaces import SymbolicQSpace, bousfield_pi_q, ext_pinf_q
 
 Z = GroupExpr.free(1)
 CF = GroupExpr.countable_free()
@@ -88,23 +81,17 @@ class TestExt:
         total = GroupExpr.zero().plus(*parts)
         assert ext_pinf_q(total, 5) == SymbolicQSpace.zero().plus(
             *(ext_pinf_q(g, 5) for g in parts))
-        assert hom_pinf_q(total, 5) == SymbolicQSpace.zero().plus(
-            *(hom_pinf_q(g, 5) for g in parts))
-
-    def test_unknown_atom_raises(self):
-        with pytest.raises(UnsupportedAtom):
-            _ext_atom("Mystery", None, 1, 5)
+        # the Hom term, read from degree n - 1, is zero on every sum
+        pi = GradedGroup.from_dict({0: total}, known_range=(0, 1))
+        assert bousfield_pi_q(pi, 5, 1).is_zero()
 
 
 class TestHom:
     def test_everything_in_scope_is_reduced(self):
         for g in (Z, GroupExpr.cyclic(8), CF,
                   GroupExpr.torsion_tower(2), GroupExpr.torsion_tower(2).countable_sum()):
-            assert hom_pinf_q(g, 2).is_zero()
-
-    def test_never_silently_zero(self):
-        with pytest.raises(UnsupportedAtom):
-            _hom_atom("Mystery", None, 1, 2)
+            pi = GradedGroup.from_dict({-1: g}, known_range=(-1, 0))
+            assert bousfield_pi_q(pi, 2, 0).is_zero()
 
 
 class TestBousfield:

@@ -12,8 +12,8 @@ from dualcircle.matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from dualcircle.operads import CubePoint, OperadPoint, SuspensionActionMap
 from dualcircle.qspaces import SymbolicQSpace
 from dualcircle.report import RunConfig
-from dualcircle.spectra import (CountableWedge, CPInf, CPInfShift, Shift, Sphere,
-                                SuspCircle, Wedge, WedgeCircleTransfer)
+from dualcircle.spectra import (CountableWedge, CPInf, Shift, Sphere, SuspCircle, Wedge,
+                                WedgeCircleTransfer)
 from dualcircle.tc import (CoassemblyVerdict, LevelMap, NormalMap, SummandRoute, Table2,
                            coassembly_conclusion, frobenius_map, table2)
 
@@ -41,9 +41,8 @@ VALUES = {
     Sphere: Sphere,
     SuspCircle: SuspCircle,
     CPInf: CPInf,
-    CPInfShift: CPInfShift,
     Shift: lambda: Shift(-1, SuspCircle()),
-    Wedge: lambda: Wedge((Sphere(), CPInfShift())),
+    Wedge: lambda: Wedge((Sphere(), Shift(1, CPInf()))),
     CountableWedge: lambda: CountableWedge(("bcyc_ppowers", 3)),
     WedgeCircleTransfer: lambda: WedgeCircleTransfer(3),
     NormalMap: lambda: NormalMap.make(transfer=(2, 1), relabels=1),
@@ -90,9 +89,9 @@ def test_repr_names_every_field():
 
 
 def test_values_of_two_classes_with_equal_fields_differ():
-    atoms = [Sphere(), SuspCircle(), CPInf(), CPInfShift()]
+    atoms = [Sphere(), SuspCircle(), CPInf()]
     assert all((a == b) == (i == j) for i, a in enumerate(atoms) for j, b in enumerate(atoms))
-    assert len(set(atoms)) == 4
+    assert len(set(atoms)) == 3
     assert Wedge(("orbits_all",)) != CountableWedge(("orbits_all",))
     assert OperadPoint((1, 0)) != SuspensionActionMap((1, 0))
     assert FGAbGroup(0, ()) != (0, ()) and GradedModule(()) != ()
