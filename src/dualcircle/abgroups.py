@@ -12,9 +12,8 @@ an expression; nothing converts back.
 
 A ``GradedGroup`` is one cell per degree of a finite window, the range in
 which its values are certified.  ``les_fiber`` assembles the fiber of a
-map of graded groups from a dict of one ``MapDescriptor`` per degree, of
-which there are two kinds: the zero map and the transfer row
-``row_powers``.
+map of graded groups from the map's kernel and cokernel in each degree
+where neither side is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .primes import factorint
 
 class StructuralError(Exception):
     """Input violates a structural precondition (not a chain complex, shape
-    mismatch, malformed descriptor)."""
+    mismatch, a map given on the wrong groups)."""
 
 
 class IndeterminateExtension(Exception):
@@ -311,13 +310,14 @@ class GradedGroup(Frozen):
             raise DegreeOutOfRange(degree, self.known_range)
         return self.cells[degree - lo]
 
-    def wedge(self, other: "GradedGroup", lo: int, hi: int) -> "GradedGroup":
-        return GradedGroup((lo, hi), tuple([self.at(d).plus(other.at(d))
-                                            for d in range(lo, hi + 1)]))
+    def wedge(self, other: "GradedGroup") -> "GradedGroup":
+        """The degreewise sum with ``other``, which must have the same window."""
+        if other.known_range != self.known_range:
+            raise StructuralError(f"wedge of windows {self.known_range} and {other.known_range}")
+        return GradedGroup(self.known_range, tuple(map(GroupExpr.plus, self.cells, other.cells)))
 
-    def countable_sum(self, lo: int, hi: int) -> "GradedGroup":
-        return GradedGroup((lo, hi), tuple([self.at(d).countable_sum()
-                                            for d in range(lo, hi + 1)]))
+    def countable_sum(self) -> "GradedGroup":
+        return GradedGroup(self.known_range, tuple([c.countable_sum() for c in self.cells]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,70 +403,33 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
 
 
 # ---------------------------------------------------------------------------
-# degreewise map descriptors and the LES fiber solver
+# the LES fiber solver
 
 
-class MapDescriptor(Frozen):
-    """One degree of a map between GroupExpr values.
-
-    kind:
-      "zero"            the zero map
-      "row_powers"      CountableFree -> Z, e_k |-> base**k (data = base)
-    """
-
-    __slots__ = ("kind", "data")
-
-    @classmethod
-    def zero(cls):
-        return cls("zero", None)
-
-    @classmethod
-    def row_powers(cls, base: int):
-        return cls("row_powers", base)
-
-
-def descriptor_kernel_cokernel(desc: MapDescriptor, domain: GroupExpr,
-                               codomain: GroupExpr) -> tuple[GroupExpr, GroupExpr]:
-    if desc.kind == "zero":
-        return domain, codomain
-    if desc.kind == "row_powers":
-        if domain != GroupExpr.countable_free() or codomain != GroupExpr.free(1):
-            raise StructuralError("row descriptor needs CountableFree -> Z")
-        # the k = 0 coefficient base**0 = 1 generates Z, and the kernel of a
-        # map from a countable free group onto Z is again free of countable rank
-        return GroupExpr.countable_free(), GroupExpr.zero()
-    raise StructuralError(f"unknown descriptor kind {desc.kind!r}")
-
-
-def _kernel_cokernel_at(w: GradedGroup, b: GradedGroup, f: dict[int, MapDescriptor],
-                        degree: int) -> tuple[GroupExpr, GroupExpr]:
-    dom = w.at(degree)
-    cod = b.at(degree)
-    desc = f.get(degree)
-    if desc is None:
-        if dom.is_zero():
-            return GroupExpr.zero(), cod
-        if cod.is_zero():
-            return dom, GroupExpr.zero()
-        raise StructuralError(
-            f"degree {degree}: both sides nonzero but no map descriptor given")
-    return descriptor_kernel_cokernel(desc, dom, cod)
-
-
-def les_fiber(w: GradedGroup, b: GradedGroup, f: dict[int, MapDescriptor],
+def les_fiber(w: GradedGroup, b: GradedGroup, f: dict[int, tuple[GroupExpr, GroupExpr]],
               lo: int, hi: int) -> GradedGroup:
     """Homology of the fiber F of a map f: W -> B, assembled degreewise from
     ... -> H_n(F) -> H_n(W) -> H_n(B) -> H_{n-1}(F) -> ...
 
-    ``f`` maps a degree to its descriptor; a degree without one must have a
-    zero domain or a zero codomain.  In each degree, H_n(F) is an extension
-    of ker(f_n) by coker(f_{n+1}); the solver only accepts the degenerate
+    ``f`` maps a degree n to the pair (ker f_n, coker f_n).  A degree
+    without an entry must have a zero domain or a zero codomain, so that
+    f_n is zero, with kernel W_n and cokernel B_n; otherwise the solver
+    raises ``StructuralError``.  In each degree, H_n(F) is an extension of
+    ker(f_n) by coker(f_{n+1}); the solver only accepts the degenerate
     cases (one side zero) and raises ``IndeterminateExtension`` otherwise.
     """
+    def kernel_cokernel(n):
+        pair = f.get(n)
+        if pair is None:
+            pair = w.at(n), b.at(n)
+            if not (pair[0].is_zero() or pair[1].is_zero()):
+                raise StructuralError(
+                    f"degree {n}: both sides nonzero but no kernel and cokernel given")
+        return pair
+
     cells = []
     for n in range(lo, hi + 1):
-        ker_n, _ = _kernel_cokernel_at(w, b, f, n)
-        _, coker_up = _kernel_cokernel_at(w, b, f, n + 1)
+        ker_n, coker_up = kernel_cokernel(n)[0], kernel_cokernel(n + 1)[1]
         if not ker_n.is_zero() and not coker_up.is_zero():
             raise IndeterminateExtension(n)
         cells.append(ker_n.plus(coker_up))

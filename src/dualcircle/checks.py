@@ -93,8 +93,8 @@ def _suite(name: str):
     return import_module(f".{name}_checks", __package__)
 
 
-def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
-    return _suite("operad").run_operad_check(config, compose_fn)
+def run_operad_check(config: RunConfig) -> Report:
+    return _suite("operad").run_operad_check(config)
 
 
 def run_hh_verify(config: RunConfig) -> Report:

@@ -84,11 +84,10 @@ def _composite_inputs(outer, inners) -> dict:
     return {"outer": _coords(outer)[0], "inners": _coords(*inners)}
 
 
-def associativity(outer, inners, deepest, comp=None) -> CheckResult:
-    comp = comp or compose
+def associativity(outer, inners, deepest) -> CheckResult:
     rest = iter(deepest)
-    inner_composites = [comp(b, list(islice(rest, b.arity))) for b in inners]
-    holds = comp(comp(outer, inners), deepest) == comp(outer, inner_composites)
+    inner_composites = [compose(b, list(islice(rest, b.arity))) for b in inners]
+    holds = compose(compose(outer, inners), deepest) == compose(outer, inner_composites)
     return _verdict("associativity replay", holds, lambda: {
         "check": "associativity",
         "inputs": {**_composite_inputs(outer, inners), "deepest": _coords(*deepest)}})
@@ -98,28 +97,26 @@ def associativity(outer, inners, deepest, comp=None) -> CheckResult:
 _UNIT = OperadPoint(())
 
 
-def unit(point, comp=None) -> CheckResult:
-    comp, e = comp or compose, _UNIT
-    holds = comp(e, [point]) == point and comp(point, [e] * point.arity) == point
+def unit(point) -> CheckResult:
+    holds = compose(_UNIT, [point]) == point and compose(point, [_UNIT] * point.arity) == point
     return _verdict("unit replay", holds, lambda: {
         "check": "unit", "inputs": {"point": _coords(point)[0]}})
 
 
-def closure_a(outer, inners, comp=None) -> CheckResult:
-    return _verdict("closure-A replay", is_member("A", (comp or compose)(outer, inners)),
+def closure_a(outer, inners) -> CheckResult:
+    return _verdict("closure-A replay", is_member("A", compose(outer, inners)),
                     lambda: {"check": "closure-A",
                              "inputs": _composite_inputs(outer, inners)})
 
 
-def closure_oprime(outer, inners, comp=None) -> CheckResult:
-    return _verdict("closure-Oprime replay",
-                    is_member("Oprime", (comp or compose)(outer, inners)),
+def closure_oprime(outer, inners) -> CheckResult:
+    return _verdict("closure-Oprime replay", is_member("Oprime", compose(outer, inners)),
                     lambda: {"check": "closure-Oprime",
                              "inputs": _composite_inputs(outer, inners)})
 
 
-def coalgebra_compatibility(outer, inners, comp=None) -> CheckResult:
-    holds = action_map((comp or compose)(outer, inners)) == compose_action_maps(
+def coalgebra_compatibility(outer, inners) -> CheckResult:
+    holds = action_map(compose(outer, inners)) == compose_action_maps(
         action_map(outer), [action_map(i) for i in inners])
     return _verdict("coalgebra replay", holds, lambda: {
         "check": "coalgebra-compatibility", "inputs": _composite_inputs(outer, inners)})
@@ -211,13 +208,11 @@ def _random_point(bits, min_arity=1, suboperad="O") -> OperadPoint:
 _S_VALUES = tuple(Fraction(k, 100) for k in range(1, 100))
 
 
-def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
+def run_operad_check(config: RunConfig) -> Report:
     """Associativity, unit, suboperad closure, coalgebra compatibility,
     zero-action soundness, and the nullhomotopy endpoints, on seeded random
-    rational points.  ``compose_fn`` may substitute a (deliberately broken)
-    composition for negative-control runs."""
+    rational points."""
     config.validate()
-    comp = compose_fn  # None: each verdict looks up compose when it runs
     bits = random.Random(config.seed).getrandbits
     report = Report("operad check", config)
     trials = config.trials
@@ -229,23 +224,23 @@ def run_operad_check(config: RunConfig, compose_fn=None) -> Report:
             a = _random_point(bits)
             bs = [_random_point(bits) for _ in range(a.arity)]
             cs = [_random_point(bits) for _ in range(sum(b.arity for b in bs))]
-            yield associativity(a, bs, cs, comp)
-            yield unit(a, comp)
+            yield associativity(a, bs, cs)
+            yield unit(a)
 
     def closed():
         for _ in range(trials):
             a = _random_point(bits, suboperad="A")
             yield closure_a(a, [_random_point(bits, suboperad="A")
-                                for _ in range(a.arity)], comp)
+                                for _ in range(a.arity)])
             o = _random_point(bits, suboperad="Oprime")
             yield closure_oprime(o, [_random_point(bits, suboperad="Oprime")
-                                     for _ in range(o.arity)], comp)
+                                     for _ in range(o.arity)])
 
     def compatible():
         for _ in range(trials):
             a = _random_point(bits)
             yield coalgebra_compatibility(
-                a, [_random_point(bits) for _ in range(a.arity)], comp)
+                a, [_random_point(bits) for _ in range(a.arity)])
 
     def sound():
         for _ in range(200):

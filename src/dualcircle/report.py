@@ -18,6 +18,9 @@ class UsageError(Exception):
     pass
 
 
+# the most trials of operad check: about 0.1 ms each, so about 10 s at the cap
+MAX_TRIALS = 10**5
+
 # the most bytes a file named by --replay, --config or --fixtures may hold;
 # the largest packaged fixture file holds 3 KB
 MAX_FILE_BYTES = 1 << 20
@@ -60,6 +63,8 @@ class RunConfig:
         for name in ("trials", "max_weight"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.trials > MAX_TRIALS:
+            raise UsageError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.max_degree < 0:
             raise UsageError(f"max_degree must be at least 0, got {self.max_degree}")
         if need_prime and not is_prime(self.p):

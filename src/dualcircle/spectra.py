@@ -14,7 +14,7 @@ with no rule raises ``EvaluationUnsupported`` instead of approximating.
 
 from __future__ import annotations
 
-from .abgroups import GradedGroup, GroupExpr, MapDescriptor, les_fiber
+from .abgroups import GradedGroup, GroupExpr, StructuralError, les_fiber
 from .frozen import Frozen
 
 
@@ -85,8 +85,18 @@ class WedgeCircleTransfer(Frozen):
     def codomain(self):
         return Shift(-1, SuspCircle())
 
-    def graded_data(self) -> dict[int, MapDescriptor]:
-        return {0: MapDescriptor.row_powers(self.p)}
+    def kernel_cokernel(self, w: GradedGroup,
+                        b: GradedGroup) -> dict[int, tuple[GroupExpr, GroupExpr]]:
+        """(kernel, cokernel) by degree, where neither the domain's homology
+        ``w`` nor the codomain's ``b`` is zero: degree 0, if in the window."""
+        lo, hi = w.known_range
+        if not lo <= 0 <= hi:
+            return {}
+        if w.at(0) != GroupExpr.countable_free() or b.at(0) != GroupExpr.free(1):
+            raise StructuralError("the transfer row needs CountableFree -> Z")
+        # the row's entry p^0 = 1 generates Z, and the kernel of a map from a
+        # countable free group onto Z is again free of countable rank
+        return {0: (GroupExpr.countable_free(), GroupExpr.zero())}
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +141,8 @@ def homology_graded(expr, lo: int, hi: int) -> GradedGroup:
 
 
 def fiber_homology(map_expr, lo: int, hi: int) -> GradedGroup:
-    """Homology of the fiber of a map expression with a degreewise
-    realization (``graded_data``), via the long exact sequence."""
+    """Homology of the fiber of a map expression in [lo, hi], via the long
+    exact sequence, from the map's ``kernel_cokernel``."""
     w = homology_graded(map_expr.domain, lo - 1, hi + 1)
     b = homology_graded(map_expr.codomain, lo - 1, hi + 1)
-    return les_fiber(w, b, map_expr.graded_data(), lo, hi)
+    return les_fiber(w, b, map_expr.kernel_cokernel(w, b), lo, hi)

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import json
 
-from .abgroups import MapDescriptor
 from .checks import MAX_DEGREES, _int_input, _need, _prime, _require, _verdict, _window
 from .primes import irregular_indices
 from .report import CheckResult, Report, RunConfig, TableBlock
 from .tc import (check_fr_commute, coassembly_conclusion, diff_table1, diff_table2,
-                 dual_tc_shift_sum_check, e_homology_with_descriptor, expected_table1,
+                 dual_tc_shift_sum_check, e_homology_zero_row, expected_table1,
                  frobenius_general, frobenius_map, restriction_map, table1, table2,
                  table2_wedge_check)
 
@@ -32,8 +31,9 @@ def _table1_window(lo: int, hi: int, reference: dict) -> tuple[int, int]:
     return ref_lo, ref_hi
 
 
-def table1_vs_reference(p, lo, hi, rows, reference) -> CheckResult:
-    problems = diff_table1(p, rows, lo, hi, reference)
+def table1_vs_reference(p, rows, reference) -> CheckResult:
+    problems = diff_table1(rows, reference)
+    lo, hi = rows["S"].known_range  # the window of every row
     cells = {label: {str(d): row.at(d).to_json_obj() for d in range(lo, hi + 1)}
              for label, row in rows.items()}
     return _verdict("table1 vs reference", not problems, lambda: {
@@ -46,7 +46,7 @@ def _parse_table1(inputs: dict) -> dict:
     reference = expected_table1(p)
     lo, hi = _window(inputs, _reference_degrees(reference))
     _table1_window(lo, hi, reference)
-    return {"p": p, "lo": lo, "hi": hi, "rows": table1(p, lo, hi), "reference": reference}
+    return {"p": p, "rows": table1(p, lo, hi), "reference": reference}
 
 
 def table2_vs_reference(t) -> CheckResult:
@@ -77,7 +77,7 @@ def _parse_table2(inputs: dict) -> dict:
 
 def negative_control(p) -> CheckResult:
     """A zeroed transfer row must move H_{-1}(E) away from the reference."""
-    got = e_homology_with_descriptor(p, MapDescriptor.zero(), -2, 4).at(-1)
+    got = e_homology_zero_row(p, -2, 4).at(-1)
     expected = expected_table1(p)["E"][-1]
     return _verdict("zeroed transfer row detected", got != expected,
                     lambda: {"check": "negative-control", "inputs": {"p": str(p)}},
@@ -100,7 +100,7 @@ def run_tc_table1(config: RunConfig) -> Report:
     if uncompared:
         report.add_skip(f"{uncompared} cells outside the reference degrees "
                         f"{ref_lo}..{ref_hi}", {"cells": str(uncompared)})
-    report.checks.append(table1_vs_reference(config.p, lo, hi, rows, reference))
+    report.checks.append(table1_vs_reference(config.p, rows, reference))
     return report
 
 

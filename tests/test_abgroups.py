@@ -9,7 +9,6 @@ from dualcircle.abgroups import (
     GradedGroup,
     GroupExpr,
     IndeterminateExtension,
-    MapDescriptor,
     StructuralError,
     DegreeOutOfRange,
     UnsupportedAtom,
@@ -169,10 +168,23 @@ class TestGradedGroup:
 
     def test_wedge_adds_degreewise(self):
         gg = GradedGroup.from_dict({0: GroupExpr.free(1)}, known_range=(-1, 2))
-        w = gg.wedge(gg, -1, 1)
-        assert w.known_range == (-1, 1)
+        w = gg.wedge(gg)
+        assert w.known_range == (-1, 2)
         assert w.at(0) == GroupExpr.free(2)
         assert w.at(1).is_zero()
+
+    def test_wedge_refuses_a_different_window(self):
+        gg = GradedGroup.from_dict({0: GroupExpr.free(1)}, known_range=(-1, 2))
+        other = GradedGroup.from_dict({0: GroupExpr.free(1)}, known_range=(-1, 1))
+        with pytest.raises(StructuralError):
+            gg.wedge(other)
+
+    def test_countable_sum_keeps_the_window(self):
+        gg = GradedGroup.from_dict({0: GroupExpr.free(1)}, known_range=(-1, 2))
+        s = gg.countable_sum()
+        assert s.known_range == (-1, 2)
+        assert s.at(0) == GroupExpr.countable_free()
+        assert s.at(2).is_zero()
 
     def test_one_cell_per_degree_of_the_window(self):
         gg = GradedGroup.from_dict({5: GroupExpr.cyclic(3), 9: GroupExpr.free(1)},
@@ -201,10 +213,19 @@ class TestLesFiber:
     def test_countable_row_example(self):
         w = _graded({0: GroupExpr.countable_free()})
         b = _graded({0: GroupExpr.free(1), -1: GroupExpr.free(1)})
-        f = {0: MapDescriptor.row_powers(5)}
+        # the row (1, 5, 25, ...) is onto Z with a countable free kernel
+        f = {0: (GroupExpr.countable_free(), GroupExpr.zero())}
         fiber = les_fiber(w, b, f, -2, 0)
         assert fiber.at(-2) == GroupExpr.free(1)
         assert fiber.at(-1).is_zero()
+        assert fiber.at(0) == GroupExpr.countable_free()
+
+    def test_explicit_zero_map(self):
+        w = _graded({0: GroupExpr.countable_free()})
+        b = _graded({0: GroupExpr.free(1), -1: GroupExpr.free(1)})
+        fiber = les_fiber(w, b, {0: (w.at(0), b.at(0))}, -2, 0)
+        assert fiber.at(-2) == GroupExpr.free(1)
+        assert fiber.at(-1) == GroupExpr.free(1)
         assert fiber.at(0) == GroupExpr.countable_free()
 
     def test_refuses_ambiguous_extension(self):

@@ -16,7 +16,7 @@ from dualcircle.abgroups import FGAbGroup
 from dualcircle.hh_checks import MAX_WEIGHT
 from dualcircle.tc_checks import MAX_DEGREES, MAX_LEVEL
 from dualcircle.cli import COMMANDS, build_parser, main, parse_args
-from dualcircle.report import MAX_FILE_BYTES, RunConfig, UsageError
+from dualcircle.report import MAX_FILE_BYTES, MAX_TRIALS, RunConfig, UsageError
 
 # sha256 of seeded operad-check output and the report of the bad_compose
 # negative control, frozen from the Fraction-based operad layer
@@ -69,6 +69,14 @@ class TestOperadVerb:
         code, out = run(capsys, "operad", "check", "--trials", trials)
         assert code == 2
         assert "PASS" not in out
+
+    def test_trials_above_the_cap_rejected_at_once(self, capsys):
+        start = time.monotonic()
+        code = main(["operad", "check", "--trials", "100000000000000000000"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"at most {MAX_TRIALS}" in err and err.count("\n") == 1
+        assert time.monotonic() - start < 1
 
 
 class TestHHVerb:
@@ -556,6 +564,22 @@ class TestConfigFile:
         with pytest.raises(UsageError):
             RunConfig(**{field: 0}).validate()
 
+    def test_trials_cap_boundary(self):
+        assert MAX_TRIALS == 10**5
+        RunConfig(trials=MAX_TRIALS).validate()
+        with pytest.raises(UsageError):
+            RunConfig(trials=MAX_TRIALS + 1).validate()
+
+    def test_trials_above_the_cap_in_a_file_rejected_at_once(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 100000000000000000000\n")
+        start = time.monotonic()
+        code = main(["operad", "check", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"at most {MAX_TRIALS}" in err and err.count("\n") == 1
+        assert time.monotonic() - start < 1
+
     def test_empty_degree_range_rejected(self):
         cfg = RunConfig(min_deg=3, max_deg=1)
         with pytest.raises(UsageError):
@@ -1030,10 +1054,16 @@ class TestParser:
 
 
 class TestNegativeControlInjection:
+    @pytest.fixture(autouse=True)
+    def _corrupt_compose(self, monkeypatch):
+        from dualcircle import operad_checks
+
+        monkeypatch.setattr(operad_checks, "compose", bad_compose)
+
     def test_corrupted_compose_fails_with_counterexample(self):
         from dualcircle.checks import run_operad_check
 
-        report = run_operad_check(RunConfig(seed=42, trials=50), compose_fn=bad_compose)
+        report = run_operad_check(RunConfig(seed=42, trials=50))
         assert not report.ok
         failing = [c for c in report.checks if c.status == "fail"]
         assert failing
@@ -1042,8 +1072,7 @@ class TestNegativeControlInjection:
     def test_corrupted_compose_report_is_frozen(self):
         from dualcircle.checks import run_operad_check
 
-        report = run_operad_check(RunConfig(seed=42, trials=50, fmt="json"),
-                                  compose_fn=bad_compose)
+        report = run_operad_check(RunConfig(seed=42, trials=50, fmt="json"))
         frozen = OPERAD_OUTPUTS["bad_compose_seed42_trials50"]
         assert report.to_json() == json.dumps(
             frozen, sort_keys=True, separators=(",", ":")) + "\n"

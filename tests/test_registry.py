@@ -87,8 +87,7 @@ CASES = {
                                   lambda f: lambda t: False)),
     "table2-wedge": (TABLE2, (tc_checks, "table2_wedge_check", lambda f: lambda t: False)),
     "negative-control": (["tc", "controls", "--p", "3"], (
-        tc_checks, "e_homology_with_descriptor",
-        lambda f: lambda p, row, lo, hi: tc.e_homology(p, lo, hi))),
+        tc_checks, "e_homology_zero_row", lambda f: tc.e_homology)),
     "fr-commute": (FR, (tc_checks, "check_fr_commute", lambda f: lambda p, n: False)),
     "restriction-deletion": (FR, (tc_checks, "restriction_map", lambda f: tc.frobenius_map)),
     "frobenius-routing": (FR, (tc_checks, "frobenius_general",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dualcircle.abgroups import GroupExpr
+from dualcircle.abgroups import GradedGroup, GroupExpr, StructuralError
 from dualcircle.spectra import (
     CountableWedge,
     CPInf,
@@ -80,6 +80,28 @@ class TestFiber:
         assert h.at(-1).is_zero()
         assert h.at(0) == GroupExpr.countable_free()
         assert h.at(1) == GroupExpr.torsion_tower(2)
+
+    def test_transfer_kernel_and_cokernel_in_degree_zero(self):
+        t = WedgeCircleTransfer(3)
+        w, b = homology_graded(t.domain, -1, 1), homology_graded(t.codomain, -1, 1)
+        assert t.kernel_cokernel(w, b) == {0: (GroupExpr.countable_free(), GroupExpr.zero())}
+
+    def test_transfer_refuses_the_wrong_degree_zero_groups(self):
+        t = WedgeCircleTransfer(3)
+        w = homology_graded(t.domain, -1, 1)
+        for b in (GradedGroup.from_dict({}, (-1, 1)),
+                  GradedGroup.from_dict({0: GroupExpr.free(2)}, (-1, 1))):
+            with pytest.raises(StructuralError):
+                t.kernel_cokernel(w, b)
+        with pytest.raises(StructuralError):
+            t.kernel_cokernel(homology_graded(Sphere(), -1, 1),
+                              homology_graded(t.codomain, -1, 1))
+
+    def test_transfer_has_no_entry_outside_degree_zero(self):
+        t = WedgeCircleTransfer(5)
+        w, b = homology_graded(t.domain, 2, 5), homology_graded(t.codomain, 2, 5)
+        assert t.kernel_cokernel(w, b) == {}
+        assert fiber_homology(t, 3, 4).at(3) == GroupExpr.torsion_tower(5)
 
     def test_graded_window(self):
         g = homology_graded(Sphere(), -1, 1)

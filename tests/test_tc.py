@@ -1,6 +1,6 @@
 import pytest
 
-from dualcircle.abgroups import GradedGroup, GroupExpr, MapDescriptor
+from dualcircle.abgroups import GradedGroup, GroupExpr
 from dualcircle.qspaces import SymbolicQSpace
 from dualcircle.tc import (
     HurewiczRangeError,
@@ -13,7 +13,7 @@ from dualcircle.tc import (
     dual_tc_shift_sum_check,
     dual_tc_sphere_model_homology,
     e_homology,
-    e_homology_with_descriptor,
+    e_homology_zero_row,
     expected_table1,
     frobenius_general,
     frobenius_map,
@@ -93,7 +93,7 @@ class TestEHomology:
         assert e_homology(7, -2, -2).at(-2) == Z
 
     def test_negative_control_changes_h_minus_one(self):
-        sabotaged = e_homology_with_descriptor(3, MapDescriptor.zero(), -2, 0)
+        sabotaged = e_homology_zero_row(3, -2, 0)
         assert sabotaged.at(-1) == Z  # reference value is 0
         assert e_homology(3, -2, 0).at(-1).is_zero()
 
@@ -101,7 +101,7 @@ class TestEHomology:
 class TestTables:
     def test_table1_exact_for_small_primes(self):
         for p in (2, 3, 5):
-            assert diff_table1(p, table1(p, -2, 4), -2, 4) == []
+            assert diff_table1(table1(p, -2, 4), expected_table1(p)) == []
 
     def test_table1_rejects_composites(self):
         with pytest.raises(ValueError):

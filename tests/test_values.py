@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualcircle.abgroups import FGAbGroup, GradedGroup, GroupExpr, MapDescriptor
+from dualcircle.abgroups import FGAbGroup, GradedGroup, GroupExpr
 from dualcircle.cyclic import EquivariantCellComplex, GradedModule, lambda_cell_model
 from dualcircle.matrices import IntMatrix, SmithDecomposition, smith_normal_form
 from dualcircle.operads import CubePoint, OperadPoint, SuspensionActionMap
@@ -29,7 +29,6 @@ VALUES = {
     FGAbGroup: lambda: FGAbGroup.from_orders([0, 4, 6]),
     GroupExpr: lambda: GroupExpr.cyclic(12).plus(GroupExpr.countable_free()),
     GradedGroup: lambda: GradedGroup.from_dict({0: GroupExpr.free(2)}, (0, 3)),
-    MapDescriptor: lambda: MapDescriptor.row_powers(5),
     GradedModule: lambda: GradedModule(((0, 0), (1, 2))),
     EquivariantCellComplex: _cell_model,
     IntMatrix: lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
