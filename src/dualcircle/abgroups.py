@@ -325,11 +325,12 @@ class GradedGroup(Frozen):
 
 
 def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
-                         orders_here, orders_below) -> FGAbGroup:
+                         orders_here, orders_below,
+                         rank_out: int | None = None) -> tuple[FGAbGroup, int]:
     """Homology at the middle of A -> B -> C where the groups are direct
     sums of cyclic groups (order 0 meaning Z), B is described by
     ``orders_here``, C by ``orders_below``, and the maps are given by
-    integer matrices on generators.
+    integer matrices on generators; returned with rank d_{B+1} (below).
 
     With B = Z^n / R_B and C = Z^m / R_C (R holding o e_i per nonzero
     order o), the complex is the cokernel of the injective chain map of
@@ -339,30 +340,35 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
     differentials are d_B = [d_out | R_C], m x (n + m'), and d_{B+1}, with
     a column (x ; R_C^-1 d_out x) for each column x of ``d_in`` and R_B.
     So H = Z^(n + m' - rank d_B - rank d_{B+1}) (+) (the invariant factors
-    of d_{B+1} other than 1).  Over Q the columns of R_C span C's torsion
-    rows, so rank d_B = m' + (the rank of d_out on C's free rows): one
-    elimination without a transform, none if d_out is zero there, and one
-    more for d_{B+1}.  The cone's F_1(C) rows carry the opposite sign,
-    which changes neither rank nor invariant factors.  A non-integral R_C^-1 d_out x means the input
-    is not a complex.  When d_out is zero, H is the cokernel of the columns
-    of ``d_in`` and R_B.  Below, C = Z + Z/2 and B = Z^2 -> C is the
-    identity, so the kernel is 0 + 2Z, and A = Z maps onto 4Z:
+    of d_{B+1} other than 1), and that one elimination gives rank d_{B+1},
+    n + m' - free: rank d_B one degree up.  Over Q the columns of R_C span
+    C's torsion rows, so rank d_B = m' + (the rank of d_out on C's free
+    rows); it is ``rank_out`` when the caller kept it from the degree
+    below, else one more elimination without a transform, none if d_out is
+    zero there.  The cone's F_1(C) rows carry the opposite sign, which
+    changes neither rank nor invariant factors.  A non-integral
+    R_C^-1 d_out x means the input is not a complex.  When d_out is zero,
+    H is the cokernel of the columns of ``d_in`` and R_B.  Below, C = Z +
+    Z/2 and B = Z^2 -> C is the identity, so the kernel is 0 + 2Z, and
+    A = Z maps onto 4Z:
 
-    >>> str(homology_with_orders(IntMatrix.from_rows([[1, 0], [0, 1]]),
-    ...                          IntMatrix.from_rows([[0], [4]]), [0, 0], [0, 2]))
-    'Z/2'
+    >>> homology_with_orders(IntMatrix.from_rows([[1, 0], [0, 1]]),
+    ...                      IntMatrix.from_rows([[0], [4]]), [0, 0], [0, 2])
+    (FGAbGroup(free_rank=0, torsion=(2,)), 1)
     """
     orders_here = list(orders_here)
+    orders_below = list(orders_below)
     n_b = len(orders_here)
-    if n_b == 0:
-        return FGAbGroup.zero()
-    out = None if d_out is None or d_out.is_zero() else d_out
-    if out is not None:
-        if out.cols != n_b:
+    if d_out is not None:
+        if d_out.cols != n_b:
             raise StructuralError("outgoing boundary has wrong width")
-        orders_below = list(orders_below)
-        if out.rows != len(orders_below):
+        if d_out.rows != len(orders_below):
             raise StructuralError("outgoing boundary has wrong height")
+    if rank_out is not None and not 0 <= rank_out <= len(orders_below):
+        raise StructuralError(f"outgoing rank {rank_out} outside 0..{len(orders_below)}")
+    if n_b == 0:
+        return FGAbGroup.zero(), 0
+    out = None if d_out is None or d_out.is_zero() else d_out
 
     # generators of what must die: the image of A, plus B's relations
     killed: list[dict[int, int]] = []
@@ -373,7 +379,7 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
     killed.extend({i: o} for i, o in enumerate(orders_here) if o)
     if out is None:
         free, torsion = cokernel_invariants(IntMatrix(n_b, tuple(killed)))
-        return FGAbGroup(free, tuple(torsion))
+        return FGAbGroup(free, tuple(torsion)), n_b - free
 
     slot: dict[int, int] = {}  # row i of C -> its row in F_1(C), after B's
     for i, o in enumerate(orders_below):
@@ -395,11 +401,12 @@ def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
                         "(input is not a complex)")
                 lift[slot[i]] = v // o
         lifted.append(lift)
-    on_free = [c for c in ({i: x for i, x in col.items() if i not in slot}
-                           for col in out.columns) if c]  # d_out on C's free rows
-    rank_b = len(slot) + (rank(IntMatrix(out.rows, tuple(on_free))) if on_free else 0)
+    if rank_out is None:
+        on_free = [c for c in ({i: x for i, x in col.items() if i not in slot}
+                               for col in out.columns) if c]  # d_out on C's free rows
+        rank_out = len(slot) + (rank(IntMatrix(out.rows, tuple(on_free))) if on_free else 0)
     free, torsion = cokernel_invariants(IntMatrix(n_b + len(slot), tuple(lifted)))
-    return FGAbGroup(free - rank_b, tuple(torsion))
+    return FGAbGroup(free - rank_out, tuple(torsion)), n_b + len(slot) - free
 
 
 # ---------------------------------------------------------------------------

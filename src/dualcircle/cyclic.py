@@ -27,8 +27,8 @@ routes compute its homology, each from its own source:
   elimination with the orbit's own order (``cell_weight_homology_fg``);
 * the oracle is a brute-force normalized Hochschild complex built purely
   from the simplicial face maps of the ring, asked one weight at a time;
-  it builds each weight's chains and each (total degree, weight) block of
-  its face-sum differential once, on first use, for generic homology
+  it lists each weight's words and writes their face-sum columns in one
+  pass, on first use, and hands each block to generic homology
   (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
@@ -201,62 +201,57 @@ class NormalizedHochschild:
     differential here is the full alternating face sum of the ring
     structure, with no cyclic-operator shortcut.
 
-    A chain is a pair (r0, tail) for the normalized chain (r0; m_1, ...,
-    m_k): r0 is either the ring unit (None) or a module generator index,
-    and the tail, whose length is the chain's level, is the tuple of module
-    generator indices.  Every face keeps the weight, the number of module
-    letters, so the complex is the direct sum of its weights and is asked
-    one weight at a time; a weight's chains are built on its first query.
+    A normalized chain (r0; m_1, ..., m_k) has level k; r0 is the ring
+    unit or a module generator and the m_i are module generators.  Every
+    face keeps the weight, the number of module letters, so the complex is
+    asked one weight at a time.  A weight-w word u gives the module-led
+    chain (u_1; u_2, ..., u_w) at level w - 1 and the unit-led (1; u) at
+    level w.  Faces 1..k-1 multiply adjacent module slots, as does every
+    face of a module-led chain: all are zero.  A unit-led chain keeps face
+    0, the module-led chain of u, and face w, that of u rotated (last
+    letter to the front) with sign (-1)^w times the Koszul sign of the
+    move; when the rotation fixes u the two add.
+
+    A weight's first query lists its words with degree and order in one
+    pass and writes each unit-led face column by the words' places in
+    their degree; total degree t holds the module-led chains of degree
+    t - w + 1 words, then the unit-led ones of degree t - w.  Each query is
+    one ``homology_with_orders`` call, whose returned rank is kept for the
+    query one degree up, so a sweep upward eliminates once per degree.
+    Nothing is kept beyond the instance.
     """
 
     def __init__(self, m: GradedModule, max_level: int):
         self.module = m
         self.max_level = max_level
-        self._weights: dict[int, dict[int, list[tuple]]] = {}
-        self._orders: dict[int, dict[int, list[int]]] = {}  # beside _weights
-        self._faces: dict[tuple[int, int], tuple[IntMatrix, list[int]]] = {}
+        self._words: dict[int, dict] = {}  # weight -> its _weight_words
+        self._ranks: dict[tuple[int, int], int] = {}  # (weight, t) -> rank of d out of t
 
-    def _weight_chains(self, w: int) -> dict[int, list[tuple]]:
-        """The chains of weight w by total degree, built once: one per word
-        r0 m_1 ... m_(w-1) of generators at level w - 1, and one unit-led
-        per word at level w.  Both chains of a word have its order, the gcd
-        of its letters' orders, kept in ``_orders`` at the chain's place."""
-        if w not in self._weights:
-            gens = self.module.generators
-            words = [((), 0, 0)]  # (word, its internal degree, its order), lexicographic
-            for _ in range(w):
-                words = [(u + (i,), d + e, gcd(o, q))
-                         for u, d, o in words for i, (e, q) in enumerate(gens)]
-            blocks = self._weights[w] = {}
-            orders = self._orders[w] = {}
-            for u, d, o in words:
-                blocks.setdefault(w - 1 + d, []).append((u[0], u[1:]))
-                orders.setdefault(w - 1 + d, []).append(o)
-            for u, d, o in words:
-                blocks.setdefault(w + d, []).append((None, u))
-                orders.setdefault(w + d, []).append(o)
-        return self._weights[w]
-
-    def _boundary(self, k: int, c: tuple) -> list[tuple[tuple, int]]:
-        """The nonzero faces of a level-k chain, with their signs.  Faces
-        1..k-1 multiply adjacent module slots, and so does every face of a
-        chain led by a module generator: all are zero.  A unit-led chain
-        keeps face 0 (unit * m_1) and face k (the last slot rotated to the
-        front, with its Koszul sign).  On a constant tail, as always at
-        k = 1, the two faces coincide and their signs add."""
-        r0, tail = c
-        if r0 is not None or k == 0:
-            return []
+    def _weight_words(self, w: int) -> dict[int, tuple[list[int], tuple[dict[int, int], ...]]]:
+        """The words of weight w by internal degree, each degree's in
+        lexicographic order: their orders, the gcd of their letters', and
+        the face column of each word's unit-led chain, by place in that
+        list (module-led chains have no face)."""
         gens = self.module.generators
-        last = tail[-1]
-        front = (tail[0], tail[1:])
-        rotated = (last, tail[:-1])
-        deg_front = sum(gens[i][0] for i in tail[:-1])
-        koszul = -1 if (gens[last][0] % 2) and (deg_front % 2) else 1
-        sign = (1 if k % 2 == 0 else -1) * koszul
-        if rotated == front:
-            return [(front, 1 + sign)] if 1 + sign else []
-        return [(front, 1), (rotated, sign)]
+        g = len(gens)
+        degrees, orders = [0], [0]
+        for _ in range(w):
+            degrees = [d + e for d in degrees for e, _ in gens]
+            orders = [gcd(o, q) for o in orders for _, q in gens]
+        blocks: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
+        place = []
+        for d, o in zip(degrees, orders):
+            here = blocks.setdefault(d, ([], []))[0]
+            place.append(len(here))
+            here.append(o)
+        front, simplicial = g ** (w - 1), -1 if w % 2 else 1  # simplicial = (-1)^w
+        for u, d in enumerate(degrees):
+            last = u % g
+            e = gens[last][0]
+            sign = -simplicial if e % 2 and (d - e) % 2 else simplicial
+            p, r = place[u], place[last * front + u // g]
+            blocks[d][1].append({p: 1, r: sign} if p != r else {p: 2} if sign == 1 else {})
+        return {d: (here, tuple(faces)) for d, (here, faces) in blocks.items()}
 
     def homology(self, total_degree: int, weight: int) -> FGAbGroup:
         """Homology of weight ``weight`` at a total degree; the weight is
@@ -266,35 +261,28 @@ class NormalizedHochschild:
         if self.max_level < weight:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
-        d_out, orders_here = self._faces_from(total_degree, weight)
-        d_in, _ = self._faces_from(total_degree + 1, weight)
-        _, orders_below = self._faces_from(total_degree - 1, weight)
-        return homology_with_orders(d_out, d_in, orders_here, orders_below)
+        words = self._words.get(weight)
+        if words is None:
+            words = self._words[weight] = self._weight_words(weight)
+        d = total_degree - weight  # the unit-led words' degree here
+        top, above, here, below = (words.get(d + k, ([], ())) for k in (2, 1, 0, -1))
+        orders_here, orders_below = above[0] + here[0], here[0] + below[0]
+        d_out = IntMatrix(len(orders_below), ({},) * len(above[0]) + here[1])
+        d_in = IntMatrix(len(orders_here), ({},) * len(top[0]) + above[1])
+        h, rank_in = homology_with_orders(d_out, d_in, orders_here, orders_below,
+                                          self._ranks.get((weight, total_degree)))
+        self._ranks[weight, total_degree + 1] = rank_in
+        return h
 
     def weight_homology(self, w: int, lo: int, hi: int) -> dict[int, FGAbGroup]:
         """The nonzero groups of weight w in total degrees lo..hi; builds
-        only that weight's chains."""
+        only that weight's words."""
         out = {}
         for t in range(lo, hi + 1):
             h = self.homology(t, weight=w)
             if not h.is_trivial():
                 out[t] = h
         return out
-
-    def _faces_from(self, t: int, w: int) -> tuple[IntMatrix, list[int]]:
-        """The face-sum matrix of weight w from total degree t to t - 1 and
-        the orders of the degree-t chains, built once per instance."""
-        key = (t, w)
-        if key not in self._faces:
-            chains = self._weight_chains(w)
-            here, below = chains.get(t, []), chains.get(t - 1, [])
-            pos = {cell: r for r, cell in enumerate(below)}
-            # from a list: a tuple grown from a generator can keep a larger block
-            matrix = IntMatrix(len(below), tuple([
-                {pos[face]: sign for face, sign in self._boundary(len(c[1]), c)}
-                for c in here]))
-            self._faces[key] = matrix, self._orders[w].get(t, [])
-        return self._faces[key]
 
 
 def brute_hochschild(m: GradedModule, degree_bound: int) -> GradedGroup:

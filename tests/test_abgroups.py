@@ -15,8 +15,13 @@ from dualcircle.abgroups import (
     homology_with_orders,
     les_fiber,
 )
-from dualcircle.matrices import IntMatrix, cokernel_invariants, kernel_basis
+from dualcircle.matrices import IntMatrix, cokernel_invariants, kernel_basis, rank
 from dualcircle.primes import factorint
+
+
+def homology(*args, **kwargs) -> FGAbGroup:
+    """The group of ``homology_with_orders``, without the rank it hands on."""
+    return homology_with_orders(*args, **kwargs)[0]
 
 
 def _to_fg(expr: GroupExpr) -> FGAbGroup:
@@ -112,17 +117,32 @@ class TestChainHomology:
 
     def test_multiplication_by_two(self):
         two = IntMatrix.from_rows([[2]])
-        assert homology_with_orders(two, None, [0], [0]) == FGAbGroup.zero()
-        assert homology_with_orders(None, two, [0], []) == FGAbGroup.from_orders([2])
+        assert homology(two, None, [0], [0]) == FGAbGroup.zero()
+        assert homology(None, two, [0], []) == FGAbGroup.from_orders([2])
 
     def test_zero_differentials(self):
-        assert homology_with_orders(None, None, [0, 0, 0], []) == FGAbGroup.free(3)
+        assert homology(None, None, [0, 0, 0], []) == FGAbGroup.free(3)
 
     def test_projective_plane(self):
         d1, d2 = IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
-        assert str(homology_with_orders(None, d1, [0], [])) == "Z"
-        assert str(homology_with_orders(d1, d2, [0], [0])) == "Z/2"
-        assert homology_with_orders(d2, None, [0], [0]).is_trivial()
+        assert str(homology(None, d1, [0], [])) == "Z"
+        assert str(homology(d1, d2, [0], [0])) == "Z/2"
+        assert homology(d2, None, [0], [0]).is_trivial()
+        # H_1 eliminates d_2 and hands its rank to H_2, which then needs none
+        assert homology_with_orders(d1, d2, [0], [0])[1] == 1
+        assert homology_with_orders(d2, None, [0], [0], rank_out=1) == (FGAbGroup.zero(), 0)
+
+    @pytest.mark.parametrize("d_out", [IntMatrix.zero(1, 3), IntMatrix.zero(2, 2)],
+                             ids=["wide", "tall"])
+    def test_a_zero_outgoing_boundary_of_the_wrong_shape_raises(self, d_out):
+        with pytest.raises(StructuralError, match="outgoing boundary has wrong"):
+            homology_with_orders(d_out, None, [0, 0], [0])
+
+    @pytest.mark.parametrize("rank_out", [-1, 2])
+    def test_an_outgoing_rank_outside_the_rows_of_c_raises(self, rank_out):
+        with pytest.raises(StructuralError, match="outgoing rank"):
+            homology_with_orders(IntMatrix.from_rows([[1, 0]]), None, [0, 0], [0],
+                                 rank_out=rank_out)
 
     def test_nonzero_composite_raises_when_the_kernel_is_zero(self):
         # Z --1--> Z --1--> Z: the middle kernel is zero, the composite is not
@@ -137,24 +157,24 @@ class TestChainHomology:
 
     def test_torus(self):
         # one 0-cell, two 1-cells, one 2-cell, all boundaries zero
-        h1 = homology_with_orders(IntMatrix.zero(1, 2), IntMatrix.zero(2, 1), [0, 0], [0])
+        h1 = homology(IntMatrix.zero(1, 2), IntMatrix.zero(2, 1), [0, 0], [0])
         assert h1 == FGAbGroup.free(2)
 
     def test_klein_bottle(self):
         # square identification: da = 0, db = 0, d(face) = 2b
         d1, d2 = IntMatrix.zero(1, 2), IntMatrix.from_rows([[0], [2]])
-        assert homology_with_orders(None, d1, [0], []) == FGAbGroup.free(1)
-        assert homology_with_orders(d1, d2, [0, 0], [0]) == FGAbGroup.from_orders([0, 2])
-        assert homology_with_orders(d2, None, [0], [0, 0]).is_trivial()
+        assert homology(None, d1, [0], []) == FGAbGroup.free(1)
+        assert homology(d1, d2, [0, 0], [0]) == FGAbGroup.from_orders([0, 2])
+        assert homology(d2, None, [0], [0, 0]).is_trivial()
 
     def test_three_dimensional_lens_spaces(self):
         zero = IntMatrix.zero(1, 1)
         for p in (2, 3, 5, 7**5):
             d2 = IntMatrix.from_rows([[p]])
-            assert homology_with_orders(None, zero, [0], []) == FGAbGroup.free(1)
-            assert homology_with_orders(zero, d2, [0], [0]) == FGAbGroup.from_orders([p])
-            assert homology_with_orders(d2, zero, [0], [0]).is_trivial()
-            assert homology_with_orders(zero, None, [0], [0]) == FGAbGroup.free(1)
+            assert homology(None, zero, [0], []) == FGAbGroup.free(1)
+            assert homology(zero, d2, [0], [0]) == FGAbGroup.from_orders([p])
+            assert homology(d2, zero, [0], [0]).is_trivial()
+            assert homology(zero, None, [0], [0]) == FGAbGroup.free(1)
 
 
 class TestGradedGroup:
@@ -298,6 +318,8 @@ def _small_complexes(draw, orders_c=st.lists(_ORDERS, min_size=0, max_size=3)):
         [0 if oi == 0 and oj else
          draw(small) * (oi // gcd(oi, oj) if oi else 1)
          for oj in orders_b] for oi in orders_c])
+    if not orders_c:  # from_rows([]) is 0 x 0, not the 0 x n map to C = 0
+        d_out = IntMatrix.zero(0, len(orders_b))
     block = [[d_out.entries[i][j] for j in range(len(orders_b))]
              + [o if k == i else 0 for k, o in enumerate(orders_c) if o]
              for i in range(len(orders_c))]
@@ -317,7 +339,7 @@ def _small_complexes(draw, orders_c=st.lists(_ORDERS, min_size=0, max_size=3)):
 
 def _agrees_with_reference(cx):
     d_out, d_in, orders_b, orders_c = cx
-    assert (homology_with_orders(d_out, d_in, orders_b, orders_c)
+    assert (homology(d_out, d_in, orders_b, orders_c)
             == _reference_homology_with_orders(d_out, d_in, orders_b, orders_c))
 
 
@@ -338,12 +360,21 @@ class TestHomologyWithOrdersReference:
     def test_matches_the_reference_when_c_is_all_torsion(self, cx):
         _agrees_with_reference(cx)
 
+    @given(_small_complexes())
+    @settings(max_examples=200, deadline=None)
+    def test_the_rank_handed_up_is_the_one_the_next_degree_computes(self, cx):
+        # A is free: d_in is a well-defined map out of any free group
+        d_out, d_in, orders_b, orders_c = cx
+        _, handed = homology_with_orders(d_out, d_in, orders_b, orders_c)
+        _assert_hand_off(d_in, [0] * (d_in.cols if d_in is not None else 0),
+                         orders_b, handed)
+
     def test_free_summand_and_torsion_lift(self):
         # B = Z^2 + Z/4 -> C = Z/2 by (1, 0, 2): the kernel is 2Z + Z + Z/4, and
         # d_in kills (2, 0, 1), whose image 4 is zero in C only modulo 2
         d_out = IntMatrix.from_rows([[1, 0, 2]])
         d_in = IntMatrix.from_rows([[2], [0], [1]])
-        got = homology_with_orders(d_out, d_in, [0, 0, 4], [2])
+        got = homology(d_out, d_in, [0, 0, 4], [2])
         assert got == _reference_homology_with_orders(d_out, d_in, [0, 0, 4], [2])
         assert got == FGAbGroup.from_orders([0, 4])
 
@@ -384,15 +415,16 @@ class TestHomologyWithOrdersBruteForce:
         from math import gcd, lcm
         return lcm(*(o // gcd(o, v) for o, v in zip(orders, x))) if x else 1
 
-    def test_random_small_torsion_complexes(self):
+    @classmethod
+    def _complexes(cls):
+        """40 seeded complexes A -f-> B -g-> C of finite groups: the orders
+        of A, B and C, the rows of g and the columns of f, and the kernel
+        of g as a list of elements."""
         import random
         from math import gcd
 
-        from dualcircle.abgroups import homology_with_orders
-        from dualcircle.matrices import IntMatrix
-
         rng = random.Random(99)
-        for trial in range(40):
+        for _ in range(40):
             orders_b = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 3))]
             orders_c = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2))]
             # well-defined g: entry (i, j) must be a multiple of o_i / gcd(o_i, o_j)
@@ -400,16 +432,21 @@ class TestHomologyWithOrdersBruteForce:
                        * rng.randint(0, 3)
                        for j in range(len(orders_b))]
                       for i in range(len(orders_c))]
-            b_elements = self._elements(orders_b)
-            kernel = [x for x in b_elements
-                      if not any(self._apply(g_rows, x, orders_c))]
+            kernel = [x for x in cls._elements(orders_b)
+                      if not any(cls._apply(g_rows, x, orders_c))]
             # f: a few random kernel elements as generators, orders matching
-            n_gens = rng.randint(0, 2)
-            chosen = [rng.choice(kernel) for _ in range(n_gens)]
-            f_cols = chosen
-            orders_a = [self._element_order(x, orders_b) for x in chosen]
-            f_rows = [[col[i] for col in f_cols] for i in range(len(orders_b))] \
-                if f_cols else None
+            f_cols = [rng.choice(kernel) for _ in range(rng.randint(0, 2))]
+            orders_a = [cls._element_order(x, orders_b) for x in f_cols]
+            yield orders_a, orders_b, orders_c, g_rows, f_cols, kernel
+
+    @staticmethod
+    def _matrices(g_rows, f_cols, orders_b):
+        f_rows = [[col[i] for col in f_cols] for i in range(len(orders_b))]
+        return IntMatrix.from_rows(g_rows), IntMatrix.from_rows(f_rows) if f_cols else None
+
+    def test_random_small_torsion_complexes(self):
+        for trial, cx in enumerate(self._complexes()):
+            orders_a, orders_b, orders_c, g_rows, f_cols, kernel = cx
             image = set()
             for coeffs in self._elements(orders_a or []):
                 y = tuple(
@@ -434,11 +471,8 @@ class TestHomologyWithOrdersBruteForce:
                     k += 1
                 coset_orders.append(k)
 
-            got = homology_with_orders(
-                d_out=IntMatrix.from_rows(g_rows),
-                d_in=IntMatrix.from_rows(f_rows) if f_rows else None,
-                orders_here=orders_b,
-                orders_below=orders_c)
+            g, f = self._matrices(g_rows, f_cols, orders_b)
+            got = homology(d_out=g, d_in=f, orders_here=orders_b, orders_below=orders_c)
             # compare group order and the multiset of element orders
             expected_size = len(classes)
             size = 1
@@ -451,6 +485,32 @@ class TestHomologyWithOrdersBruteForce:
                 self._element_order(x, got.torsion or [1])
                 for x in self._elements(got.torsion or [1]))
             assert produced == expected_multiset, (trial, got)
+
+    def test_the_rank_handed_up_is_the_one_the_next_degree_computes(self):
+        """B's query returns the rank of the cone differential into B; A's
+        query, one degree up, computes that rank itself from f and B's
+        orders when not given it, and must answer the same either way."""
+        for trial, cx in enumerate(self._complexes()):
+            orders_a, orders_b, orders_c, g_rows, f_cols, _ = cx
+            g, f = self._matrices(g_rows, f_cols, orders_b)
+            _, handed = homology_with_orders(g, f, orders_b, orders_c)
+            _assert_hand_off(f, orders_a, orders_b, handed)
+
+
+def _assert_hand_off(f, orders_a, orders_b, handed):
+    """``handed``, the rank that B's query returned, is the rank of
+    [f | R_B], which A's query over B computes as the count of B's torsion
+    generators plus the rank of f on B's free rows; passing it changes no
+    group.  An empty f is an A with no generators."""
+    torsion = [i for i, o in enumerate(orders_b) if o]
+    columns = (f.columns if f is not None else ()) + tuple({i: orders_b[i]} for i in torsion)
+    assert handed == rank(IntMatrix(len(orders_b), columns))
+    if f is None:
+        return
+    on_free = tuple({i: x for i, x in col.items() if not orders_b[i]} for col in f.columns)
+    assert handed == len(torsion) + rank(IntMatrix(len(orders_b), on_free))
+    alone = homology_with_orders(f, None, orders_a, orders_b)
+    assert homology_with_orders(f, None, orders_a, orders_b, rank_out=handed) == alone
 
 
 def _reference_from_orders(orders):

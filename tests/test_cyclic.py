@@ -42,6 +42,11 @@ FIXTURES = {
     "Z[-1]": Zm1,
 }
 
+# degrees of both signs and parities, free and torsion orders
+generated_modules = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from((0, 2, 3, 4, 6))),
+    min_size=1, max_size=3)
+
 
 class TestWeightHomology:
     def test_weight_two_of_the_integers(self):
@@ -96,13 +101,24 @@ class TestBruteOracle:
                 oracle = NormalizedHochschild(m, max_level=n)
                 assert oracle.weight_homology(n, -6, 6) == expected, (name, n)
 
-    def test_weight_pieces_live_on_two_levels(self):
-        # a chain's level is its tail length, its weight that plus a module lead
-        oracle = NormalizedHochschild(Z0, max_level=5)
+    def test_weight_pieces_live_on_two_levels(self, monkeypatch):
+        # a word of degree 0 gives a module-led chain at level w - 1 and a
+        # unit-led one at level w: a degree-0 module's weight w has one
+        # chain per word in each of the total degrees w - 1 and w, none else
+        generic = cyclic.homology_with_orders
+        sizes = []
+
+        def recorded(*args):
+            sizes.append(len(args[2]))
+            return generic(*args)
+
+        monkeypatch.setattr(cyclic, "homology_with_orders", recorded)
+        oracle = NormalizedHochschild(FIXTURES["Z^2"], max_level=5)
         for w in range(1, 5):
-            chains = [c for block in oracle._weight_chains(w).values() for c in block]
-            assert {len(tail) + (r0 is not None) for r0, tail in chains} == {w}
-            assert {len(tail) for _, tail in chains} == {w - 1, w}
+            sizes.clear()
+            for t in range(-1, 7):
+                oracle.homology(t, weight=w)
+            assert sizes == [2 ** w if t in (w - 1, w) else 0 for t in range(-1, 7)], w
 
     def test_unrestricted_negative_degrees_refused(self):
         with pytest.raises(UnsupportedModule):
@@ -130,28 +146,32 @@ class TestBruteOracle:
 
 
 class TestOracleWork:
-    """Work counts of the oracle, in place of timings: a weight's chains
-    and each face-sum block are built once per instance, and each query is
-    one call of generic homology with at most two eliminations, a rank on
-    C's free rows and a cokernel."""
+    """Work counts of the oracle, in place of timings: a weight's words are
+    listed and faced in one pass per instance, and each query is one call
+    of generic homology with at most two eliminations, a rank on C's free
+    rows and a cokernel, and with no rank when the query one degree down
+    has handed its rank up."""
 
     M = GradedModule(((0, 0), (1, 2), (2, 0)))
     TORSION = GradedModule(((0, 2), (1, 4), (2, 2)))
 
     @staticmethod
     def _count(monkeypatch):
-        """Record every face taken, elimination run, cokernel and rank
-        taken, and generic homology call, by the oracle's queries."""
-        seen = {"faces": Counter(), "eliminations": [], "cokernels": [],
-                "ranks": [], "calls": []}
-        boundary = NormalizedHochschild._boundary
+        """Record every weight built and the face columns it wrote, and
+        every elimination run, cokernel and rank taken, and generic
+        homology call, by the oracle's queries."""
+        seen = {"built": Counter(), "faces": Counter(), "eliminations": [],
+                "cokernels": [], "ranks": [], "calls": []}
+        build = NormalizedHochschild._weight_words
         eliminate = matrices._eliminate
         generic = cyclic.homology_with_orders
         rank = abgroups.rank
 
-        def counted_boundary(self, k, c):
-            seen["faces"][c] += 1
-            return boundary(self, k, c)
+        def counted_build(self, w):
+            words = build(self, w)
+            seen["built"][w] += 1
+            seen["faces"][w] += sum(len(faces) for _, faces in words.values())
+            return words
 
         def counted_eliminate(*args, **kwargs):
             seen["eliminations"].append(args[0])
@@ -169,48 +189,64 @@ class TestOracleWork:
             seen["calls"].append(args)
             return generic(*args)
 
-        monkeypatch.setattr(NormalizedHochschild, "_boundary", counted_boundary)
+        monkeypatch.setattr(NormalizedHochschild, "_weight_words", counted_build)
         monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
         monkeypatch.setattr(abgroups, "cokernel_invariants", counted_cokernel)
         monkeypatch.setattr(abgroups, "rank", counted_rank)
         monkeypatch.setattr(cyclic, "homology_with_orders", counted_homology)
         return seen
 
+    @staticmethod
+    def _work(seen) -> tuple[int, int, int]:
+        return len(seen["eliminations"]), len(seen["cokernels"]), len(seen["ranks"])
+
     def test_each_block_is_built_once_per_instance(self, monkeypatch):
         seen = self._count(monkeypatch)
-        eliminations, cokernels, ranks = (
-            seen["eliminations"], seen["cokernels"], seen["ranks"])
         oracle = NormalizedHochschild(self.M, max_level=4)
         queries = 0
         for w in (1, 2, 3, 4):
             for t in range(-1, 15):
                 for _ in range(2):  # a repeated query builds nothing new
-                    before = len(eliminations), len(cokernels), len(ranks)
+                    before = self._work(seen)
                     oracle.homology(t, weight=w)
                     queries += 1
-                    assert len(eliminations) - before[0] <= 2, (t, w)
-                    assert len(cokernels) - before[1] <= 1, (t, w)
-                    assert (len(eliminations) - before[0]
-                            == len(cokernels) - before[1]
-                            + len(ranks) - before[2]), (t, w)
-        # each chain is faced once, when its block is built
-        assert max(seen["faces"].values()) == 1
+                    eliminations, cokernels, ranks = (
+                        x - y for x, y in zip(self._work(seen), before))
+                    assert eliminations <= 2 and cokernels <= 1, (t, w)
+                    assert eliminations == cokernels + ranks, (t, w)
+        # each weight is built once, with one face column per word
+        assert seen["built"] == {w: 1 for w in (1, 2, 3, 4)}
+        assert seen["faces"] == {w: 3 ** w for w in (1, 2, 3, 4)}
         assert len(seen["calls"]) == queries
 
     @pytest.mark.parametrize("w", [1, 2, 3])
     def test_a_restricted_query_builds_only_its_weight(self, w):
         oracle = NormalizedHochschild(self.M, max_level=4)
         oracle.homology(w, weight=w)
-        assert list(oracle._weights) == [w]
-        # 3^(w-1) tails for each of 3 module leads, and 3^w unit-led tails
-        built = [c for block in oracle._weights[w].values() for c in block]
-        assert len(built) == len(set(built)) == 2 * 3 ** w
+        assert list(oracle._words) == [w]
+        # 3^w words, each with its order and its unit-led chain's face column
+        blocks = oracle._words[w].values()
+        assert sum(len(orders) for orders, _ in blocks) == 3 ** w
+        assert sum(len(faces) for _, faces in blocks) == 3 ** w
 
-    def test_rank_sees_only_the_free_rows_of_c(self, monkeypatch):
+    def test_an_upward_sweep_runs_one_cokernel_per_degree(self, monkeypatch):
+        # every total degree from w - 1 to 3w holds chains; after the first,
+        # each query takes its outgoing rank from the query below it
         seen = self._count(monkeypatch)
         oracle = NormalizedHochschild(self.M, max_level=4)
         for w in (1, 2, 3, 4):
-            for t in range(-1, 15):
+            oracle.homology(w - 1, weight=w)
+            for t in range(w, 3 * w + 1):
+                before = self._work(seen)
+                oracle.homology(t, weight=w)
+                assert [x - y for x, y in zip(self._work(seen), before)] == [1, 1, 0], (t, w)
+
+    def test_rank_sees_only_the_free_rows_of_c(self, monkeypatch):
+        # downward, no query has its outgoing rank handed up
+        seen = self._count(monkeypatch)
+        oracle = NormalizedHochschild(self.M, max_level=4)
+        for w in (1, 2, 3, 4):
+            for t in range(14, -2, -1):
                 oracle.homology(t, weight=w)
         assert seen["ranks"]
         for m, orders_below in seen["ranks"]:
@@ -221,15 +257,38 @@ class TestOracleWork:
         seen = self._count(monkeypatch)
         oracle = NormalizedHochschild(self.TORSION, max_level=4)
         for w in (1, 2, 3, 4):
-            for t in range(-1, 15):
+            for t in range(14, -2, -1):
                 oracle.homology(t, weight=w)
         assert not seen["ranks"]
         assert len(seen["eliminations"]) == len(seen["cokernels"])
 
-    def test_mixed_queries_answer_as_fresh_instances(self):
-        queries = [(t, w) for t in range(-1, 4) for w in (1, 2, 3)]
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(gens=generated_modules, sweep=st.sampled_from(["up", "down", "shuffled"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_mixed_queries_answer_as_fresh_instances(self, gens, sweep, seed):
+        m = GradedModule(tuple(gens))
+        degrees = [d for d, _ in gens]
+        # each weight's reach and one empty degree on either side
+        queries = [(t, w) for w in (1, 2, 3)
+                   for t in range(w * min(degrees) + w - 2, w * max(degrees) + w + 2)]
+        if sweep == "down":
+            queries.reverse()
+        elif sweep == "shuffled":
+            random.Random(seed).shuffle(queries)
+        oracle = NormalizedHochschild(m, max_level=3)
+        for t, w in queries:
+            fresh = NormalizedHochschild(m, max_level=3).homology(t, weight=w)
+            assert oracle.homology(t, weight=w) == fresh, (t, w)
+
+    @pytest.mark.parametrize("sweep", ["up", "down", "shuffled"])
+    def test_weight_four_queries_answer_as_fresh_instances(self, sweep):
+        # weight 4 hands its rank over the longest run of degrees here
+        queries = [(t, w) for w in (1, 2, 3) for t in range(-1, 4)]
         queries += [(t, 4) for t in range(2, 13)]
-        random.Random(7).shuffle(queries)
+        if sweep == "down":
+            queries.reverse()
+        elif sweep == "shuffled":
+            random.Random(7).shuffle(queries)
         oracle = NormalizedHochschild(self.M, max_level=4)
         for t, w in queries:
             fresh = NormalizedHochschild(self.M, max_level=4).homology(t, weight=w)
@@ -335,11 +394,6 @@ def tuple_rotation_orbits(n, m):
         orbits.append((orbit, [sign[j] for j in orbit],
                        sum(m.generators[i][0] for i in t), order))
     return orbits
-
-
-generated_modules = st.lists(
-    st.tuples(st.integers(-3, 3), st.sampled_from((0, 2, 3, 4, 6))),
-    min_size=1, max_size=3)
 
 
 class TestOrbitKernel:

@@ -11,6 +11,7 @@ from dualcircle.matrices import (
     cokernel_invariants,
     image_lattice_basis,
     kernel_basis,
+    rank,
     smith_normal_form,
     solve_integral,
 )
@@ -225,27 +226,65 @@ def determinantal_divisors(rows) -> list[int]:
             for k in range(1, min(r, c) + 1)]
 
 
+@st.composite
+def cone_blocks(draw):
+    """Row grids of up to 6 x 6 shaped like the oracle's cone blocks: a
+    cycle of unit columns e_i + s_i e_(i+1) on the first L rows (so long
+    runs of unit pivots, whose signs decide whether the cycle closes up to
+    a 2), relation columns o e_i, and rows and columns shuffled."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    length = draw(st.integers(min_value=0, max_value=r))
+    columns = [{i: 1} for i in range(length)]
+    for i, col in enumerate(columns):
+        j = (i + 1) % length
+        col[j] = col.get(j, 0) + draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(min_value=0, max_value=6 - length))):
+        columns.append({draw(st.integers(min_value=0, max_value=r - 1)):
+                        draw(st.sampled_from((2, 3, 4, 6)))})
+    if not columns:
+        columns.append({})
+    rows = draw(st.permutations(range(r)))
+    columns = draw(st.permutations(columns))
+    return [[col.get(i, 0) for col in columns] for i in rows]
+
+
 class TestAgainstDeterminantalDivisors:
     """The invariant factors satisfy d_1 ... d_k = D_k, the gcd of the k x k
     minors (Newman, Integral Matrices, 1972), so rank and factors are
     checked against a characterisation that uses no elimination."""
 
-    @given(matrices_up_to_5)
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_invariant_factors_rank_and_kernel(self, rows):
+    @staticmethod
+    def _check(rows):
         m = IntMatrix.from_rows(rows)
         divisors = determinantal_divisors(rows)
-        rank = sum(1 for d in divisors if d)
+        r = sum(1 for d in divisors if d)
+        assert rank(m) == r
         snf_factors = smith_normal_form(m).invariant_factors()
         free, torsion = cokernel_invariants(m)
-        assert free == m.rows - rank
-        coker_factors = [1] * (rank - len(torsion)) + torsion
+        assert free == m.rows - r
+        coker_factors = [1] * (r - len(torsion)) + torsion
         for factors in (snf_factors, coker_factors):
-            assert len(factors) == rank
-            for k in range(1, rank + 1):
+            assert len(factors) == r
+            for k in range(1, r + 1):
                 assert prod(factors[:k]) == divisors[k - 1], (k, factors, divisors)
         k = kernel_basis(m)
-        assert k.cols == m.cols - rank
+        assert k.cols == m.cols - r
         assert m.mul(k).is_zero()
         # saturated: Z^cols / (kernel lattice) has no torsion
         assert cokernel_invariants(k) == (m.cols - k.cols, [])
+
+    @given(matrices_up_to_5)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_invariant_factors_rank_and_kernel(self, rows):
+        self._check(rows)
+
+    @given(cone_blocks())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_sparse_unit_heavy_blocks(self, rows):
+        self._check(rows)
+        # the unit shortcut of the split elimination is mirrored on V
+        m = IntMatrix.from_rows(rows)
+        snf = smith_normal_form(m)
+        assert snf.u.mul(m).mul(snf.v) == snf.d
+        assert abs(det(snf.u)) == 1 and abs(det(snf.v)) == 1
+        assert all(set(col) <= {j} for j, col in enumerate(snf.d.columns))
