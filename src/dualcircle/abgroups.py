@@ -19,7 +19,7 @@ where neither side is zero.
 from __future__ import annotations
 
 from .frozen import Frozen
-from .matrices import IntMatrix, _divisibility_chain, cokernel_invariants, rank
+from .matrices import IntMatrix, _divisibility_chain, _eliminate
 from .primes import factorint
 
 
@@ -324,89 +324,79 @@ class GradedGroup(Frozen):
 # homology of complexes of finitely generated abelian groups
 
 
-def homology_with_orders(d_out: IntMatrix | None, d_in: IntMatrix | None,
-                         orders_here, orders_below,
-                         rank_out: int | None = None) -> tuple[FGAbGroup, int]:
-    """Homology at the middle of A -> B -> C where the groups are direct
-    sums of cyclic groups (order 0 meaning Z), B is described by
-    ``orders_here``, C by ``orders_below``, and the maps are given by
-    integer matrices on generators; returned with rank d_{B+1} (below).
+def homology_with_orders(orders: dict[int, list[int]],
+                         boundary: dict[int, IntMatrix]) -> dict[int, FGAbGroup]:
+    """Homology in every degree of a chain complex of direct sums of
+    cyclic groups: ``orders[t]`` lists the orders of degree t's generators
+    (0 meaning Z), and ``boundary[t]``, an integer matrix on generators,
+    maps degree t to degree t - 1 (a degree without one maps by zero).
 
-    With B = Z^n / R_B and C = Z^m / R_C (R holding o e_i per nonzero
-    order o), the complex is the cokernel of the injective chain map of
-    relations R: F_1 -> F_0, so it is quasi-isomorphic to the cone of R, a
-    complex of free groups.  B's place in the cone is Z^n (+) F_1(C), with
-    one generator of F_1(C) per nonzero order of C (m' in all), and its
-    differentials are d_B = [d_out | R_C], m x (n + m'), and d_{B+1}, with
-    a column (x ; R_C^-1 d_out x) for each column x of ``d_in`` and R_B.
-    So H = Z^(n + m' - rank d_B - rank d_{B+1}) (+) (the invariant factors
-    of d_{B+1} other than 1), and that one elimination gives rank d_{B+1},
-    n + m' - free: rank d_B one degree up.  Over Q the columns of R_C span
-    C's torsion rows, so rank d_B = m' + (the rank of d_out on C's free
-    rows); it is ``rank_out`` when the caller kept it from the degree
-    below, else one more elimination without a transform, none if d_out is
-    zero there.  The cone's F_1(C) rows carry the opposite sign, which
-    changes neither rank nor invariant factors.  A non-integral
-    R_C^-1 d_out x means the input is not a complex.  When d_out is zero,
-    H is the cokernel of the columns of ``d_in`` and R_B.  Below, C = Z +
-    Z/2 and B = Z^2 -> C is the identity, so the kernel is 0 + 2Z, and
-    A = Z maps onto 4Z:
+    With C_t = Z^n_t / R_t (R_t holding o e_i per nonzero order o), the
+    complex is the cokernel of the injective chain map of relations, so it
+    has the homology of the cone of R, a complex of free groups.  The
+    cone's degree t is Z^n_t (+) F_t, with one generator of F_t per nonzero
+    order of degree t - 1.  Its differential into degree t is spanned by
+    the lifts (x ; R_{t-1}^-1 d_t x) of what must die in C_t: the columns
+    of ``boundary[t + 1]`` and R_t.  A non-integral lift means the input
+    is not a complex.  The differential is block diagonal by degree, so one
+    elimination of every lift, with each pivot read by the degree it lands
+    in, gives rank r_t and the invariant factors of the differential into
+    each degree t, and H_t = Z^(n_t + |F_t| - r_t - r_{t-1}) (+) (its
+    invariant factors other than 1).  The F rows carry the opposite sign
+    of the cone's, which changes neither ranks nor invariant factors.
+    Below, C_0 = Z + Z/2, C_1 = Z^2 maps onto it by the identity, so its
+    kernel is 0 + 2Z, and C_2 = Z maps onto 4Z:
 
-    >>> homology_with_orders(IntMatrix.from_rows([[1, 0], [0, 1]]),
-    ...                      IntMatrix.from_rows([[0], [4]]), [0, 0], [0, 2])
-    (FGAbGroup(free_rank=0, torsion=(2,)), 1)
+    >>> homology_with_orders({0: [0, 2], 1: [0, 0], 2: [0]},
+    ...                      {1: IntMatrix.from_rows([[1, 0], [0, 1]]),
+    ...                       2: IntMatrix.from_rows([[0], [4]])})[1]
+    FGAbGroup(free_rank=0, torsion=(2,))
     """
-    orders_here = list(orders_here)
-    orders_below = list(orders_below)
-    n_b = len(orders_here)
-    if d_out is not None:
-        if d_out.cols != n_b:
-            raise StructuralError("outgoing boundary has wrong width")
-        if d_out.rows != len(orders_below):
-            raise StructuralError("outgoing boundary has wrong height")
-    if rank_out is not None and not 0 <= rank_out <= len(orders_below):
-        raise StructuralError(f"outgoing rank {rank_out} outside 0..{len(orders_below)}")
-    if n_b == 0:
-        return FGAbGroup.zero(), 0
-    out = None if d_out is None or d_out.is_zero() else d_out
-
-    # generators of what must die: the image of A, plus B's relations
-    killed: list[dict[int, int]] = []
-    if d_in is not None and d_in.cols:
-        if d_in.rows != n_b:
-            raise StructuralError("incoming boundary has wrong height")
-        killed.extend(col for col in d_in.columns if col)
-    killed.extend({i: o} for i, o in enumerate(orders_here) if o)
-    if out is None:
-        free, torsion = cokernel_invariants(IntMatrix(n_b, tuple(killed)))
-        return FGAbGroup(free, tuple(torsion)), n_b - free
-
-    slot: dict[int, int] = {}  # row i of C -> its row in F_1(C), after B's
-    for i, o in enumerate(orders_below):
-        if o:
-            slot[i] = n_b + len(slot)
-    lifted = []
-    for col in killed:
-        image: dict[int, int] = {}
-        for j, x in col.items():
-            for i, y in out.columns[j].items():
-                image[i] = image.get(i, 0) + x * y
-        lift = dict(col)
-        for i, v in image.items():
-            if v:
-                o = orders_below[i]
-                if not o or v % o:
-                    raise StructuralError(
-                        "relations or incoming image do not land in the kernel "
-                        "(input is not a complex)")
-                lift[slot[i]] = v // o
-        lifted.append(lift)
-    if rank_out is None:
-        on_free = [c for c in ({i: x for i, x in col.items() if i not in slot}
-                               for col in out.columns) if c]  # d_out on C's free rows
-        rank_out = len(slot) + (rank(IntMatrix(out.rows, tuple(on_free))) if on_free else 0)
-    free, torsion = cokernel_invariants(IntMatrix(n_b + len(slot), tuple(lifted)))
-    return FGAbGroup(free - rank_out, tuple(torsion)), n_b + len(slot) - free
+    for t, d in boundary.items():
+        if d.cols != len(orders.get(t, ())) or d.rows != len(orders.get(t - 1, ())):
+            raise StructuralError(f"boundary out of degree {t} has the wrong shape")
+    lifts: list[dict[int, int]] = []  # every lift, by place in the cone
+    lands: list[int] = []  # the degree each lift lands in
+    size: dict[int, int] = {}
+    start = 0  # where degree t's places begin: Z^n_t, then F_t
+    for t, here in orders.items():
+        below = orders.get(t - 1, ())
+        n = len(here)
+        slot: dict[int, int] = {}  # generator i of degree t - 1 -> its place in F_t
+        for i, o in enumerate(below):
+            if o:
+                slot[i] = start + n + len(slot)
+        killed = [col for col in boundary[t + 1].columns if col] if t + 1 in boundary else []
+        killed += [{i: o} for i, o in enumerate(here) if o]
+        out = boundary[t].columns if t in boundary else ({},) * n
+        for col in killed:
+            lift, image = {}, {}
+            for j, x in col.items():
+                lift[start + j] = x
+                for i, y in out[j].items():
+                    image[i] = image.get(i, 0) + x * y
+            for i, v in image.items():
+                if v:
+                    o = below[i]
+                    if not o or v % o:
+                        raise StructuralError(
+                            f"relations or incoming image of degree {t} do not land "
+                            "in the kernel (input is not a complex)")
+                    lift[slot[i]] = v // o
+            lifts.append(lift)
+        lands += [t] * len(killed)
+        size[t] = n + len(slot)
+        start += size[t]
+    rank = dict.fromkeys(orders, 0)
+    torsion: dict[int, list[int]] = {t: [] for t in orders}
+    for i, j in _eliminate(lifts, split=True):
+        t = lands[i]
+        rank[t] += 1
+        d = lifts[i][j]
+        if d != 1 and d != -1:
+            torsion[t].append(d)
+    return {t: FGAbGroup.from_orders([0] * (size[t] - rank[t] - rank.get(t - 1, 0)) + torsion[t])
+            for t in orders}
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ routes compute its homology, each from its own source:
   sparse L x L block of each distinct orbit sign sequence, eliminates it
   once per call, and reads each orbit's kernel and cokernel off that
   elimination with the orbit's own order (``cell_weight_homology_fg``);
-* the oracle is a brute-force normalized Hochschild complex built purely
-  from the simplicial face maps of the ring, asked one weight at a time;
-  it lists each weight's words and writes their face-sum columns in one
-  pass, on first use, and hands each block to generic homology
-  (``NormalizedHochschild``).
+* the oracle is a brute-force normalized Hochschild complex, asked one
+  weight at a time, whose differential is written from the ring's first
+  and last face maps, the others vanishing on a square-zero product; on a
+  weight's first query it lists the words and writes their face columns
+  in one pass, and one graded call of generic homology, one elimination,
+  gives that weight's groups in every degree (``NormalizedHochschild``).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.  Every matrix here is a
@@ -195,63 +196,70 @@ def weight_homology_fg(n: int, m: GradedModule) -> dict[int, FGAbGroup]:
 
 class NormalizedHochschild:
     """The normalized Hochschild complex of the square-zero ring Z (+) M,
-    built from the simplicial face maps, truncated at ``max_level``.
+    truncated at ``max_level``, with its differential written from the
+    simplicial face maps of the ring.
 
-    Serves as the independent oracle for the weight complexes: the
-    differential here is the full alternating face sum of the ring
-    structure, with no cyclic-operator shortcut.
+    Serves as the independent oracle for the weight complexes: it takes
+    its signs from the faces and hands its complex to generic homology.
 
     A normalized chain (r0; m_1, ..., m_k) has level k; r0 is the ring
     unit or a module generator and the m_i are module generators.  Every
     face keeps the weight, the number of module letters, so the complex is
     asked one weight at a time.  A weight-w word u gives the module-led
     chain (u_1; u_2, ..., u_w) at level w - 1 and the unit-led (1; u) at
-    level w.  Faces 1..k-1 multiply adjacent module slots, as does every
-    face of a module-led chain: all are zero.  A unit-led chain keeps face
-    0, the module-led chain of u, and face w, that of u rotated (last
-    letter to the front) with sign (-1)^w times the Koszul sign of the
-    move; when the rotation fixes u the two add.
+    level w.  Only faces 0 and w are written: faces 1..k-1 multiply
+    adjacent module slots, as does every face of a module-led chain, so
+    their vanishing is derived here, not evaluated.  A unit-led chain's
+    face 0 is the module-led chain of u, and its face w that of u rotated
+    (last letter to the front) with sign (-1)^w times the Koszul sign of
+    the move; when the rotation fixes u the two add.
 
     A weight's first query lists its words with degree and order in one
-    pass and writes each unit-led face column by the words' places in
-    their degree; total degree t holds the module-led chains of degree
-    t - w + 1 words, then the unit-led ones of degree t - w.  Each query is
-    one ``homology_with_orders`` call, whose returned rank is kept for the
-    query one degree up, so a sweep upward eliminates once per degree.
-    Nothing is kept beyond the instance.
+    pass, writes each unit-led face column by the words' places in their
+    degree, and makes one ``homology_with_orders`` call on the whole
+    weight: total degree t holds the module-led chains of degree t - w + 1
+    words, then the unit-led ones of degree t - w.  That call runs one
+    elimination and gives the weight's group in every degree; later
+    queries of the weight read them off.  Nothing is kept beyond the
+    instance.
     """
 
     def __init__(self, m: GradedModule, max_level: int):
         self.module = m
         self.max_level = max_level
-        self._words: dict[int, dict] = {}  # weight -> its _weight_words
-        self._ranks: dict[tuple[int, int], int] = {}  # (weight, t) -> rank of d out of t
+        self._groups: dict[int, dict[int, FGAbGroup]] = {}  # weight -> groups by degree
 
-    def _weight_words(self, w: int) -> dict[int, tuple[list[int], tuple[dict[int, int], ...]]]:
-        """The words of weight w by internal degree, each degree's in
-        lexicographic order: their orders, the gcd of their letters', and
-        the face column of each word's unit-led chain, by place in that
-        list (module-led chains have no face)."""
+    def _weight_complex(self, w: int) -> tuple[dict[int, list[int]], dict[int, IntMatrix]]:
+        """Weight w's complex by total degree: each degree's chain orders,
+        the gcd of their letters', and the boundary out of each degree."""
         gens = self.module.generators
         g = len(gens)
         degrees, orders = [0], [0]
         for _ in range(w):
             degrees = [d + e for d in degrees for e, _ in gens]
             orders = [gcd(o, q) for o in orders for _, q in gens]
-        blocks: dict[int, tuple[list[int], list[dict[int, int]]]] = {}
+        words: dict[int, list[int]] = {}  # internal degree -> its words' orders
         place = []
         for d, o in zip(degrees, orders):
-            here = blocks.setdefault(d, ([], []))[0]
+            here = words.setdefault(d, [])
             place.append(len(here))
             here.append(o)
+        faces: dict[int, list[dict[int, int]]] = {d: [] for d in words}
         front, simplicial = g ** (w - 1), -1 if w % 2 else 1  # simplicial = (-1)^w
         for u, d in enumerate(degrees):
             last = u % g
             e = gens[last][0]
             sign = -simplicial if e % 2 and (d - e) % 2 else simplicial
             p, r = place[u], place[last * front + u // g]
-            blocks[d][1].append({p: 1, r: sign} if p != r else {p: 2} if sign == 1 else {})
-        return {d: (here, tuple(faces)) for d, (here, faces) in blocks.items()}
+            faces[d].append({p: 1, r: sign} if p != r else {p: 2} if sign == 1 else {})
+        chains, boundary = {}, {}
+        for t in sorted({d + w - k for d in words for k in (0, 1)}):
+            above, here = words.get(t - w + 1, []), words.get(t - w, [])
+            chains[t] = above + here
+            if here:
+                boundary[t] = IntMatrix(len(here) + len(words.get(t - w - 1, ())),
+                                        ({},) * len(above) + tuple(faces[t - w]))
+        return chains, boundary
 
     def homology(self, total_degree: int, weight: int) -> FGAbGroup:
         """Homology of weight ``weight`` at a total degree; the weight is
@@ -261,18 +269,10 @@ class NormalizedHochschild:
         if self.max_level < weight:
             raise UnsupportedModule(
                 f"max_level {self.max_level} too small for weight {weight}")
-        words = self._words.get(weight)
-        if words is None:
-            words = self._words[weight] = self._weight_words(weight)
-        d = total_degree - weight  # the unit-led words' degree here
-        top, above, here, below = (words.get(d + k, ([], ())) for k in (2, 1, 0, -1))
-        orders_here, orders_below = above[0] + here[0], here[0] + below[0]
-        d_out = IntMatrix(len(orders_below), ({},) * len(above[0]) + here[1])
-        d_in = IntMatrix(len(orders_here), ({},) * len(top[0]) + above[1])
-        h, rank_in = homology_with_orders(d_out, d_in, orders_here, orders_below,
-                                          self._ranks.get((weight, total_degree)))
-        self._ranks[weight, total_degree + 1] = rank_in
-        return h
+        groups = self._groups.get(weight)
+        if groups is None:
+            groups = self._groups[weight] = homology_with_orders(*self._weight_complex(weight))
+        return groups.get(total_degree, FGAbGroup.zero())
 
     def weight_homology(self, w: int, lo: int, hi: int) -> dict[int, FGAbGroup]:
         """The nonzero groups of weight w in total degrees lo..hi; builds

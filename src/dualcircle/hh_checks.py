@@ -121,15 +121,25 @@ def _parse_hh_weight(inputs: dict) -> dict:
 
 
 def hh_dual_numbers(fixtures, fx) -> CheckResult:
-    """The full assembled homology of the dual numbers in low degrees."""
-    dual = brute_hochschild(GradedModule.single(0, 0), 2)
+    """The full assembled homology of the dual numbers in low degrees: the
+    oracle's HH0 and HH1 equal the frozen groups, and its degrees 0..2 equal
+    the weight route's assembly.  The payload names the first route that
+    fails: the oracle against the frozen groups, or the weight route
+    against the oracle."""
+    m = GradedModule.single(0, 0)
+    dual = brute_hochschild(m, 2)
     got = [dual.at(0), dual.at(1)]
     expected = [_parse_fixture(
         fx, ("dual_numbers", key),
         lambda orders: GroupExpr.from_fg(FGAbGroup.from_orders(orders)),
         "a list of orders") for key in ("HH0", "HH1")]
-    return _verdict("dual-numbers HH0, HH1", got == expected, lambda: {
-        "check": "hh-dual-numbers", "inputs": {"fixtures": fixtures},
+    weight = thh_homology_square_zero(m, 0, 2)
+    route = ("oracle" if got != expected else
+             "weight" if any(weight.at(d) != dual.at(d) for d in range(3)) else None)
+    line = "dual-numbers HH0, HH1" + {None: "", "oracle": " oracle vs frozen",
+                                      "weight": " weight vs oracle"}[route]
+    return _verdict(line, route is None, lambda: {
+        "check": "hh-dual-numbers", "route": route, "inputs": {"fixtures": fixtures},
         "got": [str(g) for g in got]})
 
 

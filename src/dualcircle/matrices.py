@@ -4,12 +4,12 @@ All entries are Python ints, so torsion coefficients like p**37 cost
 nothing but digits.  ``IntMatrix`` is the one matrix type: it keeps its
 columns as sparse dicts, the form in which callers build it and in which
 elimination reads it, and a dense grid only on request.  One
-sparse elimination core (``_eliminate``) serves the kernel, rank,
-cokernel and Smith routines: it row-reduces a list of sparse rows,
-optionally mirroring its operations on transform rows.  The kernel of m
-is read off the left transform of m's transpose, whose rows are m's
-columns; the rank and the cokernel track no transform, and the Smith
-routine tracks both sides.
+sparse elimination core (``_eliminate``) serves the kernel, cokernel and
+Smith routines, and generic homology: it row-reduces a list of sparse
+rows, optionally mirroring its operations on transform rows.  The kernel
+of m is read off the left transform of m's transpose, whose rows are m's
+columns; the cokernel tracks no transform, and the Smith routine tracks
+both sides.
 """
 
 from __future__ import annotations
@@ -358,11 +358,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     left = [{t: 1} for t in range(len(rows))]
     fixed = {i for i, _ in _eliminate(rows, left)}
     return IntMatrix(len(rows), tuple([left[t] for t in range(len(rows)) if t not in fixed]))
-
-
-def rank(m: IntMatrix) -> int:
-    """The rank of m: the pivot count of an echelon form of its columns."""
-    return len(_eliminate([dict(col) for col in m.columns]))
 
 
 def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:

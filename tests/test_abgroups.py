@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +15,27 @@ from dualcircle.abgroups import (
     homology_with_orders,
     les_fiber,
 )
-from dualcircle.matrices import IntMatrix, cokernel_invariants, kernel_basis, rank
+from dualcircle.matrices import IntMatrix, cokernel_invariants, kernel_basis
 from dualcircle.primes import factorint
 
 
-def homology(*args, **kwargs) -> FGAbGroup:
-    """The group of ``homology_with_orders``, without the rank it hands on."""
-    return homology_with_orders(*args, **kwargs)[0]
+def middle(d_out, d_in, orders_b, orders_c) -> FGAbGroup:
+    """The homology at B of A -> B -> C, with B and C described by their
+    orders and A free, from one graded call over all three degrees."""
+    orders, boundary = {0: list(orders_c), 1: list(orders_b)}, {1: d_out}
+    if d_in is not None:
+        orders[2], boundary[2] = [0] * d_in.cols, d_in
+    return homology_with_orders(orders, boundary)[1]
+
+
+def free_complex(*boundaries: list[list[int]]) -> dict[int, str]:
+    """Every degree's group, printed, of the complex of free groups whose
+    boundary out of degree t is ``boundaries[t - 1]``, as rows."""
+    mats = [IntMatrix.from_rows(rows) for rows in boundaries]
+    orders = {0: [0] * mats[0].rows}
+    orders.update({t: [0] * m.cols for t, m in enumerate(mats, 1)})
+    groups = homology_with_orders(orders, dict(enumerate(mats, 1)))
+    return {t: str(g) for t, g in groups.items()}
 
 
 def _to_fg(expr: GroupExpr) -> FGAbGroup:
@@ -112,69 +126,70 @@ class TestGroupExpr:
 
 
 class TestChainHomology:
-    """Complexes of free groups: every order is 0, and H_d is read off the
-    boundaries d_d out of degree d and d_(d+1) into it."""
+    """Complexes of free groups: every order is 0, and one call gives every
+    degree's group."""
 
     def test_multiplication_by_two(self):
-        two = IntMatrix.from_rows([[2]])
-        assert homology(two, None, [0], [0]) == FGAbGroup.zero()
-        assert homology(None, two, [0], []) == FGAbGroup.from_orders([2])
+        assert free_complex([[2]]) == {0: "Z/2", 1: "0"}
 
     def test_zero_differentials(self):
-        assert homology(None, None, [0, 0, 0], []) == FGAbGroup.free(3)
+        assert homology_with_orders({0: [0, 0, 0]}, {}) == {0: FGAbGroup.free(3)}
 
     def test_projective_plane(self):
-        d1, d2 = IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])
-        assert str(homology(None, d1, [0], [])) == "Z"
-        assert str(homology(d1, d2, [0], [0])) == "Z/2"
-        assert homology(d2, None, [0], [0]).is_trivial()
-        # H_1 eliminates d_2 and hands its rank to H_2, which then needs none
-        assert homology_with_orders(d1, d2, [0], [0])[1] == 1
-        assert homology_with_orders(d2, None, [0], [0], rank_out=1) == (FGAbGroup.zero(), 0)
+        assert free_complex([[0]], [[2]]) == {0: "Z", 1: "Z/2", 2: "0"}
 
     @pytest.mark.parametrize("d_out", [IntMatrix.zero(1, 3), IntMatrix.zero(2, 2)],
                              ids=["wide", "tall"])
     def test_a_zero_outgoing_boundary_of_the_wrong_shape_raises(self, d_out):
-        with pytest.raises(StructuralError, match="outgoing boundary has wrong"):
-            homology_with_orders(d_out, None, [0, 0], [0])
+        with pytest.raises(StructuralError, match="wrong shape"):
+            homology_with_orders({0: [0], 1: [0, 0]}, {1: d_out})
 
-    @pytest.mark.parametrize("rank_out", [-1, 2])
-    def test_an_outgoing_rank_outside_the_rows_of_c_raises(self, rank_out):
-        with pytest.raises(StructuralError, match="outgoing rank"):
-            homology_with_orders(IntMatrix.from_rows([[1, 0]]), None, [0, 0], [0],
-                                 rank_out=rank_out)
+    @pytest.mark.parametrize("boundary", [
+        {1: IntMatrix.from_rows([[1, 0, 0]])}, {3: IntMatrix.zero(0, 1)},
+    ], ids=["nonzero", "out-of-an-absent-degree"])
+    def test_a_boundary_of_the_wrong_shape_raises(self, boundary):
+        with pytest.raises(StructuralError, match="wrong shape"):
+            homology_with_orders({0: [0], 1: [0, 0]}, boundary)
 
     def test_nonzero_composite_raises_when_the_kernel_is_zero(self):
         # Z --1--> Z --1--> Z: the middle kernel is zero, the composite is not
         with pytest.raises(StructuralError):
-            homology_with_orders(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]),
-                                 [0], [0])
+            free_complex([[1]], [[1]])
 
     def test_ill_defined_map_raises_when_the_kernel_is_zero(self):
         # multiplication by 1 from Z/2 to Z is not well defined
         with pytest.raises(StructuralError):
-            homology_with_orders(IntMatrix.from_rows([[1]]), None, [2], [0])
+            homology_with_orders({0: [0], 1: [2]}, {1: IntMatrix.from_rows([[1]])})
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_non_complex_in_any_degree_raises(self, k):
+        # Z in degrees 0..5, every boundary zero but d_k and d_(k+1) = 1,
+        # whose composite is not zero; then Z/2 in degree k mapping onto Z
+        boundary = {t: IntMatrix.from_rows([[int(t in (k, k + 1))]]) for t in range(1, 6)}
+        with pytest.raises(StructuralError, match=f"degree {k} .*not a complex"):
+            homology_with_orders({t: [0] for t in range(6)}, boundary)
+        boundary = {t: IntMatrix.from_rows([[int(t == k)]]) for t in range(1, 6)}
+        orders = {t: [2 if t == k else 0] for t in range(6)}
+        with pytest.raises(StructuralError, match=f"degree {k} .*not a complex"):
+            homology_with_orders(orders, boundary)
+
+    def test_degrees_without_chains_are_zero_and_no_chains_give_nothing(self):
+        assert homology_with_orders({}, {}) == {}
+        got = homology_with_orders({0: [0], 1: [], 2: [3]}, {1: IntMatrix.zero(1, 0)})
+        assert got == {0: FGAbGroup.free(1), 1: FGAbGroup.zero(),
+                       2: FGAbGroup.from_orders([3])}
 
     def test_torus(self):
         # one 0-cell, two 1-cells, one 2-cell, all boundaries zero
-        h1 = homology(IntMatrix.zero(1, 2), IntMatrix.zero(2, 1), [0, 0], [0])
-        assert h1 == FGAbGroup.free(2)
+        assert free_complex([[0, 0]], [[0], [0]]) == {0: "Z", 1: "Z^2", 2: "Z"}
 
     def test_klein_bottle(self):
         # square identification: da = 0, db = 0, d(face) = 2b
-        d1, d2 = IntMatrix.zero(1, 2), IntMatrix.from_rows([[0], [2]])
-        assert homology(None, d1, [0], []) == FGAbGroup.free(1)
-        assert homology(d1, d2, [0, 0], [0]) == FGAbGroup.from_orders([0, 2])
-        assert homology(d2, None, [0], [0, 0]).is_trivial()
+        assert free_complex([[0, 0]], [[0], [2]]) == {0: "Z", 1: "Z + Z/2", 2: "0"}
 
     def test_three_dimensional_lens_spaces(self):
-        zero = IntMatrix.zero(1, 1)
         for p in (2, 3, 5, 7**5):
-            d2 = IntMatrix.from_rows([[p]])
-            assert homology(None, zero, [0], []) == FGAbGroup.free(1)
-            assert homology(zero, d2, [0], [0]) == FGAbGroup.from_orders([p])
-            assert homology(d2, zero, [0], [0]).is_trivial()
-            assert homology(zero, None, [0], [0]) == FGAbGroup.free(1)
+            assert free_complex([[0]], [[p]], [[0]]) == {0: "Z", 1: f"Z/{p}", 2: "0", 3: "Z"}
 
 
 class TestGradedGroup:
@@ -339,8 +354,58 @@ def _small_complexes(draw, orders_c=st.lists(_ORDERS, min_size=0, max_size=3)):
 
 def _agrees_with_reference(cx):
     d_out, d_in, orders_b, orders_c = cx
-    assert (homology(d_out, d_in, orders_b, orders_c)
+    assert (middle(d_out, d_in, orders_b, orders_c)
             == _reference_homology_with_orders(d_out, d_in, orders_b, orders_c))
+
+
+def _cycles(d: IntMatrix, below: list[int]) -> list[list[int]]:
+    """Vectors spanning the x with d x in the relations of ``below``, the
+    orders of d's target: the B-rows of a kernel basis of [d | R]."""
+    if not below:
+        return [[int(i == j) for i in range(d.cols)] for j in range(d.cols)]
+    block = [[d.entries[i][j] for j in range(d.cols)]
+             + [o if k == i else 0 for k, o in enumerate(below) if o]
+             for i in range(len(below))]
+    return [[col.get(i, 0) for i in range(d.cols)]
+            for col in kernel_basis(IntMatrix.from_rows(block)).columns]
+
+
+def _order_in(x: list[int], orders: list[int]) -> int:
+    """The order of x in the sum of cyclic groups of ``orders``, 0 if infinite."""
+    if any(v and not o for v, o in zip(x, orders)):
+        return 0
+    return lcm(*(o // gcd(o, v) for v, o in zip(x, orders) if o))
+
+
+@st.composite
+def _graded_complexes(draw):
+    """Complexes of 4 to 6 consecutive degrees, chained the way
+    ``_small_complexes`` draws d_in: each column of a boundary is drawn
+    from the lattice that the boundary below sends into its target's
+    relations, so every composite is zero modulo relations but often not
+    over Z.  A generator is free, or has a nonzero multiple of its
+    column's order (any of 2, 3, 4, 6 when the column is zero), so every
+    map is well defined and degrees mix free and torsion generators."""
+    low = draw(st.integers(-2, 2))
+    small = st.integers(min_value=-3, max_value=3)
+    orders = {low: draw(st.lists(_ORDERS, min_size=0, max_size=3))}
+    boundary = {}
+    lattice = None  # spans the cycles of the degree below
+    for t in range(low + 1, low + draw(st.integers(4, 6))):
+        below = orders[t - 1]
+        if lattice is None:
+            lattice = [[int(i == j) for i in range(len(below))] for j in range(len(below))]
+        columns, here = [], []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            coeffs = draw(st.lists(small, min_size=len(lattice), max_size=len(lattice)))
+            x = [sum(c * v[i] for c, v in zip(coeffs, lattice)) for i in range(len(below))]
+            k = _order_in(x, below)
+            here.append(draw(st.sampled_from((0, k, 2 * k) if k > 1 else (0, 2, 3, 4, 6)
+                                             if k else (0,))))
+            columns.append({i: v for i, v in enumerate(x) if v})
+        orders[t], boundary[t] = here, IntMatrix(len(below), tuple(columns))
+        lattice = _cycles(boundary[t], below)
+    return orders, boundary
 
 
 class TestHomologyWithOrdersReference:
@@ -349,7 +414,8 @@ class TestHomologyWithOrdersReference:
     def test_matches_the_kernel_basis_reference(self, cx):
         _agrees_with_reference(cx)
 
-    # the rank of d_B is read off C's free rows: all of them, or none
+    # C all free or all torsion: no place, or one per generator of C, in
+    # the cone's F part below B
     @given(_small_complexes(st.lists(st.just(0), min_size=1, max_size=3)))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_reference_when_c_is_all_free(self, cx):
@@ -360,21 +426,22 @@ class TestHomologyWithOrdersReference:
     def test_matches_the_reference_when_c_is_all_torsion(self, cx):
         _agrees_with_reference(cx)
 
-    @given(_small_complexes())
-    @settings(max_examples=200, deadline=None)
-    def test_the_rank_handed_up_is_the_one_the_next_degree_computes(self, cx):
-        # A is free: d_in is a well-defined map out of any free group
-        d_out, d_in, orders_b, orders_c = cx
-        _, handed = homology_with_orders(d_out, d_in, orders_b, orders_c)
-        _assert_hand_off(d_in, [0] * (d_in.cols if d_in is not None else 0),
-                         orders_b, handed)
+    @given(_graded_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_every_degree_of_a_longer_complex_matches_the_reference(self, cx):
+        orders, boundary = cx
+        got = homology_with_orders(orders, boundary)
+        assert list(got) == list(orders)
+        for t, here in orders.items():
+            assert got[t] == _reference_homology_with_orders(
+                boundary.get(t), boundary.get(t + 1), here, orders.get(t - 1, [])), t
 
     def test_free_summand_and_torsion_lift(self):
         # B = Z^2 + Z/4 -> C = Z/2 by (1, 0, 2): the kernel is 2Z + Z + Z/4, and
         # d_in kills (2, 0, 1), whose image 4 is zero in C only modulo 2
         d_out = IntMatrix.from_rows([[1, 0, 2]])
         d_in = IntMatrix.from_rows([[2], [0], [1]])
-        got = homology(d_out, d_in, [0, 0, 4], [2])
+        got = middle(d_out, d_in, [0, 0, 4], [2])
         assert got == _reference_homology_with_orders(d_out, d_in, [0, 0, 4], [2])
         assert got == FGAbGroup.from_orders([0, 4])
 
@@ -388,7 +455,7 @@ class TestHomologyWithOrdersReference:
     ], ids=["relation-of-B", "incoming-image"])
     def test_non_complex_with_a_nonzero_kernel_raises(self, args):
         with pytest.raises(StructuralError, match="not a complex"):
-            homology_with_orders(*args)
+            middle(*args)
         with pytest.raises(StructuralError):
             _reference_homology_with_orders(*args)
 
@@ -472,7 +539,8 @@ class TestHomologyWithOrdersBruteForce:
                 coset_orders.append(k)
 
             g, f = self._matrices(g_rows, f_cols, orders_b)
-            got = homology(d_out=g, d_in=f, orders_here=orders_b, orders_below=orders_c)
+            orders = {0: orders_c, 1: orders_b, 2: orders_a}
+            got = homology_with_orders(orders, {1: g} if f is None else {1: g, 2: f})[1]
             # compare group order and the multiset of element orders
             expected_size = len(classes)
             size = 1
@@ -485,32 +553,6 @@ class TestHomologyWithOrdersBruteForce:
                 self._element_order(x, got.torsion or [1])
                 for x in self._elements(got.torsion or [1]))
             assert produced == expected_multiset, (trial, got)
-
-    def test_the_rank_handed_up_is_the_one_the_next_degree_computes(self):
-        """B's query returns the rank of the cone differential into B; A's
-        query, one degree up, computes that rank itself from f and B's
-        orders when not given it, and must answer the same either way."""
-        for trial, cx in enumerate(self._complexes()):
-            orders_a, orders_b, orders_c, g_rows, f_cols, _ = cx
-            g, f = self._matrices(g_rows, f_cols, orders_b)
-            _, handed = homology_with_orders(g, f, orders_b, orders_c)
-            _assert_hand_off(f, orders_a, orders_b, handed)
-
-
-def _assert_hand_off(f, orders_a, orders_b, handed):
-    """``handed``, the rank that B's query returned, is the rank of
-    [f | R_B], which A's query over B computes as the count of B's torsion
-    generators plus the rank of f on B's free rows; passing it changes no
-    group.  An empty f is an A with no generators."""
-    torsion = [i for i, o in enumerate(orders_b) if o]
-    columns = (f.columns if f is not None else ()) + tuple({i: orders_b[i]} for i in torsion)
-    assert handed == rank(IntMatrix(len(orders_b), columns))
-    if f is None:
-        return
-    on_free = tuple({i: x for i, x in col.items() if not orders_b[i]} for col in f.columns)
-    assert handed == len(torsion) + rank(IntMatrix(len(orders_b), on_free))
-    alone = homology_with_orders(f, None, orders_a, orders_b)
-    assert homology_with_orders(f, None, orders_a, orders_b, rank_out=handed) == alone
 
 
 def _reference_from_orders(orders):

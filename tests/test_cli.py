@@ -87,6 +87,32 @@ class TestHHVerb:
         assert "PASS dual-numbers HH0, HH1" in out
         assert "PASS circle-dual-shadow" in out
 
+    @pytest.mark.parametrize("name", ["brute_hochschild", "thh_homology_square_zero"])
+    def test_dual_numbers_compare_the_oracle_with_the_weight_route(self, name, capsys,
+                                                                   monkeypatch):
+        # either route with a Z/2 too many in degree 2 of the dual numbers,
+        # past the frozen HH0 and HH1, fails the check and no other
+        from dualcircle import hh_checks
+        from dualcircle.abgroups import GradedGroup, GroupExpr
+        from dualcircle.cyclic import GradedModule
+
+        real = getattr(hh_checks, name)
+
+        def wrong(m, *window):
+            h = real(m, *window)
+            if m != GradedModule.single(0, 0):
+                return h
+            cells = list(h.cells)
+            cells[2 - h.known_range[0]] = cells[2 - h.known_range[0]].plus(GroupExpr.cyclic(2))
+            return GradedGroup(h.known_range, tuple(cells))
+
+        monkeypatch.setattr(hh_checks, name, wrong)
+        code, out = run(capsys, "hh", "verify")
+        assert code == 1
+        [line] = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert line.startswith("FAIL dual-numbers HH0, HH1 weight vs oracle  {")
+        assert json.loads(line.split("  ", 1)[1])["route"] == "weight"
+
     def test_bounded_run(self, capsys):
         code, out = run(capsys, "hh", "verify", "--max-weight", "3")
         assert code == 0

@@ -106,19 +106,19 @@ class TestBruteOracle:
         # unit-led one at level w: a degree-0 module's weight w has one
         # chain per word in each of the total degrees w - 1 and w, none else
         generic = cyclic.homology_with_orders
-        sizes = []
+        calls = []
 
-        def recorded(*args):
-            sizes.append(len(args[2]))
-            return generic(*args)
+        def recorded(orders, boundary):
+            calls.append(orders)
+            return generic(orders, boundary)
 
         monkeypatch.setattr(cyclic, "homology_with_orders", recorded)
         oracle = NormalizedHochschild(FIXTURES["Z^2"], max_level=5)
         for w in range(1, 5):
-            sizes.clear()
+            calls.clear()
             for t in range(-1, 7):
                 oracle.homology(t, weight=w)
-            assert sizes == [2 ** w if t in (w - 1, w) else 0 for t in range(-1, 7)], w
+            assert calls == [{w - 1: [0] * 2 ** w, w: [0] * 2 ** w}], w
 
     def test_unrestricted_negative_degrees_refused(self):
         with pytest.raises(UnsupportedModule):
@@ -146,121 +146,66 @@ class TestBruteOracle:
 
 
 class TestOracleWork:
-    """Work counts of the oracle, in place of timings: a weight's words are
-    listed and faced in one pass per instance, and each query is one call
-    of generic homology with at most two eliminations, a rank on C's free
-    rows and a cokernel, and with no rank when the query one degree down
-    has handed its rank up."""
+    """Work counts of the oracle, in place of timings: a weight's complex
+    is built once per instance, on its first query, and handed to one
+    graded call of generic homology, which runs one elimination; every
+    other query of that weight reads its group off that call."""
 
     M = GradedModule(((0, 0), (1, 2), (2, 0)))
-    TORSION = GradedModule(((0, 2), (1, 4), (2, 2)))
 
     @staticmethod
     def _count(monkeypatch):
-        """Record every weight built and the face columns it wrote, and
-        every elimination run, cokernel and rank taken, and generic
-        homology call, by the oracle's queries."""
-        seen = {"built": Counter(), "faces": Counter(), "eliminations": [],
-                "cokernels": [], "ranks": [], "calls": []}
-        build = NormalizedHochschild._weight_words
-        eliminate = matrices._eliminate
+        """Record every weight's complex built, with its chain count, and
+        every graded homology call and elimination that the oracle's
+        queries make."""
+        seen = {"built": Counter(), "chains": Counter(), "calls": [], "eliminations": 0}
+        build = NormalizedHochschild._weight_complex
         generic = cyclic.homology_with_orders
-        rank = abgroups.rank
+        eliminate = matrices._eliminate
 
         def counted_build(self, w):
-            words = build(self, w)
+            chains, boundary = build(self, w)
             seen["built"][w] += 1
-            seen["faces"][w] += sum(len(faces) for _, faces in words.values())
-            return words
+            seen["chains"][w] += sum(map(len, chains.values()))
+            return chains, boundary
+
+        def counted_homology(orders, boundary):
+            seen["calls"].append(orders)
+            return generic(orders, boundary)
 
         def counted_eliminate(*args, **kwargs):
-            seen["eliminations"].append(args[0])
+            seen["eliminations"] += 1
             return eliminate(*args, **kwargs)
 
-        def counted_cokernel(m):
-            seen["cokernels"].append(m)
-            return cokernel_invariants(m)
-
-        def counted_rank(m):
-            seen["ranks"].append((m, seen["calls"][-1][3]))
-            return rank(m)
-
-        def counted_homology(*args):
-            seen["calls"].append(args)
-            return generic(*args)
-
-        monkeypatch.setattr(NormalizedHochschild, "_weight_words", counted_build)
-        monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
-        monkeypatch.setattr(abgroups, "cokernel_invariants", counted_cokernel)
-        monkeypatch.setattr(abgroups, "rank", counted_rank)
+        monkeypatch.setattr(NormalizedHochschild, "_weight_complex", counted_build)
         monkeypatch.setattr(cyclic, "homology_with_orders", counted_homology)
+        monkeypatch.setattr(abgroups, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
         return seen
-
-    @staticmethod
-    def _work(seen) -> tuple[int, int, int]:
-        return len(seen["eliminations"]), len(seen["cokernels"]), len(seen["ranks"])
 
     def test_each_block_is_built_once_per_instance(self, monkeypatch):
         seen = self._count(monkeypatch)
         oracle = NormalizedHochschild(self.M, max_level=4)
-        queries = 0
-        for w in (1, 2, 3, 4):
-            for t in range(-1, 15):
-                for _ in range(2):  # a repeated query builds nothing new
-                    before = self._work(seen)
-                    oracle.homology(t, weight=w)
-                    queries += 1
-                    eliminations, cokernels, ranks = (
-                        x - y for x, y in zip(self._work(seen), before))
-                    assert eliminations <= 2 and cokernels <= 1, (t, w)
-                    assert eliminations == cokernels + ranks, (t, w)
-        # each weight is built once, with one face column per word
+        queries = [(t, w) for w in (1, 2, 3, 4) for t in range(-1, 15)] * 2
+        random.Random(3).shuffle(queries)  # a repeated query builds nothing new
+        for t, w in queries:
+            oracle.homology(t, weight=w)
+        # each weight is built once, with a module-led and a unit-led chain
+        # per word, and eliminated once
         assert seen["built"] == {w: 1 for w in (1, 2, 3, 4)}
-        assert seen["faces"] == {w: 3 ** w for w in (1, 2, 3, 4)}
-        assert len(seen["calls"]) == queries
+        assert seen["chains"] == {w: 2 * 3 ** w for w in (1, 2, 3, 4)}
+        assert len(seen["calls"]) == seen["eliminations"] == 4
 
     @pytest.mark.parametrize("w", [1, 2, 3])
-    def test_a_restricted_query_builds_only_its_weight(self, w):
+    def test_a_restricted_query_builds_only_its_weight(self, monkeypatch, w):
+        seen = self._count(monkeypatch)
         oracle = NormalizedHochschild(self.M, max_level=4)
         oracle.homology(w, weight=w)
-        assert list(oracle._words) == [w]
-        # 3^w words, each with its order and its unit-led chain's face column
-        blocks = oracle._words[w].values()
-        assert sum(len(orders) for orders, _ in blocks) == 3 ** w
-        assert sum(len(faces) for _, faces in blocks) == 3 ** w
-
-    def test_an_upward_sweep_runs_one_cokernel_per_degree(self, monkeypatch):
-        # every total degree from w - 1 to 3w holds chains; after the first,
-        # each query takes its outgoing rank from the query below it
-        seen = self._count(monkeypatch)
-        oracle = NormalizedHochschild(self.M, max_level=4)
-        for w in (1, 2, 3, 4):
-            oracle.homology(w - 1, weight=w)
-            for t in range(w, 3 * w + 1):
-                before = self._work(seen)
-                oracle.homology(t, weight=w)
-                assert [x - y for x, y in zip(self._work(seen), before)] == [1, 1, 0], (t, w)
-
-    def test_rank_sees_only_the_free_rows_of_c(self, monkeypatch):
-        # downward, no query has its outgoing rank handed up
-        seen = self._count(monkeypatch)
-        oracle = NormalizedHochschild(self.M, max_level=4)
-        for w in (1, 2, 3, 4):
-            for t in range(14, -2, -1):
-                oracle.homology(t, weight=w)
-        assert seen["ranks"]
-        for m, orders_below in seen["ranks"]:
-            assert all(col and all(orders_below[i] == 0 for i in col)
-                       for col in m.columns)
-
-    def test_no_rank_elimination_when_c_is_all_torsion(self, monkeypatch):
-        seen = self._count(monkeypatch)
-        oracle = NormalizedHochschild(self.TORSION, max_level=4)
-        for w in (1, 2, 3, 4):
-            for t in range(14, -2, -1):
-                oracle.homology(t, weight=w)
-        assert not seen["ranks"]
-        assert len(seen["eliminations"]) == len(seen["cokernels"])
+        assert seen["built"] == {w: 1} and seen["eliminations"] == 1
+        # 3^w words, each in two chains, in the total degrees weight w reaches
+        [orders] = seen["calls"]
+        assert sum(map(len, orders.values())) == 2 * 3 ** w
+        assert min(orders) == w - 1 and max(orders) == 3 * w
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(gens=generated_modules, sweep=st.sampled_from(["up", "down", "shuffled"]),
@@ -282,7 +227,7 @@ class TestOracleWork:
 
     @pytest.mark.parametrize("sweep", ["up", "down", "shuffled"])
     def test_weight_four_queries_answer_as_fresh_instances(self, sweep):
-        # weight 4 hands its rank over the longest run of degrees here
+        # weight 4 spans the longest run of degrees here
         queries = [(t, w) for w in (1, 2, 3) for t in range(-1, 4)]
         queries += [(t, 4) for t in range(2, 13)]
         if sweep == "down":

@@ -173,13 +173,13 @@ def test_a_table2_cross_check_catches_a_wrong_model(kind, capsys, monkeypatch):
 
 def test_a_weight_replay_builds_only_its_weight(tmp_path, capsys, monkeypatch):
     built = set()
-    weight_words = NormalizedHochschild._weight_words
+    weight_complex = NormalizedHochschild._weight_complex
 
     def recorded(self, w):
         built.add(w)
-        return weight_words(self, w)
+        return weight_complex(self, w)
 
-    monkeypatch.setattr(NormalizedHochschild, "_weight_words", recorded)
+    monkeypatch.setattr(NormalizedHochschild, "_weight_complex", recorded)
     path = tmp_path / "payload.json"
     path.write_text(json.dumps({"check": "hh-weight", "route": "oracle", "inputs": {
         "module": "Z^2", "weight": 5, "lo": -6, "hi": 6, "fixtures": None}}))

@@ -1,7 +1,7 @@
-"""Work counted by the benchmark's tracer, and by counters patched into the
-elimination core, on one seeded round, so that a change which redoes work
-fails here and not only as a slower timing.  The tracer and the workloads
-are loaded from their files, as the benchmark loads them."""
+"""Work counted by the benchmark's tracer, and by a counter patched into
+the elimination core, on one seeded round, so that a change which redoes
+work fails here and not only as a slower timing.  The tracer and the
+workloads are loaded from their files, as the benchmark loads them."""
 
 import importlib
 import importlib.util
@@ -20,26 +20,26 @@ def _load(name):
     return module
 
 
-def test_hh_deep_round_eliminates_each_distinct_orbit_block_once(monkeypatch):
+def _round_work(workload, monkeypatch) -> tuple[int, int, int]:
+    """One round of seed 1 of ``workload``: its eliminations, counted by
+    the names ``matrices`` and ``abgroups`` bind the core to, then the
+    tracer's graded homology calls and cokernel calls."""
     tracer_module = _load("tracer")
     workloads = _load("workloads")
     # the tracer patches the names bound in loaded modules only
     for module, _, _ in tracer_module.TARGETS:
         importlib.import_module(f"dualcircle.{module}")
-    counts = {"eliminations": 0, "ranks": 0}
-    eliminate, rank = matrices._eliminate, abgroups.rank
+    eliminations = 0
+    eliminate = matrices._eliminate
 
     def counted_eliminate(*args, **kwargs):
-        counts["eliminations"] += 1
+        nonlocal eliminations
+        eliminations += 1
         return eliminate(*args, **kwargs)
 
-    def counted_rank(m):
-        counts["ranks"] += 1
-        return rank(m)
-
     monkeypatch.setattr(matrices, "_eliminate", counted_eliminate)
-    monkeypatch.setattr(abgroups, "rank", counted_rank)
-    jobs = workloads.make_inputs("hh-deep", 1)
+    monkeypatch.setattr(abgroups, "_eliminate", counted_eliminate)
+    jobs = workloads.make_inputs(workload, 1)
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -47,10 +47,23 @@ def test_hh_deep_round_eliminates_each_distinct_orbit_block_once(monkeypatch):
     finally:
         tracer.uninstall()
     assert rnd.failures == []
-    # the oracle's cokernels plus one per distinct orbit sign sequence of
-    # each weight; eliminating every orbit's block made it 135
-    assert tracer.stats["matrices.cokernel_invariants.calls"] == 70
-    # the oracle sweeps each weight upward, so every query takes its
-    # outgoing rank from the one below; working it out afresh per query
-    # took 84 eliminations, 14 of them ranks
-    assert counts == {"eliminations": 70, "ranks": 0}
+    return (eliminations, tracer.stats["abgroups.homology_with_orders.calls"],
+            tracer.stats["matrices.cokernel_invariants.calls"])
+
+
+# The oracle makes one graded homology call, so one elimination, per
+# weight; every other elimination is a cell-route cokernel, one per
+# distinct orbit sign sequence of each weight.  Asking generic homology one
+# degree at a time took 70 eliminations, 40 calls and 70 cokernels a
+# round on hh-deep, and 2866, 2484 and 2866 on hh-wide; eliminating every
+# orbit's block made hh-deep's cokernels 135.
+
+
+def test_hh_deep_round_eliminates_each_distinct_orbit_block_once(monkeypatch):
+    # five weights of one module
+    assert _round_work("hh-deep", monkeypatch) == (35, 5, 30)
+
+
+def test_hh_wide_round_eliminates_once_per_oracle_weight(monkeypatch):
+    # 150 modules at weights 1..3
+    assert _round_work("hh-wide", monkeypatch) == (1255, 450, 805)
