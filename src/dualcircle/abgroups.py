@@ -205,15 +205,15 @@ class GroupExpr(Frozen):
 
     @classmethod
     def free(cls, rank: int = 1) -> "GroupExpr":
-        return cls._make([(_Z, None, rank)])
+        return _FREE_EXPR if rank == 1 else cls._make([(_Z, None, rank)])
 
     @classmethod
     def cyclic(cls, m: int, mult: int = 1) -> "GroupExpr":
         return cls._make([(_ZMOD, m, mult)])
 
-    @classmethod
-    def countable_free(cls) -> "GroupExpr":
-        return cls._make([(_COUNTABLE_FREE, None, 1)])
+    @staticmethod
+    def countable_free() -> "GroupExpr":
+        return _COUNTABLE_FREE_EXPR
 
     @classmethod
     def torsion_tower(cls, p: int) -> "GroupExpr":
@@ -226,10 +226,10 @@ class GroupExpr(Frozen):
         return cls._make(raw)
 
     def plus(self, *others: "GroupExpr") -> "GroupExpr":
-        raw = list(self.atoms)
-        for o in others:
-            raw.extend(o.atoms)
-        return GroupExpr._make(raw)
+        summands = [g for g in (self, *others) if g.atoms]
+        if len(summands) < 2:  # every value is a normal form, so a lone one is the sum
+            return summands[0] if summands else _ZERO_EXPR
+        return GroupExpr._make([atom for g in summands for atom in g.atoms])
 
     def countable_sum(self) -> "GroupExpr":
         """The countable direct sum (+)^infinity of this expression."""
@@ -276,7 +276,10 @@ class GroupExpr(Frozen):
         return " + ".join(parts)
 
 
-_ZERO_EXPR = GroupExpr(())  # values are immutable, so one zero serves every caller
+# values are immutable, so one of each constant serves every caller
+_ZERO_EXPR = GroupExpr(())
+_FREE_EXPR = GroupExpr(((_Z, None, 1),))
+_COUNTABLE_FREE_EXPR = GroupExpr(((_COUNTABLE_FREE, None, 1),))
 
 
 # ---------------------------------------------------------------------------

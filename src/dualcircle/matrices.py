@@ -97,9 +97,6 @@ class IntMatrix(Frozen):
         col = self.columns[j]
         return tuple([col.get(i, 0) for i in range(self.rows)])
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
     def diagonal_entries(self) -> list[int]:
         return [self.columns[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 

@@ -94,7 +94,7 @@ class SymbolicQSpace(Frozen):
         return SymbolicQSpace.make(a=self.a or self.qp > 0, binf=self.binf or self.b > 0)
 
     def is_zero(self) -> bool:
-        return self == SymbolicQSpace.zero()
+        return not (self.q or self.qp or self.a or self.b or self.binf)
 
     def __str__(self):
         parts = []

@@ -2,10 +2,11 @@
 
 Expressions are trees over a small alphabet of atoms (the sphere, the
 suspension spectrum of the circle and the stunted projective spectrum) and
-constructors (shift, finite wedge, lazy countable wedge).  Countable wedges
-are indexed families evaluated degreewise, so a homology query only ever
-touches the finitely many summand shapes that can contribute.  The one map
-is the wedge of circle transfers whose fiber is the spectrum E;
+constructors (shift, finite wedge, lazy countable wedge).  A homology query
+walks the tree once for its whole window of degrees.  Countable wedges are
+indexed families whose rule is applied degree by degree, so a query only
+ever touches the finitely many summand shapes that can contribute.  The
+one map is the wedge of circle transfers whose fiber is the spectrum E;
 ``fiber_homology`` evaluates such a fiber by the long exact sequence.
 
 Homology rules stay inside the atom alphabet of ``GroupExpr``; a query
@@ -103,41 +104,50 @@ class WedgeCircleTransfer(Frozen):
 # homology evaluation
 
 
+def homology_graded(expr, lo: int, hi: int) -> GradedGroup:
+    """Integral homology of the expression in every degree of [lo, hi],
+    read in one walk of its tree."""
+    return GradedGroup((lo, hi), _cells(expr, lo, hi))
+
+
 def homology(expr, d: int) -> GroupExpr:
-    """Integral homology of the expression in one degree."""
+    """Integral homology of the expression in one degree: the window [d, d]."""
+    return _cells(expr, d, d)[0]
+
+
+_FREE, _COUNTABLE_FREE, _ZERO = GroupExpr.free(1), GroupExpr.countable_free(), GroupExpr.zero()
+
+
+def _cells(expr, lo: int, hi: int) -> tuple[GroupExpr, ...]:
+    """One cell per degree of [lo, hi]: an atom gives its cells, a shift
+    moves the window, a wedge sums its parts cell by cell, and a countable
+    wedge applies its family's rule in each degree."""
+    degrees = range(lo, hi + 1)
     if isinstance(expr, Sphere):
-        return GroupExpr.free(1) if d == 0 else GroupExpr.zero()
+        return tuple([_FREE if d == 0 else _ZERO for d in degrees])
     if isinstance(expr, SuspCircle):
-        return GroupExpr.free(1) if d in (0, 1) else GroupExpr.zero()
+        return tuple([_FREE if d in (0, 1) else _ZERO for d in degrees])
     if isinstance(expr, CPInf):
-        return GroupExpr.free(1) if (d >= -2 and d % 2 == 0) else GroupExpr.zero()
+        return tuple([_FREE if (d >= -2 and d % 2 == 0) else _ZERO for d in degrees])
     if isinstance(expr, Shift):
-        return homology(expr.inner, d - expr.k)
+        return _cells(expr.inner, lo - expr.k, hi - expr.k)
     if isinstance(expr, Wedge):
-        return GroupExpr.zero().plus(*(homology(e, d) for e in expr.parts))
+        parts = [_cells(e, lo, hi) for e in expr.parts]
+        return tuple([GroupExpr.plus(*column) for column in zip([_ZERO] * len(degrees), *parts)])
     if isinstance(expr, CountableWedge):
-        return _countable_wedge_homology(expr.family, d)
+        return _countable_wedge_cells(expr.family, degrees)
     raise EvaluationUnsupported(f"no homology rule for {type(expr).__name__}")
 
 
-def _countable_wedge_homology(family: tuple, d: int) -> GroupExpr:
+def _countable_wedge_cells(family: tuple, degrees: range) -> tuple[GroupExpr, ...]:
     kind = family[0]
     if kind == "bcyc_ppowers":
-        p = family[1]
-        if d == 0:
-            return GroupExpr.countable_free()
-        if d > 0 and d % 2 == 1:
-            return GroupExpr.torsion_tower(p)
-        return GroupExpr.zero()
+        tower = GroupExpr.torsion_tower(family[1])
+        return tuple([_COUNTABLE_FREE if d == 0 else tower if d > 0 and d % 2 == 1 else _ZERO
+                      for d in degrees])
     if kind == "orbits_all":
-        return GroupExpr.countable_free() if d in (0, 1) else GroupExpr.zero()
+        return tuple([_COUNTABLE_FREE if d in (0, 1) else _ZERO for d in degrees])
     raise EvaluationUnsupported(f"unknown countable family {kind!r}")
-
-
-def homology_graded(expr, lo: int, hi: int) -> GradedGroup:
-    return GradedGroup.from_dict(
-        {d: homology(expr, d) for d in range(lo, hi + 1)},
-        known_range=(lo, hi))
 
 
 def fiber_homology(map_expr, lo: int, hi: int) -> GradedGroup:

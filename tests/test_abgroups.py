@@ -125,6 +125,29 @@ class TestGroupExpr:
         assert GroupExpr._make(total.atoms) == total
 
 
+# normal forms from raw atoms of every kind: multiplicity 0 and Z/1 vanish,
+# Z/0 is Z, Z/m splits, and the countable atoms are idempotent
+_RAW_ATOMS = st.one_of(
+    st.tuples(st.just("Z"), st.none(), st.integers(0, 2)),
+    st.tuples(st.just("Zmod"), st.integers(0, 12), st.integers(0, 2)),
+    st.tuples(st.just("CountableFree"), st.none(), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["TorsionTower", "CountableTowerSum"]),
+              st.sampled_from([2, 3, 5]), st.integers(0, 2)))
+_NORMAL_FORMS = st.lists(_RAW_ATOMS, max_size=3).map(GroupExpr._make)
+
+
+class TestSharedValues:
+    def test_the_constants_are_the_normal_forms_of_their_atoms(self):
+        assert GroupExpr.free(1) == GroupExpr._make([("Z", None, 1)])
+        assert GroupExpr.countable_free() == GroupExpr._make([("CountableFree", None, 1)])
+        assert GroupExpr.zero() == GroupExpr._make([])
+
+    @given(_NORMAL_FORMS, st.lists(_NORMAL_FORMS, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_plus_is_the_normal_form_of_all_the_atoms(self, a, bs):
+        assert a.plus(*bs) == GroupExpr._make([atom for g in (a, *bs) for atom in g.atoms])
+
+
 class TestChainHomology:
     """Complexes of free groups: every order is 0, and one call gives every
     degree's group."""
@@ -286,7 +309,7 @@ def _reference_homology_with_orders(d_out, d_in, orders_here, orders_below):
     n_b = len(orders_here)
     if n_b == 0:
         return FGAbGroup.zero()
-    out = None if d_out is None or d_out.is_zero() else d_out
+    out = None if d_out is None or not any(d_out.columns) else d_out
     killed = []
     if d_in is not None and d_in.cols:
         killed.extend(col for col in d_in.columns if col)

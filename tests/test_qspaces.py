@@ -33,6 +33,12 @@ class TestNormalization:
         with pytest.raises(UnsupportedAtom):
             SymbolicQSpace.rational(2).countable_sum()
 
+    @given(st.integers(0, 2), st.integers(0, 2), st.booleans(), st.integers(0, 2), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_is_zero_is_equality_with_zero(self, q, qp, a, b, binf):
+        v = SymbolicQSpace.make(q, qp, a, b, binf)
+        assert v.is_zero() == (v == SymbolicQSpace.make())
+
     def test_rendering(self):
         assert str(SymbolicQSpace.zero()) == "0"
         assert str(SymbolicQSpace.padic(2)) == "Q_p^2"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualcircle.abgroups import GradedGroup, GroupExpr, StructuralError
 from dualcircle.spectra import (
@@ -18,6 +20,53 @@ from dualcircle.spectra import (
 )
 
 Z = GroupExpr.free(1)
+
+
+def _reference_homology(expr, d: int) -> GroupExpr:
+    """Integral homology in one degree by the recursion on the tree that
+    reads each degree on its own: the reference for the window walk."""
+    if isinstance(expr, Sphere):
+        return GroupExpr.free(1) if d == 0 else GroupExpr.zero()
+    if isinstance(expr, SuspCircle):
+        return GroupExpr.free(1) if d in (0, 1) else GroupExpr.zero()
+    if isinstance(expr, CPInf):
+        return GroupExpr.free(1) if (d >= -2 and d % 2 == 0) else GroupExpr.zero()
+    if isinstance(expr, Shift):
+        return _reference_homology(expr.inner, d - expr.k)
+    if isinstance(expr, Wedge):
+        return GroupExpr.zero().plus(*(_reference_homology(e, d) for e in expr.parts))
+    if isinstance(expr, CountableWedge):
+        kind = expr.family[0]
+        if kind == "bcyc_ppowers":
+            if d == 0:
+                return GroupExpr.countable_free()
+            if d > 0 and d % 2 == 1:
+                return GroupExpr.torsion_tower(expr.family[1])
+            return GroupExpr.zero()
+        if kind == "orbits_all":
+            return GroupExpr.countable_free() if d in (0, 1) else GroupExpr.zero()
+        raise EvaluationUnsupported(f"unknown countable family {kind!r}")
+    raise EvaluationUnsupported(f"no homology rule for {type(expr).__name__}")
+
+
+_LEAVES = st.sampled_from([Sphere(), SuspCircle(), CPInf(), CountableWedge(("orbits_all",))]
+                          + [CountableWedge(("bcyc_ppowers", p)) for p in (2, 3, 5)])
+
+
+def _trees(depth: int):
+    """Expression trees of at most ``depth`` levels, a leaf being one."""
+    if depth == 1:
+        return _LEAVES
+    inner = _trees(depth - 1)
+    return st.one_of(_LEAVES, st.builds(Shift, st.integers(-3, 3), inner),
+                     st.builds(Wedge, st.lists(inner, max_size=3).map(tuple)))
+
+
+# windows from lo to lo + width: negative ends, and a single degree, included
+_WINDOWS = st.tuples(st.integers(-6, 4), st.integers(0, 6)).map(lambda w: (w[0], w[0] + w[1]))
+
+# nodes without a homology rule: a map, and a countable family with no rule
+_UNKNOWN = st.sampled_from([WedgeCircleTransfer(3), CountableWedge(("bcyc_all",))])
 
 
 class TestAtomHomology:
@@ -54,6 +103,31 @@ class TestAtomHomology:
             total = GroupExpr.zero().plus(*(homology(e, d) for e in parts))
             assert homology(wedge, d) == total
             assert homology(Shift(k, wedge), d + k) == total
+
+
+class TestWindowWalk:
+    @given(_trees(3), _WINDOWS)
+    @settings(max_examples=300, deadline=None)
+    def test_every_degree_matches_the_per_degree_reference(self, expr, window):
+        lo, hi = window
+        g = homology_graded(expr, lo, hi)
+        assert g.known_range == (lo, hi)
+        for d in range(lo, hi + 1):
+            assert g.at(d) == _reference_homology(expr, d)
+            assert homology(expr, d) == g.at(d)
+
+    @given(_trees(2), _UNKNOWN, st.integers(-3, 3), _WINDOWS)
+    @settings(max_examples=50, deadline=None)
+    def test_an_unknown_node_raises_on_both_paths(self, expr, unknown, k, window):
+        lo, hi = window
+        for tree in (unknown, Shift(k, unknown), Wedge((expr, unknown))):
+            with pytest.raises(EvaluationUnsupported):
+                homology_graded(tree, lo, hi)
+            with pytest.raises(EvaluationUnsupported):
+                _reference_homology(tree, lo)
+
+    def test_the_empty_wedge_is_zero_in_every_degree(self):
+        assert homology_graded(Wedge(()), -2, 1).cells == (GroupExpr.zero(),) * 4
 
 
 class TestCountableFamilies:

@@ -1,13 +1,15 @@
 """Work counted by the benchmark's tracer, and by a counter patched into
-the elimination core, on one seeded round, so that a change which redoes
-work fails here and not only as a slower timing.  The tracer and the
-workloads are loaded from their files, as the benchmark loads them."""
+the elimination core, on one seeded round, and the group normalizations
+of one table-2 job, so that a change which redoes work fails here and not
+only as a slower timing.  The tracer and the workloads are loaded from
+their files, as the benchmark loads them."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from dualcircle import abgroups, matrices
+from dualcircle import abgroups, cli, matrices
+from dualcircle.abgroups import GroupExpr
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,3 +69,26 @@ def test_hh_deep_round_eliminates_each_distinct_orbit_block_once(monkeypatch):
 def test_hh_wide_round_eliminates_once_per_oracle_weight(monkeypatch):
     # 150 modules at weights 1..3
     assert _round_work("hh-wide", monkeypatch) == (1255, 450, 805)
+
+
+# Reading a spectrum one degree at a time, and normalizing every sum and
+# every constant again, took 134 normalizations for this job.  Now a
+# window is one walk, Z and (+)_k Z are shared values, and a sum with one
+# nonzero summand is that summand, so only new groups are normalized: one
+# tower per walk of E's domain (two), the countable sums of E's nonzero
+# cells (five) and the sums of two nonzero groups (six).
+
+
+def test_a_table2_job_normalizes_only_new_groups(monkeypatch, capsys):
+    made = 0
+    make = GroupExpr._make.__func__
+
+    def counted_make(cls, raw_atoms):
+        nonlocal made
+        made += 1
+        return make(cls, raw_atoms)
+
+    monkeypatch.setattr(GroupExpr, "_make", classmethod(counted_make))
+    assert cli.main(["tc", "table2", "--p", "7", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert made == 13
