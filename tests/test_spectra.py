@@ -126,9 +126,6 @@ class TestWindowWalk:
             with pytest.raises(EvaluationUnsupported):
                 _reference_homology(tree, lo)
 
-    def test_the_empty_wedge_is_zero_in_every_degree(self):
-        assert homology_graded(Wedge(()), -2, 1).cells == (GroupExpr.zero(),) * 4
-
 
 class TestCountableFamilies:
     def test_power_tower_wedge(self):
