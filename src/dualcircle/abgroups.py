@@ -18,7 +18,7 @@ where neither side is zero.
 
 from __future__ import annotations
 
-from .frozen import Frozen
+from .frozen import Frozen, _new, _set
 from .matrices import IntMatrix, _divisibility_chain, _eliminate
 from .primes import factorint
 
@@ -80,9 +80,9 @@ class FGAbGroup(Frozen):
             return NotImplemented
         return (self.free_rank, self.torsion) < (other.free_rank, other.torsion)
 
-    @classmethod
-    def zero(cls) -> "FGAbGroup":
-        return cls(0, ())
+    @staticmethod
+    def zero() -> "FGAbGroup":
+        return _ZERO_FG
 
     @classmethod
     def free(cls, rank: int) -> "FGAbGroup":
@@ -94,9 +94,10 @@ class FGAbGroup(Frozen):
             return cls(1, ())
         return cls.from_orders([m])
 
-    @classmethod
-    def from_orders(cls, orders) -> "FGAbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 meaning Z)."""
+    @staticmethod
+    def from_orders(orders) -> "FGAbGroup":
+        """Canonicalize an arbitrary list of cyclic orders (0 meaning Z);
+        ``_from_torsion`` builds the chain once and does not validate it."""
         rank, torsion = 0, []
         for d in orders:
             d = abs(int(d))
@@ -104,8 +105,7 @@ class FGAbGroup(Frozen):
                 rank += 1
             elif d > 1:
                 torsion.append(d)
-        chain = _divisibility_chain(sorted(torsion))
-        return cls(rank, tuple(chain[chain.count(1):]))  # the 1s lead the chain
+        return _from_torsion(rank, torsion)
 
     def orders(self) -> list[int]:
         """Cyclic orders of the summands, 0 meaning Z."""
@@ -128,6 +128,21 @@ class FGAbGroup(Frozen):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+_ZERO_FG = FGAbGroup(0, ())
+
+
+def _from_torsion(rank: int, torsion: list[int]) -> FGAbGroup:
+    """Z^rank plus the cyclic groups of orders ``torsion``, each at least 2,
+    built without ``__init__``: their divisibility chain is canonical."""
+    if not (rank or torsion):
+        return _ZERO_FG
+    chain = _divisibility_chain(sorted(torsion))
+    g = _new(FGAbGroup)
+    _set(g, "free_rank", rank)
+    _set(g, "torsion", tuple(chain[chain.count(1):]))  # the 1s lead the chain
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +412,8 @@ def homology_with_orders(orders: dict[int, list[int]],
         rank[t] += 1
         d = lifts[i][j]
         if d != 1 and d != -1:
-            torsion[t].append(d)
-    return {t: FGAbGroup.from_orders([0] * (size[t] - rank[t] - rank.get(t - 1, 0)) + torsion[t])
+            torsion[t].append(abs(d))
+    return {t: _from_torsion(size[t] - rank[t] - rank.get(t - 1, 0), torsion[t])
             for t in orders}
 
 

@@ -3,8 +3,8 @@
 A subclass names its fields in ``__slots__``.  ``Frozen.__init__`` takes
 them by position in that order.  A subclass that validates its fields or
 has defaults or keywords writes its own ``__init__`` and passes them on;
-one built in an inner loop sets each field itself with
-``object.__setattr__``.  After that, assignment raises ``AttributeError``.
+one built in an inner loop is made by ``_new`` with each field set by
+``_set``.  After that, assignment raises ``AttributeError``.
 Two values are equal when they are of one class with equal fields, equal
 values hash alike, and the repr names every field.  A type compared or
 hashed in an inner loop spells out its own ``__eq__`` and ``__hash__``:
@@ -14,6 +14,7 @@ the cost of attribute reads in the type's own methods.
 
 from operator import attrgetter
 
+_new = object.__new__
 _set = object.__setattr__
 
 

@@ -25,9 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .frozen import Frozen, _set
-
-_new = object.__new__
+from .frozen import Frozen, _new, _set
 
 
 class ArityMismatch(Exception):

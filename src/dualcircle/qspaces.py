@@ -28,7 +28,7 @@ holds Q.
 from __future__ import annotations
 
 from .abgroups import GroupExpr, GradedGroup, UnsupportedAtom
-from .frozen import Frozen
+from .frozen import Frozen, _new, _set
 
 
 class SymbolicQSpace(Frozen):
@@ -37,24 +37,28 @@ class SymbolicQSpace(Frozen):
 
     __slots__ = ("q", "qp", "a", "b", "binf")
 
-    def __init__(self, q: int, qp: int, a: bool, b: int, binf: bool):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "qp", qp)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "binf", binf)
-
-    @classmethod
-    def make(cls, q=0, qp=0, a=False, b=0, binf=False) -> "SymbolicQSpace":
+    @staticmethod
+    def make(q=0, qp=0, a=False, b=0, binf=False) -> "SymbolicQSpace":
+        """The normal form, built once: the absorption rules are applied
+        and the fields set directly, since the result is canonical by
+        construction; every zero is the one shared value."""
         if binf:
             b = 0
         if a or b or binf:
             qp = 0
-        return cls(q, qp, a, b, binf)
+        elif not q and not qp:
+            return _ZERO_QSPACE
+        v = _new(SymbolicQSpace)
+        _set(v, "q", q)
+        _set(v, "qp", qp)
+        _set(v, "a", a)
+        _set(v, "b", b)
+        _set(v, "binf", binf)
+        return v
 
-    @classmethod
-    def zero(cls):
-        return cls.make()
+    @staticmethod
+    def zero():
+        return _ZERO_QSPACE
 
     @classmethod
     def rational(cls, n: int = 1):
@@ -129,6 +133,10 @@ class SymbolicQSpace(Frozen):
         if self.binf:
             tags.append({"atom": "B_oo", "multiplicity": "1"})
         return tags
+
+
+# values are immutable, so one zero serves every caller
+_ZERO_QSPACE = SymbolicQSpace(0, 0, False, 0, False)
 
 
 def ext_pinf_q(g: GroupExpr, p: int) -> SymbolicQSpace:

@@ -307,10 +307,10 @@ def dual_tc_sphere_model_homology(lo: int, hi: int) -> GradedGroup:
     return homology_graded(Wedge((TC_SPHERE_MODEL, Shift(-1, TC_SPHERE_MODEL))), lo, hi)
 
 
-def tc_dual_circle_model_homology(p: int, lo: int, hi: int) -> GradedGroup:
-    """Integral homology of sphere + suspended stunted projective + a
-    countable wedge of copies of E."""
-    return tc_sphere_model_homology(lo, hi).wedge(e_homology(p, lo, hi).countable_sum())
+def tc_dual_circle_model_homology(sphere_model: GradedGroup, e: GradedGroup) -> GradedGroup:
+    """Integral homology of sphere + suspended stunted projective (the row
+    ``sphere_model``) + a countable wedge of copies of E (the row ``e``)."""
+    return sphere_model.wedge(e.countable_sum())
 
 
 class Table2(Frozen):
@@ -328,7 +328,8 @@ def table2(p: int, truncate_out_of_range: bool = False) -> Table2:
 
     Completed rows are read off homology, so they hold only in degrees
     <= 2p - 6; for p < 7 the higher columns are marked out of range (None)
-    when truncation is allowed, and raise otherwise.
+    when truncation is allowed, and raise otherwise.  Each homology row is
+    evaluated once; the dual-circle row wedges the sphere model's and E's.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -343,10 +344,11 @@ def table2(p: int, truncate_out_of_range: bool = False) -> Table2:
     rows = {"K(S)": row(k_sphere_rational),
             "DS^1 ^ K(S)": row(dual_smash_row(k_sphere_rational).get)}
     lo, hi = TABLE2_LO - 1, TABLE2_HI  # a completed cell in degree n reads n and n - 1
-    for label, h in (("TC(S)^_p", tc_sphere_model_homology(lo, hi)),
+    sphere_model, e = tc_sphere_model_homology(lo, hi), e_homology(p, lo, hi)
+    for label, h in (("TC(S)^_p", sphere_model),
                      ("(DS^1 ^ TC(S))^_p", dual_tc_sphere_model_homology(lo, hi)),
-                     ("E^_p", e_homology(p, lo, hi)),
-                     ("TC(DS^1)^_p", tc_dual_circle_model_homology(p, lo, hi))):
+                     ("E^_p", e),
+                     ("TC(DS^1)^_p", tc_dual_circle_model_homology(sphere_model, e))):
         rows[label] = row(lambda n: completed_pi_q(h, p, n))
     return Table2(p, cap, degrees, rows)
 
@@ -501,10 +503,10 @@ def coassembly_conclusion(i: int, p: int, p_regular: bool) -> CoassemblyVerdict:
 
     # the four corners at degree 4i
     top_right = k_sphere_rational(degree).plus(k_sphere_rational(degree + 1))
-    bottom_left = completed_pi_q(
-        tc_dual_circle_model_homology(p, degree - 1, degree), p, degree)
-    bottom_right = completed_pi_q(
-        dual_tc_sphere_model_homology(degree - 1, degree), p, degree)
+    lo = degree - 1
+    bottom_left = completed_pi_q(tc_dual_circle_model_homology(
+        tc_sphere_model_homology(lo, degree), e_homology(p, lo, degree)), p, degree)
+    bottom_right = completed_pi_q(dual_tc_sphere_model_homology(lo, degree), p, degree)
 
     square = {
         "top_left": "pi^Q of K of the dual circle (unknown)",

@@ -1,7 +1,7 @@
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualcircle.abgroups import (
@@ -65,6 +65,37 @@ class TestFGAbGroup:
     def test_str(self):
         assert str(FGAbGroup.from_orders([0, 0, 2])) == "Z^2 + Z/2"
         assert str(FGAbGroup.zero()) == "0"
+
+    def test_zero_is_one_shared_value(self):
+        assert FGAbGroup.zero() is FGAbGroup.zero()
+        assert FGAbGroup.zero() == FGAbGroup(0, ())
+
+
+def _validated_from_orders(orders) -> FGAbGroup:
+    """``from_orders`` by hand: replace pairs by their gcd and lcm until
+    each order divides the next, then build through the validating
+    constructor, which refuses anything but a divisibility chain."""
+    rank = sum(1 for d in orders if d == 0)
+    chain = sorted(abs(d) for d in orders if abs(d) > 1)
+    for s in range(len(chain)):
+        for t in range(s + 1, len(chain)):
+            chain[s], chain[t] = gcd(chain[s], chain[t]), lcm(chain[s], chain[t])
+    return FGAbGroup(rank, tuple(d for d in chain if d > 1))
+
+
+@given(st.lists(st.integers(min_value=-40, max_value=40), max_size=8))
+@example([4, 6])
+@example([0, 1, -1, 0])
+@example([-6, 6, 4, 4, 9])
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_from_orders_equals_the_validating_constructor(orders):
+    got, expected = FGAbGroup.from_orders(orders), _validated_from_orders(orders)
+    assert (got, hash(got), repr(got)) == (expected, hash(expected), repr(expected))
+
+
+def test_from_orders_of_non_dividing_orders_is_their_invariant_factors():
+    assert str(FGAbGroup.from_orders([4, 6])) == "Z/2 + Z/12"
 
 
 class TestGroupExpr:

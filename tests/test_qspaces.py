@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,18 @@ class TestNormalization:
     def test_is_zero_is_equality_with_zero(self, q, qp, a, b, binf):
         v = SymbolicQSpace.make(q, qp, a, b, binf)
         assert v.is_zero() == (v == SymbolicQSpace.make())
+
+    @pytest.mark.parametrize("a", [False, True])
+    @pytest.mark.parametrize("binf", [False, True])
+    def test_make_equals_the_constructor_on_absorbed_fields(self, a, binf):
+        for q, qp, b in itertools.product(range(3), repeat=3):
+            # the absorption rules, applied by hand
+            kept_b = 0 if binf else b
+            kept_qp = 0 if a or kept_b or binf else qp
+            expected = SymbolicQSpace(q, kept_qp, a, kept_b, binf)
+            got = SymbolicQSpace.make(q, qp, a, b, binf)
+            assert (got, hash(got), repr(got)) == (expected, hash(expected), repr(expected))
+        assert SymbolicQSpace.make() is SymbolicQSpace.zero() is SymbolicQSpace.make(0, 0)
 
     def test_rendering(self):
         assert str(SymbolicQSpace.zero()) == "0"

@@ -153,7 +153,7 @@ def test_a_failure_replays_from_its_payload_alone(kind, tmp_path, capsys, monkey
 WRONG_MODELS = {
     # the dual-circle row without its countable wedge of copies of E
     "table2-wedge": (tc, "tc_dual_circle_model_homology",
-                     lambda f: lambda p, lo, hi: tc.tc_sphere_model_homology(lo, hi)),
+                     lambda f: lambda sphere_model, e: sphere_model),
     # the smashed row built with the suspension in place of the desuspension
     "table2-shift-sum": (tc, "Shift", lambda f: lambda k, inner: f(-k, inner)),
 }

@@ -174,9 +174,9 @@ class TestCompletedPiQ:
             if q != p:
                 tower = GroupExpr.torsion_tower(q)
                 extras += [GroupExpr.cyclic(q), tower, tower.countable_sum()]
-        rows = [e_homology(p, lo, hi), tc_sphere_model_homology(lo, hi),
-                dual_tc_sphere_model_homology(lo, hi),
-                tc_dual_circle_model_homology(p, lo, hi)]
+        e, sphere_model = e_homology(p, lo, hi), tc_sphere_model_homology(lo, hi)
+        rows = [e, sphere_model, dual_tc_sphere_model_homology(lo, hi),
+                tc_dual_circle_model_homology(sphere_model, e)]
         for h in rows:
             cells = {d: h.at(d) for d in range(lo, hi + 1)}
             for d in range(lo, hi + 1):
