@@ -279,13 +279,11 @@ class GroupExpr(Frozen):
         for kind, param, mult in self.atoms:
             if kind == _Z:
                 parts.append("Z" if mult == 1 else f"Z^{mult}")
-            elif kind == _ZMOD:
-                s = f"Z/{param}"
+            elif kind in (_ZMOD, _TORSION_TOWER):
+                s = f"Z/{param}" if kind == _ZMOD else f"(+)_k Z/{param}^k"
                 parts.append(s if mult == 1 else f"({s})^{mult}")
             elif kind == _COUNTABLE_FREE:
                 parts.append("(+)_k Z")
-            elif kind == _TORSION_TOWER:
-                parts.append(f"(+)_k Z/{param}^k")
             else:
                 parts.append(f"(+)^oo (+)_k Z/{param}^k")
         return " + ".join(parts)
@@ -407,7 +405,7 @@ def homology_with_orders(orders: dict[int, list[int]],
         start += size[t]
     rank = dict.fromkeys(orders, 0)
     torsion: dict[int, list[int]] = {t: [] for t in orders}
-    for i, j in _eliminate(lifts, split=True):
+    for i, j in _eliminate(lifts):
         t = lands[i]
         rank[t] += 1
         d = lifts[i][j]

@@ -11,6 +11,7 @@ from .checks import MAX_DEGREES, _int_input, _lookup, _need, _require, _verdict,
 from .cyclic import (GradedModule, NormalizedHochschild, brute_hochschild,
                      cell_weight_homology_fg, thh_homology_square_zero,
                      weight_homology_fg)
+from .primes import TooLargeToFactor
 from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
 
 
@@ -35,6 +36,9 @@ def _parse_fixture(fx: dict, path: tuple[str, ...], parse, shape: str):
     value = _lookup(fx, *path, source="fixture file")
     try:
         return parse(value)
+    except TooLargeToFactor as exc:
+        raise UsageError(f"fixture file {'.'.join(path)} holds an order too large "
+                         f"to factor: {exc}") from exc
     except (AttributeError, TypeError, ValueError, UnsupportedAtom) as exc:
         raise UsageError(f"fixture file {'.'.join(path)} is not {shape}") from exc
 

@@ -1,15 +1,14 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact integer matrices, homology's elimination core and Smith normal form.
 
 All entries are Python ints, so torsion coefficients like p**37 cost
 nothing but digits.  ``IntMatrix`` is the one matrix type: it keeps its
 columns as sparse dicts, the form in which callers build it and in which
-elimination reads it, and a dense grid only on request.  One
-sparse elimination core (``_eliminate``) serves the kernel, cokernel and
-Smith routines, and generic homology: it row-reduces a list of sparse
-rows, optionally mirroring its operations on transform rows.  The kernel
-of m is read off the left transform of m's transpose, whose rows are m's
-columns; the cokernel tracks no transform, and the Smith routine tracks
-both sides.
+elimination reads it, and a dense grid only on request.  One sparse
+elimination core (``_eliminate``) serves cokernels and generic homology:
+it diagonalizes a list of sparse rows and tracks no transform.  The Smith
+form is a separate dense routine that tracks both transforms; no verb
+runs it, and the kernel, image and solve helpers are read off it, so it
+shares no step with the core it is checked against.
 """
 
 from __future__ import annotations
@@ -78,8 +77,9 @@ class IntMatrix(Frozen):
         for col in other.columns:
             acc: dict[int, int] = {}
             for k, y in col.items():
-                _subtract(acc, self.columns[k], -y)
-            out.append(acc)
+                for i, x in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append({i: x for i, x in acc.items() if x})
         return IntMatrix(self.rows, tuple(out))
 
     def apply(self, vector) -> tuple[int, ...]:
@@ -104,56 +104,18 @@ class IntMatrix(Frozen):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
-def _transpose(vectors, n: int) -> list[dict[int, int]]:
-    """The n sparse vectors whose entry j is entry i of vectors[j]: a
-    matrix's rows from its columns, or back."""
-    out: list[dict[int, int]] = [{} for _ in range(n)]
-    for j, vec in enumerate(vectors):
-        for i, x in vec.items():
-            out[i][j] = x
-    return out
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
-
-
 def _nearest_quotient(x: int, a: int) -> int:
     """q with |x - q*a| <= |a|/2, so Euclid's steps shrink fast."""
     q, r = divmod(x, a)
     return q + 1 if 2 * abs(r) > abs(a) else q
 
 
-def _subtract(dst: dict, src: dict, q: int) -> None:
-    """dst -= q * src on sparse vectors, dropping entries that cancel."""
-    if not q:
-        return
-    for c, v in src.items():
-        x = dst.get(c, 0) - q * v
-        if x:
-            dst[c] = x
-        else:
-            del dst[c]
-
-
-def _eliminate(rows: list[dict], left: list[dict] | None = None,
-               right: list[dict] | None = None,
-               split: bool = False) -> list[tuple[int, int]]:
-    """Reduce ``rows`` in place by unimodular row operations and return
-    the pivots (row, column) in the order they were fixed.  Each row is a
-    dict from column to nonzero entry; rows that are not pivot rows end
-    empty.  Every row operation is repeated on ``left`` when given.
+def _eliminate(rows: list[dict]) -> list[tuple[int, int]]:
+    """Diagonalize ``rows`` in place by unimodular row and column
+    operations and return the pivots (row, column) in the order they were
+    fixed.  Each row is a dict from column to nonzero entry; a pivot row
+    ends holding its pivot alone and every other row ends empty, so the
+    matrix is diagonal up to the order of rows and columns.
 
     Pivot order: the next pivot row is a shortest row among those holding
     an entry of least absolute value (a unit whenever one is left), and
@@ -164,17 +126,10 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
     matrix.  A unit pivot clears its column in one pass, with quotients
     x * a for a = +-1; a pivot that does not divide its column is replaced
     by the least remainder, as in Euclid's algorithm, until the column is
-    clear.
-
-    Without ``split`` the result is an echelon form: a pivot's column is
-    empty in every row fixed after it, so the pivot rows are independent.
-    With ``split`` each pivot row is also cleared by column operations,
-    repeated on the rows of ``right`` (the transpose of the right
-    transform).  Those touch the pivot row alone, because its column has
-    just been cleared; a unit pivot clears the row at once, and a
-    remainder that a larger pivot does not divide becomes the next pivot
-    of the same row.  Every pivot row then ends holding its pivot alone,
-    so the matrix is diagonal up to the order of rows and columns.
+    clear.  Column operations then clear the pivot row.  They touch that
+    row alone, because its column has just been cleared; a unit pivot
+    clears the row at once, and a remainder that a larger pivot does not
+    divide becomes the next pivot of the same row.
     """
     where: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -203,8 +158,6 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
                 else:
                     del dst[c]
                     where[c].discard(k)
-        if left is not None:
-            _subtract(left[k], left[i], q)
         if dst:
             key[k] = new = (min(map(abs, dst.values())), len(dst))
             heappush(heap, (new[0], new[1], k))
@@ -236,8 +189,9 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
                     i = min((k for k in column if k != i),
                             key=lambda k: (abs(rows[k][j]), len(rows[k])))
                     row = rows[i]
-            if not split or len(row) == 1:
+            if len(row) == 1:
                 break
+            # clear row i by column operations, Euclid-style
             a = row[j]
             unit = a == 1 or a == -1
             for c in [c for c in row if c != j]:
@@ -249,8 +203,6 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
                     else:
                         del row[c]
                         where[c].discard(i)
-                    if right is not None:
-                        _subtract(right[c], right[j], q)
             if len(row) == 1:
                 break
             j = min((c for c in row if c != j), key=lambda c: abs(row[c]))
@@ -262,18 +214,15 @@ def _eliminate(rows: list[dict], left: list[dict] | None = None,
     return pivots
 
 
-def _divisibility_chain(diag: list[int], mix=None) -> list[int]:
+def _divisibility_chain(diag: list[int]) -> list[int]:
     """Make positive diagonal entries a chain d_1 | d_2 | ... in place by
-    replacing pairs (a, b) with (gcd, lcm); ``mix(s, t, a, b)`` is told of
-    each replacement so a caller can follow it in its transforms."""
+    replacing pairs (a, b) with (gcd, lcm)."""
     if all(b % a == 0 for a, b in zip(diag, diag[1:])):
         return diag
     for s in range(len(diag)):
         for t in range(s + 1, len(diag)):
             a, b = diag[s], diag[t]
             if b % a:
-                if mix is not None:
-                    mix(s, t, a, b)
                 g = gcd(a, b)
                 diag[s], diag[t] = g, a // g * b
     return diag
@@ -296,71 +245,73 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """U m V = D with U, V unimodular, D diagonal, nonnegative,
     and d_i | d_{i+1}.
 
-    The split elimination leaves one pivot per nonzero row; moving those
-    rows and columns to the front in order of size and mixing pairs that
-    break the divisibility chain finishes D.
+    The textbook dense routine on row lists, sharing no step with
+    ``_eliminate``.  For each t an entry of least absolute value of the
+    block from (t, t) on moves to (t, t), and its row and column are
+    reduced by it; a nonzero remainder is a smaller entry and becomes the
+    next pivot.  Once both are clear, a pivot that does not divide an
+    entry of the block below and to the right takes in that entry's row,
+    and the reduction goes on.  Every row operation is repeated on U and
+    every column operation on V.
 
     >>> d = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])).d
     >>> d.diagonal_entries()
     [2, 4]
     """
     r, c = m.rows, m.cols
-    rows = _transpose(m.columns, r)
-    u = [{i: 1} for i in range(r)]
-    vt = [{j: 1} for j in range(c)]  # the rows of V transposed
-    pivots = sorted(_eliminate(rows, u, vt, split=True),
-                    key=lambda p: abs(rows[p[0]][p[1]]))
-    pivot_rows = {i for i, _ in pivots}
-    pivot_cols = {j for _, j in pivots}
-    u = [u[i] for i, _ in pivots] + [u[i] for i in range(r) if i not in pivot_rows]
-    vt = [vt[j] for _, j in pivots] + [vt[j] for j in range(c) if j not in pivot_cols]
-    diag = []
-    for t, (i, j) in enumerate(pivots):
-        d = rows[i][j]
-        if d < 0:
-            u[t] = {k: -x for k, x in u[t].items()}
-        diag.append(abs(d))
+    a = [list(row) for row in m.entries]
+    u = [[int(i == k) for k in range(r)] for i in range(r)]
+    v = [[int(j == k) for k in range(c)] for j in range(c)]  # V itself, by rows
 
-    def mix(s, t, a, b):
-        # diag(a, b) -> diag(g, lcm): col s += col t, a unimodular mix of
-        # rows s and t, then col t -= (y b / g) col s
-        g, x, y = _xgcd(a, b)
-        _subtract(vt[s], vt[t], -1)
-        us, ut = u[s], u[t]
-        u[s] = _combination(us, x, ut, y)
-        u[t] = _combination(us, -(b // g), ut, a // g)
-        _subtract(vt[t], vt[s], y * b // g)
+    def add_row(dst, src, q):  # row dst += q * row src, on m and U
+        for grid in (a, u):
+            grid[dst] = [x + q * y for x, y in zip(grid[dst], grid[src])]
 
-    _divisibility_chain(diag, mix)
-    d = tuple([{t: x} for t, x in enumerate(diag)] + [{}] * (c - len(diag)))
-    return SmithDecomposition(IntMatrix(r, d), IntMatrix(r, tuple(_transpose(u, r))),
-                              IntMatrix(c, tuple(vt)))
+    def add_column(dst, src, q):  # column dst += q * column src, on m and V
+        for grid in (a, v):
+            for row in grid:
+                row[dst] += q * row[src]
 
-
-def _combination(p: dict, x: int, q: dict, y: int) -> dict:
-    """x * p + y * q on sparse vectors."""
-    out = {k: x * v for k, v in p.items()} if x else {}
-    _subtract(out, q, -y)
-    return out
+    for t in range(min(r, c)):
+        while True:
+            least = min(((abs(a[i][j]), i, j) for i in range(t, r) for j in range(t, c)
+                         if a[i][j]), default=None)
+            if least is None:
+                break  # the block is zero
+            _, i, j = least
+            for grid in (a, u):
+                grid[t], grid[i] = grid[i], grid[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, r):
+                add_row(i, t, -(a[i][t] // p))
+            for j in range(t + 1, c):
+                add_column(j, t, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, r)) or any(a[t][t + 1:]):
+                continue  # a remainder is left, and the next pass takes it as pivot
+            miss = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
+            if miss is None:
+                break
+            add_row(t, miss, 1)
+        if a[t][t] < 0:
+            for grid in (a, u):
+                grid[t] = [-x for x in grid[t]]
+    d = tuple([{t: a[t][t]} if t < r and a[t][t] else {} for t in range(c)])
+    return SmithDecomposition(IntMatrix(r, d), IntMatrix.from_rows(u), IntMatrix.from_rows(v))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the integer kernel lattice of m.
-
-    The rows of m's transpose are brought to echelon form; a unimodular
-    left transform T has T m^T = E, and the rows of T whose rows of E
-    ended zero span exactly the vectors x with m x = 0.
-    """
-    rows = [dict(col) for col in m.columns]
-    left = [{t: 1} for t in range(len(rows))]
-    fixed = {i for i, _ in _eliminate(rows, left)}
-    return IntMatrix(len(rows), tuple([left[t] for t in range(len(rows)) if t not in fixed]))
+    """Columns form a basis of the integer kernel lattice of m: the
+    columns of V past the rank, which D sends to zero."""
+    snf = smith_normal_form(m)
+    return IntMatrix(m.cols, snf.v.columns[snf.rank:])
 
 
 def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
     """(free rank, invariant factors >= 2) of Z^rows / im(m)."""
     rows = [dict(col) for col in m.columns]  # m^T: same invariants
-    diag = [abs(rows[i][j]) for i, j in _eliminate(rows, split=True)]
+    diag = [abs(rows[i][j]) for i, j in _eliminate(rows)]
     chain = _divisibility_chain(sorted(d for d in diag if d != 1))
     return m.rows - len(diag), [d for d in chain if d != 1]
 
@@ -377,20 +328,14 @@ class NoIntegralSolution(Exception):
 
 
 def solve_integral(m: IntMatrix, b, snf: SmithDecomposition | None = None) -> tuple[int, ...]:
-    """Some x with m @ x = b, or raise NoIntegralSolution."""
+    """Some x with m @ x = b, or raise NoIntegralSolution: D y = U b is
+    solved entry by entry, and x = V y."""
     if snf is None:
         snf = smith_normal_form(m)
-    y = snf.u.apply(b)
-    diag = snf.d.diagonal_entries()
-    x_prime = [0] * m.cols
-    for i, yi in enumerate(y):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if yi != 0:
-                raise NoIntegralSolution(f"inconsistent at row {i}")
-        else:
-            if yi % d != 0:
-                raise NoIntegralSolution(f"non-divisible at row {i}")
-            if i < m.cols:
-                x_prime[i] = yi // d
-    return snf.v.apply(x_prime)
+    ub = snf.u.apply(b)
+    diag = snf.d.diagonal_entries() + [0] * (m.rows - m.cols)  # one entry per row
+    for i, (x, d) in enumerate(zip(ub, diag)):
+        if x % d if d else x:
+            raise NoIntegralSolution(f"entry {i} of U b is {x}, not a multiple of {d}")
+    y = [x // d if d else 0 for x, d in zip(ub, diag)]
+    return snf.v.apply(y[:m.cols] + [0] * (m.cols - m.rows))

@@ -30,6 +30,7 @@ from math import isqrt
 # the largest number is_prime tests: trial division up to its square root
 # takes about 0.1 s there, and 100 times as long for every factor 10^4 above
 PRIME_TEST_BOUND = 10**12
+_TRIAL_DIVISION_BOUND = isqrt(PRIME_TEST_BOUND)
 
 
 def is_prime(n: int) -> bool:
@@ -53,8 +54,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class TooLargeToFactor(ValueError):
+    """A number that trial division up to 10^6 cannot finish factoring."""
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Factor a positive integer into {prime: exponent} by trial division.
+    """Factor a positive integer into {prime: exponent} by trial division
+    up to the square root of ``PRIME_TEST_BOUND``: a cofactor above that
+    bound with no prime factor up to there raises ``TooLargeToFactor``.
 
     >>> factorint(360)
     {2: 3, 3: 2, 5: 1}
@@ -68,6 +75,10 @@ def factorint(n: int) -> dict[int, int]:
             result[p] = result.get(p, 0) + 1
     d = 5
     while d * d <= n:
+        if d > _TRIAL_DIVISION_BOUND:
+            raise TooLargeToFactor(
+                f"a cofactor above {PRIME_TEST_BOUND} has no prime factor up to "
+                f"{_TRIAL_DIVISION_BOUND}")
         for p in (d, d + 2):
             while n % p == 0:
                 n //= p

@@ -1,8 +1,11 @@
 """Run configuration and report types shared by the command-line verbs.
 
 Reports are deterministic: checks and tables are emitted in a canonical
-order, and the JSON renderer sorts keys and serializes every integer as a
-decimal string, so identical configurations produce byte-identical output.
+order, and the JSON renderer sorts keys, so identical configurations
+produce byte-identical output.  The config echo and group atoms write
+integers as decimal strings; a few payload fields are JSON numbers: the
+``trials`` of an operad check's PASS and the ``weight``, ``lo`` and ``hi``
+of an ``hh-weight`` FAIL's inputs.
 Exit-code contract: 0 all checks pass, 1 some check failed, 2 usage error.
 """
 

@@ -15,7 +15,7 @@ from dualcircle.abgroups import (
     homology_with_orders,
     les_fiber,
 )
-from dualcircle.matrices import IntMatrix, cokernel_invariants, kernel_basis
+from dualcircle.matrices import IntMatrix, kernel_basis, smith_normal_form
 from dualcircle.primes import factorint
 
 
@@ -118,6 +118,10 @@ class TestGroupExpr:
         t = GroupExpr.torsion_tower(5)
         assert t.plus(t) != t
         assert t.plus(t).atoms == (("TorsionTower", 5, 2),)
+        # and prints with its multiplicity, as (Z/5)^2 does
+        assert str(t) == "(+)_k Z/5^k"
+        assert str(t.plus(t)) == "((+)_k Z/5^k)^2"
+        assert str(GroupExpr.cyclic(5).plus(t, t)) == "Z/5 + ((+)_k Z/5^k)^2"
 
     def test_normalization_idempotent(self):
         g = GroupExpr.free(2).plus(GroupExpr.cyclic(12), GroupExpr.torsion_tower(3))
@@ -332,10 +336,11 @@ class TestLesFiber:
 
 
 def _reference_homology_with_orders(d_out, d_in, orders_here, orders_below):
-    """Homology at B of A -> B -> C by two kernel bases and a cokernel: the
-    kernel K of B -> C is spanned by the B-rows P of a kernel basis of
-    [d_out | R_C], and H = Z^r / {a : P a in L} with L spanned by the
-    columns of d_in and R_B, read off a kernel basis of [P | L]."""
+    """Homology at B of A -> B -> C by two kernel bases and a Smith form,
+    none of which runs the live elimination core: the kernel K of B -> C
+    is spanned by the B-rows P of a kernel basis of [d_out | R_C], and
+    H = Z^r / {a : P a in L} with L spanned by the columns of d_in and R_B,
+    read off a kernel basis of [P | L]."""
     orders_here = list(orders_here)
     n_b = len(orders_here)
     if n_b == 0:
@@ -364,8 +369,8 @@ def _reference_homology_with_orders(d_out, d_in, orders_here, orders_below):
         r = len(p)
         relations = [{k: x for k, x in col.items() if k < r}
                      for col in kernel_basis(IntMatrix(n_b, tuple(p + killed))).columns]
-    free, torsion = cokernel_invariants(IntMatrix(r, tuple(relations)))
-    return FGAbGroup(free, tuple(torsion))
+    snf = smith_normal_form(IntMatrix(r, tuple(relations)))
+    return FGAbGroup.from_orders([0] * (r - snf.rank) + snf.invariant_factors())
 
 
 _ORDERS = st.sampled_from((0, 0, 2, 3, 4, 6))

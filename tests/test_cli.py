@@ -186,6 +186,21 @@ class TestHHVerb:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "thh_dual_circle_shadow.-1" in captured.err
 
+    def test_fixture_order_too_large_to_factor(self, tmp_path, capsys):
+        # trial division once ran to the square root of the largest prime
+        # factor, about 13 s for this order
+        def big(fx):
+            fx["dual_numbers"]["HH1"] = [0, 100000000000000003]
+
+        path = self._broken_fixture(tmp_path, big)
+        start = time.perf_counter()
+        assert main(["hh", "verify", "--fixtures", path, "--max-weight", "1",
+                     "--max-degree", "1"]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "dual_numbers.HH1 holds an order too large to factor" in captured.err
+
     # values that once gave a vacuous PASS, a SKIP of weights 1..0, or a
     # FAIL against the frozen groups
     @pytest.mark.parametrize("key, value", [

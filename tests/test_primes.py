@@ -8,6 +8,7 @@ import pytest
 
 from dualcircle import primes
 from dualcircle.primes import (
+    TooLargeToFactor,
     factorint,
     irregular_indices,
     is_prime,
@@ -85,6 +86,18 @@ def test_factorint():
     assert factorint(97) == {97: 1}
     with pytest.raises(ValueError):
         factorint(0)
+
+
+def test_factorint_at_its_bound():
+    # trial division runs to 10^6, the square root of is_prime's bound
+    assert factorint(5**37) == {5: 37}
+    assert factorint(999983**2) == {999983: 2}  # the largest prime below 10^6
+    assert factorint(2 * 999999999989) == {2: 1, 999999999989: 1}
+    # a cofactor above 10^12 with no prime factor up to 10^6 is refused
+    for n in (1000003 * 1000033, 8 * 1000003**2, 100000000000000003):
+        with pytest.raises(TooLargeToFactor, match="no prime factor up to 1000000"):
+            factorint(n)
+    assert issubclass(TooLargeToFactor, ValueError)
 
 
 def test_bernoulli_small_values():
