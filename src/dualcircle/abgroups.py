@@ -340,6 +340,10 @@ class GradedGroup(Frozen):
 # homology of complexes of finitely generated abelian groups
 
 
+_NOT_A_COMPLEX = ("relations or incoming image of degree {} do not land in the kernel "
+                  "(input is not a complex)")
+
+
 def homology_with_orders(orders: dict[int, list[int]],
                          boundary: dict[int, IntMatrix]) -> dict[int, FGAbGroup]:
     """Homology in every degree of a chain complex of direct sums of
@@ -347,21 +351,28 @@ def homology_with_orders(orders: dict[int, list[int]],
     (0 meaning Z), and ``boundary[t]``, an integer matrix on generators,
     maps degree t to degree t - 1 (a degree without one maps by zero).
 
-    With C_t = Z^n_t / R_t (R_t holding o e_i per nonzero order o), the
-    complex is the cokernel of the injective chain map of relations, so it
-    has the homology of the cone of R, a complex of free groups.  The
-    cone's degree t is Z^n_t (+) F_t, with one generator of F_t per nonzero
-    order of degree t - 1.  Its differential into degree t is spanned by
-    the lifts (x ; R_{t-1}^-1 d_t x) of what must die in C_t: the columns
-    of ``boundary[t + 1]`` and R_t.  A non-integral lift means the input
-    is not a complex.  The differential is block diagonal by degree, so one
-    elimination of every lift, with each pivot read by the degree it lands
-    in, gives rank r_t and the invariant factors of the differential into
-    each degree t, and H_t = Z^(n_t + |F_t| - r_t - r_{t-1}) (+) (its
-    invariant factors other than 1).  The F rows carry the opposite sign
-    of the cone's, which changes neither ranks nor invariant factors.
-    Below, C_0 = Z + Z/2, C_1 = Z^2 maps onto it by the identity, so its
-    kernel is 0 + 2Z, and C_2 = Z maps onto 4Z:
+    The relations R_t (o e_i per nonzero order o) and the columns of
+    ``boundary[t + 1]`` must map into R_{t-1}, or ``StructuralError`` names
+    degree t; this reads the input as given, as a cancellation can hide a
+    bad composite.  Unit pairs of equal order are cancelled first
+    (Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004, ch. 4),
+    degree by degree: a = +-1 in ``boundary[t]`` from tau to sigma of one
+    order is an isomorphism Z -> Z or Z/o -> Z/o, so dropping both keeps the
+    homology once each other column c becomes c - c[sigma] a col(tau).
+
+    Then one elimination of the cone of what is left.  With C_t = Z^n_t /
+    R_t, the complex is the cokernel of the injective chain map of
+    relations, so it has the homology of the cone of R, a complex of free
+    groups whose degree t is Z^n_t (+) F_t, one generator of F_t per
+    nonzero order of degree t - 1.  Its differential into degree t is
+    spanned by the lifts (x ; R_{t-1}^-1 d_t x) of what must die in C_t.
+    It is block diagonal by degree, so one elimination of every lift, each
+    pivot read by the degree it lands in, gives the rank r_t and invariant
+    factors of the differential into degree t, and H_t = Z^(n_t + |F_t| -
+    r_t - r_{t-1}) (+) (those factors other than 1); the F rows carry the
+    cone's opposite sign, which changes neither.  Below, C_0 = Z + Z/2,
+    C_1 = Z^2 maps onto it by the identity, so its kernel is 0 + 2Z, and
+    C_2 = Z maps onto 4Z; the unit Z -> Z cancels, Z -> Z/2 does not:
 
     >>> homology_with_orders({0: [0, 2], 1: [0, 0], 2: [0]},
     ...                      {1: IntMatrix.from_rows([[1, 0], [0, 1]]),
@@ -371,42 +382,73 @@ def homology_with_orders(orders: dict[int, list[int]],
     for t, d in boundary.items():
         if d.cols != len(orders.get(t, ())) or d.rows != len(orders.get(t - 1, ())):
             raise StructuralError(f"boundary out of degree {t} has the wrong shape")
-    lifts: list[dict[int, int]] = []  # every lift, by place in the cone
-    lands: list[int] = []  # the degree each lift lands in
-    size: dict[int, int] = {}
-    start = 0  # where degree t's places begin: Z^n_t, then F_t
-    for t, here in orders.items():
-        below = orders.get(t - 1, ())
-        n = len(here)
-        slot: dict[int, int] = {}  # generator i of degree t - 1 -> its place in F_t
-        for i, o in enumerate(below):
-            if o:
-                slot[i] = start + n + len(slot)
-        killed = [col for col in boundary[t + 1].columns if col] if t + 1 in boundary else []
-        killed += [{i: o} for i, o in enumerate(here) if o]
-        out = boundary[t].columns if t in boundary else ({},) * n
-        for col in killed:
-            lift, image = {}, {}
+    columns = {t: [{}] * len(here) for t, here in orders.items()}  # None: cancelled
+    rank = dict.fromkeys(orders, 0)
+    for t in sorted(boundary):
+        out, here, below = boundary[t].columns, orders.get(t, ()), orders.get(t - 1, ())
+        where: dict[int, set[int]] = {}  # row -> the columns holding it
+        for j, col in enumerate(out):
+            for i, y in col.items():
+                if here[j] and (not below[i] or here[j] * y % below[i]):
+                    raise StructuralError(_NOT_A_COMPLEX.format(t))
+                where.setdefault(i, set()).add(j)
+        for col in boundary[t + 1].columns if t + 1 in boundary else ():
+            image: dict[int, int] = {}
             for j, x in col.items():
-                lift[start + j] = x
                 for i, y in out[j].items():
                     image[i] = image.get(i, 0) + x * y
             for i, v in image.items():
-                if v:
-                    o = below[i]
-                    if not o or v % o:
-                        raise StructuralError(
-                            f"relations or incoming image of degree {t} do not land "
-                            "in the kernel (input is not a complex)")
-                    lift[slot[i]] = v // o
+                if v and (not below[i] or v % below[i]):
+                    raise StructuralError(_NOT_A_COMPLEX.format(t))
+        cols = columns[t] = list(map(dict, out))
+        left = columns.get(t - 1, ())  # a cancelled row stays, but never pivots
+        for tau, col in enumerate(cols):
+            o, sigma = here[tau], None
+            for i, x in col.items():
+                if ((x == 1 or x == -1) and below[i] == o and left[i] is not None
+                        and (sigma is None or len(where[i]) < len(where[sigma]))):
+                    sigma = i
+            if sigma is None:
+                continue
+            for i in col:
+                where[i].discard(tau)
+            a = col.pop(sigma)
+            for c in where.pop(sigma):
+                other = cols[c]
+                q = other.pop(sigma) * a
+                for i, x in col.items():
+                    v = other.get(i, 0) - q * x
+                    if v:
+                        other[i] = v
+                        where[i].add(c)
+                    else:
+                        del other[i]
+                        where[i].discard(c)
+            cols[tau] = left[sigma] = None
+            rank[t - 1] += 1  # the pivot the cone would find in the pair's unit,
+            rank[t] += o != 0  # and, of finite order, the one in tau's relation
+    lifts: list[dict[tuple[int, int], int]] = []  # every lift, by (degree, place) in the cone
+    size: dict[int, int] = {}
+    for t, here in orders.items():
+        out, below, n = columns[t], orders.get(t - 1, ()), len(here)
+        left = columns.get(t - 1, ())  # the cone skips cancelled rows
+        killed = [col for col in columns.get(t + 1, ()) if col]
+        killed += [{i: o} for i, o in enumerate(here) if o and out[i] is not None]
+        for col in killed:
+            lift, image = {}, {}
+            for j, x in col.items():
+                if out[j] is not None:
+                    lift[t, j] = x
+                    for i, y in out[j].items():
+                        image[i] = image.get(i, 0) + x * y
+            for i, v in image.items():
+                if v and left[i] is not None:
+                    lift[t, n + i] = v // below[i]  # generator i of F_t
             lifts.append(lift)
-        lands += [t] * len(killed)
-        size[t] = n + len(slot)
-        start += size[t]
-    rank = dict.fromkeys(orders, 0)
+        size[t] = n + len(below) - below.count(0)
     torsion: dict[int, list[int]] = {t: [] for t in orders}
     for i, j in _eliminate(lifts):
-        t = lands[i]
+        t = j[0]
         rank[t] += 1
         d = lifts[i][j]
         if d != 1 and d != -1:

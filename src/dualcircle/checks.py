@@ -20,7 +20,7 @@ import re
 from importlib import import_module
 
 from .primes import is_prime
-from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
+from .report import CheckResult, Report, RunConfig, UsageError, read_json
 
 # the degrees of a table1, hh verify or replayed hh-weight window at most;
 # each takes time linear in them
@@ -141,7 +141,7 @@ def run_replay(config: RunConfig, payload_path: str) -> Report:
     """Re-run the check of a FAIL payload file on the payload's inputs
     alone: ``config`` sets only the output format, and the report echoes
     the default options apart from that format and the payload's prime."""
-    payload = json.loads(read_bounded(payload_path, "replay payload"))
+    payload = read_json(payload_path, "replay payload")
     _require(isinstance(payload, dict), "replay payload is not a JSON object")
     kind = payload.get("check")
     _require(isinstance(kind, str) and kind in CHECKS,

@@ -29,8 +29,10 @@ routes compute its homology, each from its own source:
   weight at a time, whose differential is written from the ring's first
   and last face maps, the others vanishing on a square-zero product; on a
   weight's first query it lists the words and writes their face columns
-  in one pass, and one graded call of generic homology, one elimination,
-  gives that weight's groups in every degree (``NormalizedHochschild``).
+  in one pass, and one graded call of generic homology gives that
+  weight's groups in every degree (``NormalizedHochschild``): it cancels
+  unit pairs of equal order, then makes one elimination of the cone of
+  what is left (Kaczynski, Mischaikow and Mrozek, ch. 4).
 
 All three must compute the same homology; the test suite enforces this on
 a fixture zoo and on generated modules.  Every matrix here is a
@@ -218,10 +220,10 @@ class NormalizedHochschild:
     pass, writes each unit-led face column by the words' places in their
     degree, and makes one ``homology_with_orders`` call on the whole
     weight: total degree t holds the module-led chains of degree t - w + 1
-    words, then the unit-led ones of degree t - w.  That call runs one
-    elimination and gives the weight's group in every degree; later
-    queries of the weight read them off.  Nothing is kept beyond the
-    instance.
+    words, then the unit-led ones of degree t - w.  That call cancels unit
+    pairs of equal order, then runs one elimination of the cone of what is
+    left (Kaczynski, Mischaikow and Mrozek, ch. 4); later queries read its
+    groups off.  Nothing is kept beyond the instance.
     """
 
     def __init__(self, m: GradedModule, max_level: int):

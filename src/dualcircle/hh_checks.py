@@ -12,7 +12,7 @@ from .cyclic import (GradedModule, NormalizedHochschild, brute_hochschild,
                      cell_weight_homology_fg, thh_homology_square_zero,
                      weight_homology_fg)
 from .primes import TooLargeToFactor
-from .report import CheckResult, Report, RunConfig, UsageError, read_bounded
+from .report import CheckResult, Report, RunConfig, UsageError, read_json
 
 
 def _parse_fixtures(inputs: dict) -> dict:
@@ -24,10 +24,7 @@ def _parse_fixtures(inputs: dict) -> dict:
     if path is None:
         return {"fixtures": None, "fx": json.loads(resources.files("dualcircle").joinpath(
             "fixtures/hh_fixtures.json").read_text())}
-    try:
-        return {"fixtures": path, "fx": json.loads(read_bounded(path, "fixture file"))}
-    except OSError as exc:
-        raise UsageError(f"cannot read fixture file: {exc}") from exc
+    return {"fixtures": path, "fx": read_json(path, "fixture file")}
 
 
 def _parse_fixture(fx: dict, path: tuple[str, ...], parse, shape: str):

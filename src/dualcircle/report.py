@@ -40,6 +40,24 @@ def read_bounded(path: str, what: str) -> str:
     return data.decode()
 
 
+def read_json(path: str, what: str):
+    """The JSON value in the ``what`` file at ``path``, read by
+    ``read_bounded``, or a one-line usage error naming the file."""
+    try:
+        return json.loads(read_bounded(path, what))
+    except OSError as exc:
+        fault = f"cannot be read: {exc.strerror}"
+    except UnicodeDecodeError as exc:
+        fault = f"is not UTF-8 text: byte {exc.start} is {exc.object[exc.start]:#04x}"
+    except json.JSONDecodeError as exc:
+        fault = f"is not JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+    except ValueError:  # int() refuses a literal above the interpreter's digit limit
+        fault = "holds an integer with more digits than Python reads"
+    except RecursionError:
+        fault = "nests arrays or objects too deeply to read"
+    raise UsageError(f"{what} {path} {fault}")
+
+
 class RunConfig:
     """The options of a run, each an attribute."""
 

@@ -519,6 +519,37 @@ class TestHomologyWithOrdersReference:
             _reference_homology_with_orders(*args)
 
 
+class TestUnitPairCancellation:
+    """Generic homology cancels an entry +-1 only between generators of the
+    same order, where it is an isomorphism Z -> Z or Z/o -> Z/o; each
+    complex below holds a unit between unequal orders, which must stay."""
+
+    @pytest.mark.parametrize("orders, boundary_rows, expected", [
+        # Z -> Z/2 by 1, onto with kernel 2Z, the image of Z by 2
+        ({0: [2], 1: [0], 2: [0]}, {1: [[1]], 2: [[2]]}, {0: "0", 1: "0", 2: "0"}),
+        # Z/4 -> Z/2 by 1: onto, with kernel 2Z/4
+        ({0: [2], 1: [4]}, {1: [[1]]}, {0: "0", 1: "Z/2"}),
+        # Z -> Z/2 + Z by (1, 1): the unit into Z cancels, the one into Z/2,
+        # met first, does not, and Z/2 is left
+        ({0: [2, 0], 1: [0]}, {1: [[1], [1]]}, {0: "Z/2", 1: "0"}),
+    ], ids=["free-to-Z/2", "Z/4-to-Z/2", "past-Z/2-to-Z"])
+    def test_a_unit_between_unequal_orders_is_kept(self, orders, boundary_rows, expected):
+        boundary = {t: IntMatrix.from_rows(r) for t, r in boundary_rows.items()}
+        got = homology_with_orders(orders, boundary)
+        assert {t: str(g) for t, g in got.items()} == expected
+        for t, here in orders.items():
+            assert got[t] == _reference_homology_with_orders(
+                boundary.get(t), boundary.get(t + 1), here, orders.get(t - 1, []))
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_a_bad_composite_on_cancellable_pairs_raises_in_its_degree(self, order):
+        # d_2 = d_3 = 1 between generators of one order: cancelling the pair
+        # of d_2 first would leave d_3 zero and hide the composite of degree 2
+        boundary = {t: IntMatrix.from_rows([[int(t > 1)]]) for t in (1, 2, 3)}
+        with pytest.raises(StructuralError, match="degree 2 .*not a complex"):
+            homology_with_orders({t: [order] for t in range(4)}, boundary)
+
+
 class TestHomologyWithOrdersBruteForce:
     """Independent check of the subquotient algorithm: enumerate small
     finite complexes element by element and compare the multiset of element

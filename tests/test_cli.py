@@ -522,6 +522,40 @@ class TestInputFileBound:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.count("\n") == 1 and "holds more than" in done.stderr
 
+    # each fault is one line naming the file and its role: Python's own
+    # texts name neither, the one for a long integer advises a setting the
+    # user cannot make, and deep nesting would end in a traceback
+    @pytest.mark.parametrize("option", ["--replay", "--fixtures"])
+    @pytest.mark.parametrize("data, fault", [
+        (b'{"a": x}', "is not JSON: Expecting value at line 1 column 7"),
+        (b'{"a": ' + b"9" * 4400 + b"}",
+         "holds an integer with more digits than Python reads"),
+        (b'{"a": "\xff"}', "is not UTF-8 text: byte 7 is 0xff"),
+        (b"[" * 10**5 + b"]" * 10**5, "nests arrays or objects too deeply to read"),
+    ], ids=["not-json", "long-integer", "not-utf8", "deep"])
+    def test_a_file_that_is_not_json_is_refused_with_one_line(self, tmp_path, capsys,
+                                                              option, data, fault):
+        verb, _, name = FILE_OPTIONS[option]
+        path = tmp_path / "file"
+        path.write_bytes(data)
+        assert main([*verb, option, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} {path} {fault}\n"
+
+    @pytest.mark.parametrize("option", ["--replay", "--fixtures"])
+    @pytest.mark.parametrize("make, fault", [
+        (lambda path: None, "cannot be read: No such file or directory"),
+        (lambda path: path.mkdir(), "cannot be read: Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_a_file_that_cannot_be_read_is_refused_with_one_line(self, tmp_path, capsys,
+                                                                 option, make, fault):
+        verb, _, name = FILE_OPTIONS[option]
+        path = tmp_path / "file"
+        make(path)
+        assert main([*verb, option, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} {path} {fault}\n")
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path, capsys):
